@@ -17,7 +17,6 @@ from .diffpoly import (
     dp_conjugate,
     dp_dx,
     dp_eval,
-    dp_mul,
     dp_reduce,
     euler_derivative,
     is_exact,
@@ -90,7 +89,6 @@ __all__ = [
     "dp_conjugate",
     "dp_dx",
     "dp_eval",
-    "dp_mul",
     "dp_reduce",
     "euler_derivative",
     "is_exact",

@@ -17,7 +17,7 @@ import numpy as np
 from . import hierarchy
 from .config import ConfigError, parse_config, preset_flow_spec
 from .diffpoly import render
-from .evolve import Blowup, FlowSpec, Linear, evolve_run
+from .evolve import Blowup, EvolveError, FlowSpec, Linear, StabilityViolation, evolve_run
 from .solutions import (
     RiemannData,
     SolutionError,
@@ -147,8 +147,9 @@ def cmd_evolve(args) -> int:
     if dt is None or t_end is None:
         raise CliError("need --dt and --t-end (or a [time] config section)")
     method = args.method or (cfg.get("time", "method", "auto") if cfg else "auto")
+    stride = cfg.get("time", "snapshot_stride") if cfg else None
     try:
-        traj = evolve_run(f0, spec, float(t_end), float(dt), method=method)
+        traj = evolve_run(f0, spec, float(t_end), float(dt), method=method, snapshot_stride=stride)
     except Blowup as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         if exc.last_good is not None and args.out:
@@ -339,12 +340,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigError, SolutionError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except SpectralError as exc:
+    except (SpectralError, StabilityViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_FAILED
+    except (ConfigError, SolutionError, FileNotFoundError, ValueError, EvolveError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

@@ -34,8 +34,6 @@ _KNOWN = {
     "flows": re.compile(r"flow[1-9]$"),
     "grid": re.compile(r"(n|length)$"),
     "time": re.compile(r"(dt|t_end|method|snapshot_stride)$"),
-    "initial": re.compile(r"(kind|amplitude|q|center)$"),
-    "transform": re.compile(r"(a|b)$"),
 }
 
 _SCHEDULE_RE = re.compile(r"(linear|poly|sin|bump)\(([^)]*)\)$")

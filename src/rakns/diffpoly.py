@@ -336,10 +336,6 @@ class DiffPoly:
 _DP_ZERO = DiffPoly((), _canonical=True)
 
 
-def dp_mul(p: DiffPoly, q: DiffPoly) -> DiffPoly:
-    return p * q
-
-
 def dp_dx(p: DiffPoly) -> DiffPoly:
     """Total x-derivative: Leibniz over each monomial, jets bump their order."""
     out = []
@@ -532,12 +528,6 @@ class MatrixDP:
 
     def dx(self) -> "MatrixDP":
         return MatrixDP(*(dp_dx(self.entries[i][j]) for i in (0, 1) for j in (0, 1)))
-
-    def diagonal_part(self) -> "MatrixDP":
-        return MatrixDP(self[0, 0], _DP_ZERO, _DP_ZERO, self[1, 1])
-
-    def offdiagonal_part(self) -> "MatrixDP":
-        return MatrixDP(_DP_ZERO, self[0, 1], self[1, 0], _DP_ZERO)
 
     def is_zero(self) -> bool:
         return all(self.entries[i][j].is_zero() for i in (0, 1) for j in (0, 1))

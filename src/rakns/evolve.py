@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .spectral import Field, Grid, _cached_plan, eval_rhs, flow_evaluator, write_field
+from .diffpoly import DiffPoly
+from .spectral import Field, Grid, _cached_plan, eval_rhs, flow_plan, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 
@@ -149,8 +151,9 @@ class FlowSpec:
             [(k + 1, Linear(b)) for k, b in enumerate(coeffs) if b != 0.0]
         )
 
-    def alpha_values(self, t: float) -> dict:
-        return {k: s.value(t) for k, s in self.entries}
+    def weights(self, t: float) -> np.ndarray:
+        """Flow weights i^k alpha_k'(t), one per entry."""
+        return np.array([1j**k * s.derivative(t) for k, s in self.entries], dtype=complex)
 
 
 def linear_symbol(spec: FlowSpec, t: float, xi) -> complex | np.ndarray:
@@ -158,8 +161,8 @@ def linear_symbol(spec: FlowSpec, t: float, xi) -> complex | np.ndarray:
     real schedules since i^k (i xi)^(k+1) = i^(2k+1) xi^(k+1)."""
     xi = np.asarray(xi, dtype=float)
     mu = np.zeros(xi.shape, dtype=complex)
-    for k, sched in spec.entries:
-        mu += (1j**k) * sched.derivative(t) * (1j * xi) ** (k + 1)
+    for (k, _), w in zip(spec.entries, spec.weights(t)):
+        mu += w * (1j * xi) ** (k + 1)
     return mu if mu.shape else complex(mu)
 
 
@@ -171,55 +174,65 @@ def _check_stability(spec: FlowSpec, t: float, grid: Grid, dt: float) -> None:
         )
 
 
-def _nonlinear_plans(table, spec: FlowSpec):
-    """Plans for H_k minus its leading linear monomial psi_{(k+1)x}."""
-    from .diffpoly import DiffPoly
+def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
+    """One step of size dt as ``advance(f, t_new) -> Field``.
 
-    out = []
-    for k, sched in spec.entries:
-        h = table.H[k] - DiffPoly.var("psi", k + 1)
-        out.append((k, 1j**k, _cached_plan(h), sched))
-    return out
+    rk4 is plain RK4 on the whole right-hand side behind the stability
+    guard; ifrk4 (constant coefficients only) propagates the linear phases
+    e^(mu dt) exactly and applies RK4 to the nonlinear remainder
+    sum_k i^k alpha_k' (H_k - psi_{(k+1)x}).  Either way each stage is one
+    evaluation of one plan for the whole spec.  A step that leaves
+    non-finite values raises Blowup carrying the field it started from.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive")
+    if method == "auto":
+        method = "ifrk4" if spec.is_constant else "rk4"
+    if method == "rk4":
+        plan = flow_plan(table, spec)
 
+        def rhs(v, t):
+            return eval_rhs(plan, v, grid, spec.weights(t))
 
-def _rk4_step(values, grid, t, dt, rhs):
-    k1 = rhs(values, grid, t)
-    k2 = rhs(values + 0.5 * dt * k1, grid, t + 0.5 * dt)
-    k3 = rhs(values + 0.5 * dt * k2, grid, t + 0.5 * dt)
-    k4 = rhs(values + dt * k3, grid, t + dt)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def integrate(v, t):
+            _check_stability(spec, t, grid, dt)
+            k1 = rhs(v, t)
+            k2 = rhs(v + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = rhs(v + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = rhs(v + dt * k3, t + dt)
+            return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-class _IfRk4Stepper:
-    """Integrating-factor RK4 for constant-coefficient specs: exact phases
-    e^(mu dt) for the linear part, RK4 on the nonlinear remainder."""
-
-    def __init__(self, table, spec: FlowSpec, grid: Grid, dt: float):
+    elif method == "ifrk4":
         if not spec.is_constant:
             raise EvolveError("ifrk4 requires Linear (constant-coefficient) schedules")
-        self.grid = grid
-        self.dt = dt
-        self.mu = linear_symbol(spec, 0.0, grid.xi)
-        self.e_half = np.exp(0.5 * dt * self.mu)
-        self.e_full = self.e_half**2
-        self.plans = _nonlinear_plans(table, spec)
+        plan = _cached_plan(
+            *(table.H[k] - DiffPoly.var("psi", k + 1) for k, _ in spec.entries)
+        )
+        w = spec.weights(0.0)
+        e = np.exp(0.5 * dt * linear_symbol(spec, 0.0, grid.xi))
+        e2 = e * e
 
-    def _nhat(self, values):
-        f = Field(self.grid, values)
-        out = np.zeros(self.grid.n, dtype=complex)
-        for _, ik, plan, sched in self.plans:
-            out += ik * sched.slope * eval_rhs(plan, f)
-        return np.fft.fft(out)
+        def nhat(v):
+            return np.fft.fft(eval_rhs(plan, v, grid, w))
 
-    def step(self, values):
-        dt, e, e2 = self.dt, self.e_half, self.e_full
-        v = np.fft.fft(values)
-        a = self._nhat(values)
-        b = self._nhat(np.fft.ifft(e * (v + 0.5 * dt * a)))
-        c = self._nhat(np.fft.ifft(e * v + 0.5 * dt * b))
-        d = self._nhat(np.fft.ifft(e2 * v + dt * e * c))
-        v_new = e2 * v + (dt / 6.0) * (e2 * a + 2.0 * e * (b + c) + d)
-        return np.fft.ifft(v_new)
+        def integrate(v, t):
+            u = np.fft.fft(v)
+            a = nhat(v)
+            b = nhat(np.fft.ifft(e * (u + 0.5 * dt * a)))
+            c = nhat(np.fft.ifft(e * u + 0.5 * dt * b))
+            d = nhat(np.fft.ifft(e2 * u + dt * e * c))
+            return np.fft.ifft(e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e * (b + c) + d))
+
+    else:
+        raise ValueError(f"unknown method {method!r}")
+
+    def advance(f: Field, t_new: float) -> Field:
+        new = integrate(f.values, f.time)
+        if not np.all(np.isfinite(new.view(float))):
+            raise Blowup(f"non-finite values after the step from t={f.time:.6g}", last_good=f)
+        return Field(grid, new, t_new)
+
+    return advance
 
 
 def step(f: Field, spec: FlowSpec, dt: float, method: str = "rk4", table=None) -> Field:
@@ -227,21 +240,9 @@ def step(f: Field, spec: FlowSpec, dt: float, method: str = "rk4", table=None) -
     requires constant coefficients."""
     from .hierarchy import default_flow_table
 
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if table is None:
         table = default_flow_table(max(spec.max_order, 1))
-    if method == "rk4":
-        _check_stability(spec, f.time, f.grid, dt)
-        rhs = flow_evaluator(table, spec)
-        new = _rk4_step(f.values, f.grid, f.time, dt, rhs)
-    elif method == "ifrk4":
-        new = _IfRk4Stepper(table, spec, f.grid, dt).step(f.values)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if not np.all(np.isfinite(new.view(float))):
-        raise Blowup(f"non-finite values after step at t={f.time}", last_good=f)
-    return Field(f.grid, new, f.time + dt)
+    return _stepper(table, spec, f.grid, dt, method)(f, f.time + dt)
 
 
 @dataclass
@@ -289,20 +290,18 @@ def evolve_run(
     from .hierarchy import default_flow_table
     from .spectral import conserved_integral
 
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError("t_end must be finite and non-negative")
     if table is None:
         table = default_flow_table(max(spec.max_order, 2))
-    if method == "auto":
-        method = "ifrk4" if spec.is_constant else "rk4"
+    advance = _stepper(table, spec, f0.grid, dt, method)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
     if snapshot_stride is None:
         snapshot_stride = max(1, n_steps // 64)
-
-    stepper = None
-    if method == "ifrk4":
-        stepper = _IfRk4Stepper(table, spec, f0.grid, dt)
-    rhs = flow_evaluator(table, spec) if method == "rk4" else None
+    elif not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
+        raise ValueError("snapshot_stride must be a positive integer")
 
     traj = Trajectory()
 
@@ -314,15 +313,11 @@ def evolve_run(
 
     record(f0)
     f = f0
-    for i in range(n_steps):
-        if method == "rk4":
-            _check_stability(spec, f.time, f.grid, dt)
-            new = _rk4_step(f.values, f.grid, f.time, dt, rhs)
-        else:
-            new = stepper.step(f.values)
-        if not np.all(np.isfinite(new.view(float))):
-            raise Blowup(f"non-finite values after step {i} (t={f.time})", last_good=f)
-        f = Field(f.grid, new, f0.time + (i + 1) * dt)
-        if (i + 1) % snapshot_stride == 0 or i + 1 == n_steps:
-            record(f)
+    # A growing field overflows before it turns non-finite; advance reports
+    # that as Blowup, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            f = advance(f, f0.time + (i + 1) * dt)
+            if (i + 1) % snapshot_stride == 0 or i + 1 == n_steps:
+                record(f)
     return traj

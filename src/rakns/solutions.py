@@ -49,10 +49,6 @@ class Sampler:
         return self.fn(np.asarray(x, dtype=float), times)
 
 
-def _pad(times, M):
-    return tuple(times) + (0.0,) * (M - len(times))
-
-
 # -- constants of the sech ansatz -------------------------------------------
 #
 # On the profile A = sech with the identities A'' = A - 2A^3 and

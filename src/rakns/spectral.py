@@ -6,11 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
-from .diffpoly import DiffPoly, GaussianRational, Monomial, jet
+from .diffpoly import GR_ZERO, DiffPoly, Monomial, jet
 
 
 class SpectralError(Exception):
@@ -66,119 +65,116 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values, time=None) -> "Field":
-        return Field(self.grid, values, self.time if time is None else time)
+
+@lru_cache(maxsize=64)
+def _multipliers(grid: Grid, orders: tuple) -> np.ndarray:
+    """Fourier multipliers (i xi)^order, one row per order, with the Nyquist
+    mode zeroed for odd orders so that real fields keep real derivatives."""
+    mults = np.stack([(1j * grid.xi) ** o for o in orders])
+    mults[[o % 2 == 1 for o in orders], grid.n // 2] = 0.0
+    mults.setflags(write=False)
+    return mults
+
+
+def _samples(f: Field | np.ndarray, grid: Grid | None) -> tuple[np.ndarray, Grid]:
+    if isinstance(f, Field):
+        return f.values, f.grid
+    if grid is None:
+        raise ValueError("grid required when passing raw samples")
+    return np.asarray(f, dtype=complex), grid
 
 
 def spectral_derivative(f: Field | np.ndarray, order: int, grid: Grid | None = None) -> np.ndarray:
-    """n-th derivative by Fourier multiplier (i xi)^n.
-
-    The Nyquist mode is zeroed for odd derivative orders so that real
-    fields keep real derivatives.
-    """
-    if isinstance(f, Field):
-        grid = f.grid
-        values = f.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when passing raw samples")
-        values = np.asarray(f, dtype=complex)
+    """n-th derivative by Fourier multiplier (i xi)^n (Nyquist mode zeroed
+    for odd n)."""
+    values, grid = _samples(f, grid)
     if order == 0:
         return values.copy()
-    mult = (1j * grid.xi) ** order
-    if order % 2 == 1:
-        mult[grid.n // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(values) * mult)
+    return np.fft.ifft(np.fft.fft(values) * _multipliers(grid, (order,))[0])
 
 
-def dealias_23(values: np.ndarray) -> np.ndarray:
-    """2/3-rule truncation of the upper third of the spectrum."""
-    n = len(values)
-    spec = np.fft.fft(values)
-    cut = n // 3
-    spec[cut + 1 : n - cut] = 0.0
-    return np.fft.ifft(spec)
-
-
-# Instruction: (exact coeff, complex coeff, ((conjugated: bool, order, exp), ...))
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalPlan:
-    """Compiled evaluator for a reduced differential polynomial.
+    """Compiled evaluator for a weighted sum w_1 P_1 + ... + w_m P_m of
+    reduced differential polynomials.
 
-    psibar jets are obtained by conjugating the corresponding psi jets
-    (conjugation commutes with d/dx for the real variable x).
+    The monomials of all P_j are merged, each keeping one coefficient per
+    P_j, so every jet and monomial is computed once however many polynomials
+    share it; the weights (i^k alpha_k'(t) for a flow spec) are supplied at
+    evaluation time.  psibar jets are obtained by conjugating the
+    corresponding psi jets (conjugation commutes with d/dx for the real
+    variable x).
     """
 
-    source: DiffPoly
-    max_jet_order: int
-    instructions: tuple
-
-    @property
-    def jet_orders(self) -> set[int]:
-        return {o for _, _, facs in self.instructions for _, o, _ in facs}
+    orders: tuple  # distinct positive jet orders, ascending
+    coeffs: tuple  # per monomial: exact coefficients, one per source
+    matrix: np.ndarray  # the same coefficients as complex, (monomials, m)
+    factors: tuple  # per monomial: ((conjugated, order, exponent), ...)
 
     def decompile(self) -> DiffPoly:
+        """P_1 + ... + P_m, rebuilt from the compiled monomials."""
         terms = []
-        for coeff, _, facs in self.instructions:
+        for cs, facs in zip(self.coeffs, self.factors):
             d = {jet("psibar" if conj else "psi", o): e for conj, o, e in facs}
-            terms.append(Monomial(coeff, tuple(sorted(d.items()))))
+            terms.append(Monomial(sum(cs[1:], cs[0]), tuple(sorted(d.items()))))
         return DiffPoly(terms)
 
 
-def compile_plan(h: DiffPoly) -> EvalPlan:
-    bad = h.symbols() & {"phi", "phibar"}
-    if bad:
-        raise UnreducedInput(f"plan source must be reduced; found {sorted(bad)}")
-    instructions = []
-    for m in h.terms:
-        facs = tuple(
-            (j.symbol == "psibar", j.order, e) for j, e in m.factors
-        )
-        instructions.append((m.coeff, complex(m.coeff), facs))
-    max_order = max((o for _, _, facs in instructions for _, o, _ in facs), default=0)
-    return EvalPlan(source=h, max_jet_order=max_order, instructions=tuple(instructions))
+def compile_plan(*polys: DiffPoly) -> EvalPlan:
+    """One plan for the reduced polynomials P_1, ..., P_m (psi/psibar jets
+    only), evaluated by ``eval_rhs`` as sum_j w_j P_j."""
+    for h in polys:
+        bad = h.symbols() & {"phi", "phibar"}
+        if bad:
+            raise UnreducedInput(f"plan source must be reduced; found {sorted(bad)}")
+    merged: dict = {}
+    for j, h in enumerate(polys):
+        for m in h.terms:
+            merged.setdefault(m.factors, [GR_ZERO] * len(polys))[j] = m.coeff
+    factors = tuple(
+        tuple((v.symbol == "psibar", v.order, e) for v, e in facs) for facs in merged
+    )
+    coeffs = tuple(tuple(cs) for cs in merged.values())
+    matrix = np.array([[complex(c) for c in cs] for cs in coeffs], dtype=complex)
+    return EvalPlan(
+        orders=tuple(sorted({o for facs in factors for _, o, _ in facs} - {0})),
+        coeffs=coeffs,
+        matrix=matrix.reshape(len(coeffs), len(polys)),
+        factors=factors,
+    )
 
 
-def eval_rhs(plan: EvalPlan, f: Field, dealias: bool = False) -> np.ndarray:
-    """Evaluate the compiled polynomial pointwise over the grid."""
-    jets = {0: f.values}
-    for o in sorted(plan.jet_orders):
-        if o not in jets:
-            jets[o] = spectral_derivative(f, o)
-    if dealias:
-        jets = {o: dealias_23(v) for o, v in jets.items()}
-    out = np.zeros(f.grid.n, dtype=complex)
-    for _, coeff, facs in plan.instructions:
-        term = np.full(f.grid.n, coeff, dtype=complex)
+def eval_rhs(
+    plan: EvalPlan, f: Field | np.ndarray, grid: Grid | None = None, weights=None
+) -> np.ndarray:
+    """Evaluate sum_j weights[j] P_j pointwise over the grid (unit weights
+    by default), from a Field or from raw samples plus their grid."""
+    values, grid = _samples(f, grid)
+    jets = {0: values}
+    if plan.orders:
+        derivs = np.fft.ifft(np.fft.fft(values) * _multipliers(grid, plan.orders), axis=-1)
+        jets.update(zip(plan.orders, derivs))
+    coeffs = plan.matrix.sum(axis=1) if weights is None else plan.matrix @ np.asarray(weights)
+    out = np.zeros(grid.n, dtype=complex)
+    for c, facs in zip(coeffs, plan.factors):
+        term = c
         for conj, o, e in facs:
             base = np.conj(jets[o]) if conj else jets[o]
-            term = term * base**e
+            for _ in range(e):  # complex ** is markedly slower than multiplying
+                term = term * base
         out += term
     return out
 
 
 @lru_cache(maxsize=256)
-def _cached_plan(h: DiffPoly) -> EvalPlan:
-    return compile_plan(h)
+def _cached_plan(*polys: DiffPoly) -> EvalPlan:
+    return compile_plan(*polys)
 
 
-def flow_evaluator(table, spec):
-    """Right-hand side psi_t = sum_k i^k alpha_k'(t) H_k(psi) as a callable
-    (values, grid, t) -> values.  ``table`` is a hierarchy FlowTable and
-    ``spec`` a FlowSpec from the evolve module."""
-    plans = [
-        (k, 1j**k, _cached_plan(table.H[k]), sched)
-        for k, sched in spec.entries
-    ]
-
-    def rhs(values: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-        f = Field(grid, values, t)
-        out = np.zeros(grid.n, dtype=complex)
-        for k, ik, plan, sched in plans:
-            out += ik * sched.derivative(t) * eval_rhs(plan, f)
-        return out
-
-    return rhs
+def flow_plan(table, spec) -> EvalPlan:
+    """Plan of the spec's flows H_k, one source per entry, to be weighted by
+    ``spec.weights(t)``; ``table`` is a hierarchy FlowTable."""
+    return _cached_plan(*(table.H[k] for k, _ in spec.entries))
 
 
 def residual(f_minus: Field, f0: Field, f_plus: Field, spec, table=None) -> float:
@@ -196,7 +192,7 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec, table=None) -> floa
         table = default_flow_table(max((k for k, _ in spec.entries), default=1))
     dt = 0.5 * (dm + dp)
     psi_t = (f_plus.values - f_minus.values) / (2.0 * dt)
-    rhs = flow_evaluator(table, spec)(f0.values, f0.grid, f0.time)
+    rhs = eval_rhs(flow_plan(table, spec), f0, weights=spec.weights(f0.time))
     return float(np.max(np.abs(psi_t - rhs)))
 
 
@@ -204,8 +200,7 @@ def conserved_integral(f: Field, table, k: int) -> complex:
     """Grid integral of the k-th conserved density (mean times L)."""
     from .hierarchy import conserved_density
 
-    plan = _cached_plan(conserved_density(table, k))
-    vals = eval_rhs(plan, f)
+    vals = eval_rhs(_cached_plan(conserved_density(table, k)), f)
     return complex(np.mean(vals) * f.grid.length)
 
 
@@ -232,7 +227,7 @@ def read_field(path) -> Field:
         n = int(kv["n"])
         grid = Grid(n, float(kv["L"]))
         values = np.zeros(n, dtype=complex)
-        count = 0
+        seen = set()
         for line in fh:
             if not line.strip():
                 continue
@@ -240,10 +235,12 @@ def read_field(path) -> Field:
             idx = int(idx_s)
             if not 0 <= idx < n:
                 raise SpectralError(f"sample index {idx} out of range for n={n}")
+            if idx in seen:
+                raise SpectralError(f"sample index {idx} repeated")
+            seen.add(idx)
             values[idx] = float(re_s) + 1j * float(im_s)
-            count += 1
-        if count != n:
-            raise SpectralError(f"expected {n} samples, got {count}")
+        if len(seen) != n:
+            raise SpectralError(f"expected {n} samples, got {len(seen)}")
     return Field(grid, values, float(kv["t"]))
 
 

@@ -73,21 +73,6 @@ def transform_solution(s: Sampler, p: SymmetryParams) -> Sampler:
     return Sampler(fn, M, f"{s.name}~({p.a},{p.b})", dict(s.params, a_sym=p.a, b_sym=p.b))
 
 
-def mixed_arguments(p: SymmetryParams, coeffs: Sequence[float], t: float, x=0.0):
-    """Arguments for the constant-coefficient mix psi_t = sum i^k b_k H_k:
-    delegation to transform_arguments along the ray t_m = b_m t."""
-    times = tuple(c * t for c in coeffs)
-    return transform_arguments(p, x, times)
-
-
-def deformed_arguments(p: SymmetryParams, schedules: Sequence, t: float, x=0.0):
-    """Arguments and phase for the time-deformed mix: transform_arguments /
-    phase_factor evaluated at times (alpha_1(t), ..., alpha_M(t))."""
-    times = tuple(s.value(t) for s in schedules)
-    X, T = transform_arguments(p, x, times)
-    return X, T, phase_factor(p, x, times)
-
-
 def scaling(n: int, q: float, s: Sampler) -> Sampler:
     """Pure scaling covariance of the n-th flow: psi -> q psi(qx, q^(n+1) t)."""
     if not q > 0:

@@ -186,3 +186,63 @@ def test_unknown_sampler(capsys):
         capsys,
     )
     assert code == 2
+
+
+def _one_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_evolve_blowup_exits_1_with_last_good(tmp_path, capsys):
+    """hnls5 at dt = 2e-4 on n = 256 blows up: the nonlinear H5 terms are
+    stiff beyond what the linear integrating factor removes."""
+    out = tmp_path / "run"
+    code, _, err = run(
+        ["evolve", "--preset", "hnls5(1,0.4,0.1,0.05,0.02)", "--initial", "soliton",
+         "--grid", "256,40", "--dt", "2e-4", "--t-end", "0.01", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("blow-up:")
+    assert np.all(np.isfinite(read_field(out / "last_good.txt").values.view(float)))
+
+
+def test_evolve_zero_dt_is_usage_error(capsys):
+    code, _, err = run(
+        ["evolve", "--preset", "nls", "--initial", "soliton", "--grid", "256,40",
+         "--dt", "0", "--t-end", "0.1"],
+        capsys,
+    )
+    assert code == 2
+    assert _one_error_line(err)
+
+
+def test_evolve_stability_violation_exits_1(capsys):
+    code, _, err = run(
+        ["evolve", "--preset", "nls", "--initial", "soliton", "--grid", "1024,10",
+         "--dt", "0.1", "--t-end", "0.1", "--method", "rk4"],
+        capsys,
+    )
+    assert code == 1
+    assert _one_error_line(err)
+
+
+def test_evolve_ifrk4_on_deformed_spec_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sin.cfg"
+    cfg.write_text(CONFIG.replace("linear(1.0)", "sin(1.0, 1.0)"))
+    code, _, err = run(["evolve", "--config", str(cfg), "--initial", "soliton"], capsys)
+    assert code == 2
+    assert _one_error_line(err)
+
+
+def test_evolve_config_snapshot_stride(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.replace("t_end = 0.05", "t_end = 0.1\nsnapshot_stride = 5"))
+    out = tmp_path / "snaps"
+    code, text, _ = run(
+        ["evolve", "--config", str(cfg), "--initial", "soliton", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert "wrote 21 snapshots" in text
+    assert len(list(out.glob("snap_*.txt"))) == 21

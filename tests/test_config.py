@@ -52,6 +52,12 @@ def test_unknown_key():
         parse_config("[grid]\nresolution = 4\n")
 
 
+def test_unread_sections_rejected():
+    for section in ("initial", "transform"):
+        with pytest.raises(UnknownKey):
+            parse_config(f"[{section}]\na = 1\n")
+
+
 def test_duplicate_key():
     with pytest.raises(ParseError):
         parse_config("[grid]\nn = 64\nn = 128\n")

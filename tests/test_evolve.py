@@ -169,6 +169,17 @@ def test_t_end_must_divide():
         evolve_run(f0, NLS, 0.1, 3e-3)
 
 
+def test_run_validates_step_and_span():
+    f0 = _soliton_field()
+    for dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError):
+            evolve_run(f0, NLS, 0.1, dt)
+    with pytest.raises(ValueError):
+        evolve_run(f0, NLS, -0.1, 1e-3)
+    with pytest.raises(ValueError):
+        evolve_run(f0, NLS, 0.1, 1e-3, snapshot_stride=0)
+
+
 def test_snapshot_cadence():
     f0 = _soliton_field()
     traj = evolve_run(f0, NLS, 0.1, 1e-2, snapshot_stride=2)

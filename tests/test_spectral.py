@@ -16,7 +16,6 @@ from rakns.spectral import (
     _cached_plan,
     compile_plan,
     conserved_integral,
-    dealias_23,
     eval_rhs,
     read_field,
     residual,
@@ -88,13 +87,6 @@ def test_odd_derivative_nyquist_zeroed():
     u = np.cos(16 * g.nodes)  # pure Nyquist mode, real
     d = spectral_derivative(u, 1, g)
     assert np.max(np.abs(d.imag)) < 1e-12
-
-
-def test_dealias_removes_upper_third():
-    g = Grid(64, 2 * np.pi)
-    u = np.exp(1j * 30 * g.nodes)  # beyond the 2/3 cutoff for n=64
-    v = dealias_23(u)
-    assert np.max(np.abs(v)) < 1e-12
 
 
 # -- plans -------------------------------------------------------------------
@@ -240,6 +232,18 @@ def test_field_file_truncated(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(SpectralError):
+        read_field(path)
+
+
+def test_field_file_repeated_index(tmp_path):
+    """A repeated index must not leave another sample silently at zero."""
+    g = Grid(16, 1.0)
+    path = tmp_path / "f.txt"
+    write_field(Field(g, np.ones(16, dtype=complex)), path)
+    lines = path.read_text().splitlines()
+    lines[2 + 5] = "4 1 0"  # sample 5 replaced by a second sample 4
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpectralError, match="index 4"):
         read_field(path)
 
 

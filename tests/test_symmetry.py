@@ -12,10 +12,8 @@ from rakns.solutions import plane_wave, random_riemann_data, soliton
 from rakns.spectral import Grid, residual, sample_onto_grid
 from rakns.symmetry import (
     SymmetryParams,
-    deformed_arguments,
     hirota_closed_form,
     identity_errors,
-    mixed_arguments,
     phase_factor,
     scaling,
     transform_arguments,
@@ -131,34 +129,9 @@ def test_scaling_requires_positive_q():
         scaling(1, -1.0, soliton(1.0))
 
 
-def test_mixed_arguments_delegation():
-    """The mixed-equation arguments are the hierarchy map on the ray
-    t_m = b_m t."""
-    p = SymmetryParams(1.4, 0.2)
-    coeffs = (0.7, -0.3, 0.1)
-    t = 0.6
-    X, T = mixed_arguments(p, coeffs, t, x=0.5)
-    X2, T2 = transform_arguments(p, 0.5, tuple(c * t for c in coeffs))
-    assert X == pytest.approx(X2)
-    assert np.allclose(T, T2)
-
-
-def test_deformed_arguments_delegation():
-    from rakns.evolve import Sinusoid
-
-    p = SymmetryParams(1.1, -0.15)
-    schedules = (Sinusoid(1.0, 1.0), Linear(0.5))
-    t = 0.9
-    X, T, ph = deformed_arguments(p, schedules, t, x=0.3)
-    vals = tuple(s.value(t) for s in schedules)
-    X2, T2 = transform_arguments(p, 0.3, vals)
-    assert X == pytest.approx(X2)
-    assert np.allclose(T, T2)
-    assert complex(ph) == pytest.approx(complex(phase_factor(p, 0.3, vals)))
-
-
 def test_hirota_closed_form_matches_generic():
-    """The explicit Hirota-ray formula equals transform + mixed delegation."""
+    """The explicit Hirota-ray formula equals the generic transform on the
+    ray (t_1, t_2) = (alpha t, -beta t)."""
     rng = np.random.default_rng(9)
     base = soliton(1.0)
     for _ in range(10):
