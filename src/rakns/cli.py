@@ -27,6 +27,7 @@ from .solutions import (
     soliton,
 )
 from .spectral import (
+    FieldFormatError,
     Grid,
     SpectralError,
     read_field,
@@ -131,12 +132,14 @@ def cmd_evolve(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
+    cfg_grid = cfg and f"{cfg.get('grid', 'n', 256)},{cfg.get('grid', 'length', 40.0)}"
     if os.path.exists(args.initial):
         f0 = read_field(args.initial)
+        for text in (args.grid, cfg and "grid" in cfg.sections and cfg_grid):
+            if text and _parse_grid(text) != f0.grid:
+                raise CliError(f"grid {text} disagrees with the initial field's n={f0.grid.n}, L={f0.grid.length:.17g}")
     else:
-        grid_text = args.grid or (
-            cfg and f"{cfg.get('grid', 'n', 256)},{cfg.get('grid', 'length', 40.0)}"
-        )
+        grid_text = args.grid or cfg_grid
         if not grid_text:
             raise CliError("need --grid N,L (or a [grid] config section)")
         grid = _parse_grid(grid_text)
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--preset", help="nls|mkdv|lpd|hirota(a,b)|gnls(...)|hnls4|hnls5")
     ev.add_argument("--initial", required=True, help="field file or sampler name")
     ev.add_argument("--param", action="append", help="sampler parameter key=value")
-    ev.add_argument("--grid", help="N,L when the initial value is a sampler")
+    ev.add_argument("--grid", help="N,L of a sampler initial; must match a field file's")
     ev.add_argument("--dt", type=float)
     ev.add_argument("--t-end", type=float, dest="t_end")
     ev.add_argument("--method", choices=("auto", "rk4", "ifrk4"))
@@ -342,7 +345,7 @@ def main(argv=None) -> int:
         return exc.code
     except (SpectralError, StabilityViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return VERIFY_FAILED
+        return USAGE if isinstance(exc, FieldFormatError) else VERIFY_FAILED
     except (ConfigError, SolutionError, FileNotFoundError, ValueError, EvolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -4,12 +4,11 @@ the affine transform of the spectral-curve moduli."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,50 +224,72 @@ def _check_riemann_matrix(B: np.ndarray) -> float:
     return lam_min
 
 
+class _ThetaLattice:
+    """Theta(.|B) as (log scale, oscillatory sum), set up once per B.
+
+    With Y = Im B, c = Y^{-1} Im z and k = [[c]], the substitution n = m - k
+    gives Theta(z) = exp(pi Im z.c) sum_m exp(i pi m.B.m + m.w + s)
+    (Deconinck, Heil, Bobenko, van Hoeij & Schmies, Math. Comp. 73, 2004).
+    Each term has modulus exp(-pi (m+f).Y.(m+f)) with f = c - k in
+    [-1/2, 1/2]^g, so the sum is O(1) however large Im z is: only the
+    scale grows, and it is kept as its logarithm.
+    """
+
+    MAX_ENTRIES = 2**13  # complex entries per batch temporary (128 KiB)
+
+    def __init__(self, B, tol: float = 1e-12):
+        self.tol = min(max(tol, 1e-300), 1e-6)
+        self.B = np.asarray(B, dtype=complex)
+        lam_min = _check_riemann_matrix(self.B)
+        g = len(self.B)
+        # Terms decay at least like exp(-pi lam_min r^2) beyond radius r
+        # from the Gaussian centre; pad by 1.5 sqrt(g) + 1 to cover the shell
+        # count, and by half the cell diagonal, 0.5 sqrt(g), because after the
+        # integer shift the centre -f sits up to 1/2 per axis off the origin.
+        radius = math.sqrt(max(-math.log(self.tol * 0.1), 1.0) / (math.pi * lam_min)) + 2.0 * math.sqrt(g) + 1.0
+        axis = np.arange(-math.floor(radius), math.floor(radius) + 1)
+        m = np.stack(np.meshgrid(*[axis] * g, indexing="ij"), axis=-1).reshape(-1, g)
+        m = m[np.sum(m * m, axis=1) <= radius**2].astype(float)
+        self.Y_inv = np.linalg.inv(self.B.imag)
+        self.points = m.T.astype(complex)
+        self.quad = 1j * np.pi * np.einsum("ni,ij,nj->n", m, self.B, m)
+
+    def __call__(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(log scale, oscillatory sum) per row of z: Theta(z_i) = exp(scale_i) osc_i."""
+        z = np.asarray(z, dtype=complex).reshape(-1, len(self.B))
+        c = z.imag @ self.Y_inv
+        k = np.rint(c)
+        f, xk = c - k, z.real - k @ self.B.real
+        Yf = f @ self.B.imag
+        # w = 2 pi i (z - B k) and s = i pi k.B.k - 2 pi i k.z - scale, formed
+        # so that Re s = -pi f.Y.f comes without cancelling large terms.
+        w = 2.0 * np.pi * (1j * xk - Yf)
+        s = -np.pi * np.sum(f * Yf, axis=1) - 1j * np.pi * np.sum(k * (z.real + xk), axis=1)
+        osc = np.empty(len(z), dtype=complex)
+        rows = max(1, self.MAX_ENTRIES // self.points.shape[1])
+        for lo in range(0, len(z), rows):
+            e = w[lo : lo + rows] @ self.points
+            e += self.quad
+            e += s[lo : lo + rows, None]
+            osc[lo : lo + rows] = np.exp(e, out=e).sum(axis=1)
+        return np.pi * np.sum(c * z.imag, axis=1), osc
+
+
 def theta(z, B, tol: float = 1e-12) -> complex:
     """Riemann theta Theta(z|B) = sum_n exp{2 pi i (n.B.n/2 + n.z)}.
 
-    The lattice sum is truncated over a box centered on the maximizer of
-    the Gaussian factor, with radius set by the tail bound (decay rate
+    The lattice sum is truncated to a ball that covers the maximizer of
+    the Gaussian factor with the radius the tail bound sets (decay rate
     pi * lambda_min(Im B)); accurate to ``tol`` relative to the full sum.
+    The value is exp(scale) times an O(1) oscillatory sum (see
+    ``_ThetaLattice``); only this final product can overflow.
     """
-    if not 0 < tol <= 1e-6:
-        tol = min(max(tol, 1e-300), 1e-6)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    B = np.asarray(B, dtype=complex)
-    lam_min = _check_riemann_matrix(B)
-    g = len(z)
-    if B.shape != (g, g):
+    lattice = _ThetaLattice(B, tol)
+    if lattice.B.shape != (len(z), len(z)):
         raise ValueError("z/B dimension mismatch")
-    Y = B.imag
-    y = z.imag
-    # Re exponent = -2 pi (n.Y.n/2 + n.y); maximized at n* = -Y^{-1} y
-    n_star = -np.linalg.solve(Y, y)
-    # Tail: terms decay at least like exp(-pi lam_min r^2) beyond radius r
-    # from n*; pad by the lattice dimension to cover the shell count.
-    radius = math.sqrt(max(-math.log(tol * 0.1), 1.0) / (math.pi * lam_min)) + 1.5 * math.sqrt(g) + 1.0
-    lo = np.floor(n_star - radius).astype(int)
-    hi = np.ceil(n_star + radius).astype(int)
-    ranges = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    n = np.stack([m.reshape(-1) for m in mesh], axis=-1).astype(float)
-    # Drop corners outside the ball to keep the sum near-ellipsoidal.
-    keep = np.sum((n - n_star) ** 2, axis=1) <= (radius + 1e-9) ** 2
-    n = n[keep]
-    expo = 2j * np.pi * (0.5 * np.einsum("ni,ij,nj->n", n, B, n) + n @ z)
-    return complex(np.sum(np.exp(expo)))
-
-
-def theta_brute(z, B, radius: int = 30) -> complex:
-    """Box-sum oracle over |n_i| <= radius (test use; exponential cost in g)."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    B = np.asarray(B, dtype=complex)
-    g = len(z)
-    total = 0j
-    for n in itertools.product(range(-radius, radius + 1), repeat=g):
-        n = np.asarray(n, dtype=float)
-        total += np.exp(2j * np.pi * (0.5 * n @ B @ n + n @ z))
-    return complex(total)
+    scale, osc = lattice(z)
+    return complex(np.exp(scale[0]) * osc[0])
 
 
 # -- finite-gap solutions ----------------------------------------------------
@@ -314,6 +335,22 @@ class RiemannData:
     def max_flows(self) -> int:
         return len(self.V) - 1
 
+    @cached_property
+    def _theta_lattice(self) -> _ThetaLattice:
+        return _ThetaLattice(self.B)
+
+    def phases(self, x, times: Sequence[float]) -> tuple:
+        """U = V^1 x + sum_j V^(j+1) t_j and Phi = -K_1 x - sum_j K_(j+1) t_j,
+        with a trailing g axis on U for array x."""
+        if len(times) > self.max_flows:
+            raise ValueError(f"data supplies {self.max_flows} flow vectors, got {len(times)} times")
+        U = np.multiply.outer(x, self.V[0])
+        Phi = -self.K[1] * x
+        for j, t in enumerate(times, start=1):
+            U = U + self.V[j] * t
+            Phi = Phi - self.K[j + 1] * t
+        return U, Phi
+
     def to_json(self) -> str:
         def cvec(v):
             return [[x.real, x.imag] for x in np.asarray(v, dtype=complex).reshape(-1)]
@@ -350,36 +387,38 @@ class RiemannData:
         )
 
 
+def _finite_gap_values(data: RiemannData, x, times: tuple) -> np.ndarray:
+    """psi at the points x, in the shape of x.  The four thetas are kept as
+    (log scale, oscillatory part) and their scales are combined with 2i Phi
+    before the one exp, so a finite ratio never overflows on the way."""
+    shape, x = np.shape(x), np.reshape(x, -1).astype(float)
+    U, Phi = data.phases(x, times)
+    Z, ZD = data.Z, data.Z - data.delta
+    lattice = data._theta_lattice
+    scale, osc = lattice(np.concatenate([[Z, ZD], U + ZD, U + Z]))
+    n = len(x)
+    num, den = osc[2 : n + 2], osc[n + 2 :]
+    # The oscillatory sums are accurate to about tol in absolute terms, so
+    # a denominator no larger than that is a zero of theta to that accuracy.
+    vanishes = np.minimum(abs(osc[1]), np.abs(den)) <= lattice.tol
+    if vanishes.any():
+        raise ThetaZeroDivision(
+            f"denominator theta vanishes at x={x[np.argmax(vanishes)]}, times={times}"
+        )
+    log_ratio = scale[0] + scale[2 : n + 2] - scale[1] - scale[n + 2 :] + 2j * Phi
+    psi = (2.0 * data.K[0] / data.rho) * (osc[0] * num) / (osc[1] * den) * np.exp(log_ratio)
+    return psi.reshape(shape)
+
+
 def finite_gap_sample(data: RiemannData, x: float, times: Sequence[float] = ()) -> complex:
     """psi = (2 K_0 / rho) Theta(Z) Theta(U+Z-Delta) / [Theta(Z-Delta)
     Theta(U+Z)] exp{2i Phi} with U = V^1 x + sum_j V^(j+1) t_j and
     Phi = -K_1 x - sum_j K_(j+1) t_j."""
-    times = tuple(times)
-    if len(times) > data.max_flows:
-        raise ValueError(
-            f"data supplies {data.max_flows} flow vectors, got {len(times)} times"
-        )
-    U = data.V[0] * x
-    Phi = -data.K[1] * x
-    for j, t in enumerate(times, start=1):
-        U = U + data.V[j] * t
-        Phi = Phi - data.K[j + 1] * t
-    B = data.B
-    num = theta(data.Z, B) * theta(U + data.Z - data.delta, B)
-    den1 = theta(data.Z - data.delta, B)
-    den2 = theta(U + data.Z, B)
-    if abs(den1) < 1e-300 or abs(den2) < 1e-300:
-        raise ThetaZeroDivision(f"denominator theta vanishes at x={x}, times={times}")
-    return (2.0 * data.K[0] / data.rho) * num / (den1 * den2) * np.exp(2j * Phi)
+    return complex(_finite_gap_values(data, float(x), tuple(times)))
 
 
 def finite_gap_sampler(data: RiemannData) -> Sampler:
-    def fn(x, times):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([finite_gap_sample(data, float(xx), times) for xx in xs])
-        return out.reshape(np.shape(x))
-
-    return Sampler(fn, data.max_flows, "finite_gap", {"genus": data.genus})
+    return Sampler(partial(_finite_gap_values, data), data.max_flows, "finite_gap", {"genus": data.genus})
 
 
 def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:

@@ -20,6 +20,10 @@ class UnreducedInput(SpectralError):
     """compile_plan needs a reduced polynomial (psi/psibar jets only)."""
 
 
+class FieldFormatError(SpectralError):
+    """A field file that does not follow the format: bad input, not a failed check."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid: n points (power of two) on [0, L)."""
@@ -221,27 +225,33 @@ def read_field(path) -> Field:
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != FIELD_MAGIC:
-            raise SpectralError(f"bad field file header: {header!r}")
-        meta = fh.readline().split()
-        kv = dict(item.split("=", 1) for item in meta)
-        n = int(kv["n"])
-        grid = Grid(n, float(kv["L"]))
+            raise FieldFormatError(f"bad field file header: {header!r}")
+        meta = fh.readline().strip()
+        try:
+            kv = dict(item.split("=", 1) for item in meta.split())
+            n, t = int(kv["n"]), float(kv["t"])
+            grid = Grid(n, float(kv["L"]))
+        except (KeyError, ValueError) as exc:
+            raise FieldFormatError(f"bad field file metadata {meta!r}: need n=, L=, t= ({exc})") from None
         values = np.zeros(n, dtype=complex)
         seen = set()
-        for line in fh:
+        for lineno, line in enumerate(fh, start=3):
             if not line.strip():
                 continue
-            idx_s, re_s, im_s = line.split()
-            idx = int(idx_s)
+            try:
+                idx_s, re_s, im_s = line.split()
+                idx, value = int(idx_s), float(re_s) + 1j * float(im_s)
+            except ValueError:
+                raise FieldFormatError(f"line {lineno}: expected 'index re im', got {line.strip()!r}") from None
             if not 0 <= idx < n:
-                raise SpectralError(f"sample index {idx} out of range for n={n}")
+                raise FieldFormatError(f"sample index {idx} out of range for n={n}")
             if idx in seen:
-                raise SpectralError(f"sample index {idx} repeated")
+                raise FieldFormatError(f"sample index {idx} repeated")
             seen.add(idx)
-            values[idx] = float(re_s) + 1j * float(im_s)
+            values[idx] = value
         if len(seen) != n:
-            raise SpectralError(f"expected {n} samples, got {len(seen)}")
-    return Field(grid, values, float(kv["t"]))
+            raise FieldFormatError(f"expected {n} samples, got {len(seen)}")
+    return Field(grid, values, t)
 
 
 def sample_onto_grid(

@@ -121,33 +121,14 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
     from .solutions import moduli_transform
 
     td = moduli_transform(data, p.a, p.b)
-    if len(data.V) < M + 1:
-        raise ValueError("RiemannData supplies too few period vectors")
-
-    def arg_coeffs(x, times):
-        # (U, Phi) coefficients for one basis direction of (x, t_1..t_M)
-        X, T = transform_arguments(p, x, times)
-        U = data.V[0] * X
-        Phi = -data.K[1] * X
-        for j, t in enumerate(T, start=1):
-            U = U + data.V[j] * t
-            Phi = Phi - data.K[j + 1] * t
-        return U, Phi
-
     err_arg = 0.0
     err_phase = 0.0
     basis = [(1.0, (0.0,) * M)] + [
         (0.0, tuple(1.0 if i == m else 0.0 for i in range(M))) for m in range(M)
     ]
-    for bi, (x, times) in enumerate(basis):
-        # transformed-data side
-        U_t = td.V[0] * x
-        Phi_t = -td.K[1] * x
-        for j, t in enumerate(times, start=1):
-            U_t = U_t + td.V[j] * t
-            Phi_t = Phi_t - td.K[j + 1] * t
-        # argument-map side
-        U_s, Phi_s = arg_coeffs(x, times)
+    for x, times in basis:
+        U_t, Phi_t = td.phases(x, times)  # transformed-data side
+        U_s, Phi_s = data.phases(*transform_arguments(p, x, times))  # argument-map side
         # half the boost phase exponent: -bx - (1/2) sum (2b)^{m+1} t_m
         corr = -p.b * x - 0.5 * sum(
             (2.0 * p.b) ** (m + 1) * t for m, t in enumerate(times, start=1)

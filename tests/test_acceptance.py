@@ -54,7 +54,6 @@ from rakns.solutions import (
     random_riemann_data,
     soliton,
     theta,
-    theta_brute,
 )
 from rakns.spectral import Grid, residual, sample_onto_grid
 from rakns.symmetry import (
@@ -66,6 +65,8 @@ from rakns.symmetry import (
 )
 
 import pathlib
+
+from oracles import theta_brute
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -8,7 +8,7 @@ import pytest
 from rakns.cli import main
 from rakns.diffpoly import from_json
 from rakns.solutions import random_riemann_data
-from rakns.spectral import read_field
+from rakns.spectral import Field, Grid, read_field, write_field
 
 CONFIG = """\
 [flows]
@@ -164,6 +164,20 @@ def test_sample_finitegap(tmp_path, capsys):
     assert np.all(np.isfinite(f.values.view(float)))
 
 
+def test_sample_finitegap_genus3_overflowing_thetas(tmp_path, capsys):
+    """Each theta overflows on most of this grid; the sampled ratio does not."""
+    path = tmp_path / "rd.json"
+    path.write_text(random_riemann_data(3, 5, rng=1).to_json())
+    out = tmp_path / "fg.txt"
+    code, _, _ = run(
+        ["sample", "--solution", "finitegap", "--riemann", str(path),
+         "--grid", "256,40", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert np.all(np.isfinite(read_field(out).values.view(float)))
+
+
 def test_usage_errors_are_clean(capsys):
     code, _, err = run(["sample", "--solution", "soliton", "--grid", "nonsense"], capsys)
     assert code == 2
@@ -246,3 +260,83 @@ def test_evolve_config_snapshot_stride(tmp_path, capsys):
     assert code == 0
     assert "wrote 21 snapshots" in text
     assert len(list(out.glob("snap_*.txt"))) == 21
+
+
+def _field_file(path, n=16, length=10.0):
+    write_field(Field(Grid(n, length), np.full(n, 0.1, dtype=complex)), path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "damage", ["magic", "missing_key", "out_of_range", "repeated", "short", "bad_line"]
+)
+def test_evolve_malformed_field_file_is_usage_error(tmp_path, capsys, damage):
+    """A field file that breaks the format is bad input: exit 2, one line."""
+    path = tmp_path / "init.txt"
+    lines = _field_file(path)
+    if damage == "magic":
+        lines[0] = "# some other file"
+    elif damage == "missing_key":
+        lines[1] = "L=10 t=0"
+    elif damage == "out_of_range":
+        lines[-1] = "16 0.1 0"
+    elif damage == "repeated":
+        lines[-1] = "3 0.1 0"
+    elif damage == "bad_line":
+        lines[-1] = "15 0.1"
+    else:
+        lines = lines[:-1]
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        ["evolve", "--preset", "nls", "--initial", str(path), "--dt", "1e-3", "--t-end", "1e-3"],
+        capsys,
+    )
+    assert code == 2
+    assert _one_error_line(err)
+
+
+def test_verify_residual_mixed_grids_still_fails_check(tmp_path, capsys):
+    """Well-formed snapshots on different grids fail the check (exit 1)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    for i, n in enumerate((16, 16, 32)):
+        write_field(Field(Grid(n, 10.0), np.ones(n, dtype=complex), 0.1 * i), snaps / f"snap_{i}.txt")
+    code, _, err = run(
+        ["verify", "residual", "--snapshots", str(snaps), "--config", str(cfg)], capsys
+    )
+    assert code == 1
+    assert _one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "grid_args, config_grid",
+    [(["--grid", "32,10"], None), (["--grid", "16,5"], None), ([], "n = 64\nlength = 10.0")],
+)
+def test_evolve_grid_must_match_field_file(tmp_path, capsys, grid_args, config_grid):
+    """A stated grid that is not the initial file's is rejected, not ignored."""
+    path = tmp_path / "init.txt"
+    _field_file(path)
+    argv = ["evolve", "--initial", str(path), *grid_args]
+    if config_grid:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace("n = 128\nlength = 40.0", config_grid))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--preset", "nls", "--dt", "1e-3", "--t-end", "1e-3"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert _one_error_line(err) and "disagrees" in err
+
+
+def test_evolve_grid_matching_field_file_runs(tmp_path, capsys):
+    path = tmp_path / "init.txt"
+    _field_file(path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.replace("n = 128", "n = 16").replace("length = 40.0", "length = 10"))
+    code, text, _ = run(
+        ["evolve", "--config", str(cfg), "--initial", str(path), "--grid", "16,10"], capsys
+    )
+    assert code == 0
+    assert "final time" in text

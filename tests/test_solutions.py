@@ -9,6 +9,7 @@ from rakns.solutions import (
     NotPositiveDefinite,
     RiemannData,
     SolutionError,
+    ThetaZeroDivision,
     finite_gap_sample,
     finite_gap_sampler,
     moduli_transform,
@@ -18,9 +19,10 @@ from rakns.solutions import (
     sech_reduction,
     soliton,
     theta,
-    theta_brute,
 )
 from rakns.spectral import Grid, residual, sample_onto_grid
+
+from oracles import theta_brute
 
 
 # -- exact sampler constants -------------------------------------------------
@@ -132,13 +134,18 @@ def _random_B(g, seed):
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_theta_matches_brute_force(g):
+    """Also at arguments whose Gaussian centre -Y^{-1} Im z lies cells away
+    from the origin and almost half a cell off the lattice, the worst case
+    for the lattice fixed around the integer shift."""
     for seed in range(3):
         B = _random_B(g, seed)
         rng = np.random.default_rng(100 + seed)
         z = rng.normal(size=g) * 0.7 + 1j * rng.normal(size=g) * 0.3
-        fast = theta(z, B)
-        brute = theta_brute(z, B, radius=12 if g == 3 else 30)
-        assert abs(fast - brute) <= 1e-12 * max(1.0, abs(brute))
+        centre = rng.integers(-3, 4, size=g) + 0.49 * rng.choice([-1.0, 1.0], size=g)
+        for w in (z, z.real - 1j * (B.imag @ centre)):
+            fast = theta(w, B)
+            brute = theta_brute(w, B, radius=12 if g == 3 else 30)
+            assert abs(fast - brute) <= 1e-12 * max(1.0, abs(brute))
 
 
 def test_theta_parity():
@@ -232,6 +239,49 @@ def test_finite_gap_rejects_excess_times():
     data = random_riemann_data(1, 2, rng=5)
     with pytest.raises(ValueError):
         finite_gap_sample(data, 0.0, (0.1, 0.2, 0.3))
+
+
+def test_finite_gap_finite_where_each_theta_overflows():
+    """Each theta of the ratio overflows on most of this grid (181 of 256
+    samples came out non-finite when the thetas were formed one by one);
+    the ratio itself is finite everywhere."""
+    f = sample_onto_grid(finite_gap_sampler(random_riemann_data(3, 5, rng=1)), Grid(256, 40.0), ())
+    assert np.all(np.isfinite(f.values.view(float)))
+
+
+def test_finite_gap_no_overflow_in_denominator():
+    """This data once raised a bare OverflowError from |Theta(U+Z)|."""
+    f = sample_onto_grid(finite_gap_sampler(random_riemann_data(2, 5, rng=18)), Grid(256, 40.0), ())
+    assert np.all(np.isfinite(f.values.view(float)))
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_finite_gap_sampler_matches_pointwise(genus):
+    data = random_riemann_data(genus, 3, rng=40 + genus)
+    times = (0.2, -0.1, 0.05)
+    x = np.linspace(-20.0, 20.0, 101)
+    batched = finite_gap_sampler(data)(x, times)
+    pointwise = np.array([finite_gap_sample(data, xx, times) for xx in x])
+    assert np.max(np.abs(batched - pointwise) / np.abs(pointwise)) <= 1e-12
+
+
+def test_finite_gap_vanishing_denominator():
+    """Genus 1: theta(1/2 + tau/2 | tau) = 0, so Z - Delta there makes the
+    constant denominator Theta(Z - Delta) vanish."""
+    tau = 0.2 + 1.3j
+    data = RiemannData(
+        genus=1,
+        B=np.array([[tau]]),
+        V=(np.array([1.0 + 0.5j]),),
+        K=(1.0, 0.3),
+        Z=np.array([0.1 + 0.2j]),
+        delta=np.array([0.1 + 0.2j - (0.5 + tau / 2)]),
+        rho=1.0,
+    )
+    with pytest.raises(ThetaZeroDivision):
+        finite_gap_sample(data, 0.3, ())
+    with pytest.raises(ThetaZeroDivision):
+        finite_gap_sampler(data)(np.linspace(-1.0, 1.0, 5), ())
 
 
 # -- moduli transform --------------------------------------------------------

@@ -224,6 +224,33 @@ def test_field_file_header_check(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize(
+    "meta",
+    ["L=1 t=0", "n=16 t=0", "n=16 L=1", "n=16 L=one t=0", "n=sixteen L=1 t=0", "n=16 L=1 t", ""],
+)
+def test_field_file_bad_metadata(tmp_path, meta):
+    """A missing or non-numeric n=/L=/t= is a format error, not a KeyError."""
+    path = tmp_path / "f.txt"
+    write_field(Field(Grid(16, 1.0), np.ones(16, dtype=complex)), path)
+    lines = path.read_text().splitlines()
+    lines[1] = meta
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpectralError, match="metadata"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("bad", ["5 1", "5 1 0 0", "five 1 0", "5 1 zero"])
+def test_field_file_bad_sample_line(tmp_path, bad):
+    """A sample line that is not 'index re im' names its line number."""
+    path = tmp_path / "f.txt"
+    write_field(Field(Grid(16, 1.0), np.ones(16, dtype=complex)), path)
+    lines = path.read_text().splitlines()
+    lines[2 + 5] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpectralError, match="line 8"):
+        read_field(path)
+
+
 def test_field_file_truncated(tmp_path):
     g = Grid(16, 1.0)
     f = Field(g, np.zeros(16, dtype=complex))
