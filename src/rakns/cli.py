@@ -132,14 +132,20 @@ def cmd_evolve(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-    cfg_grid = cfg and f"{cfg.get('grid', 'n', 256)},{cfg.get('grid', 'length', 40.0)}"
     if os.path.exists(args.initial):
         f0 = read_field(args.initial)
-        for text in (args.grid, cfg and "grid" in cfg.sections and cfg_grid):
-            if text and _parse_grid(text) != f0.grid:
-                raise CliError(f"grid {text} disagrees with the initial field's n={f0.grid.n}, L={f0.grid.length:.17g}")
+        stated = [cfg.sections.get("grid", {})] if cfg else []  # only the keys given
+        if args.grid:
+            grid = _parse_grid(args.grid)
+            stated.append({"n": grid.n, "length": grid.length})
+        for keys in stated:
+            for key, value in keys.items():
+                if value != getattr(f0.grid, key):
+                    raise CliError(f"grid {key} = {value} disagrees with the initial field's n={f0.grid.n}, L={f0.grid.length:.17g}")
     else:
-        grid_text = args.grid or cfg_grid
+        grid_text = args.grid or (
+            cfg and f"{cfg.get('grid', 'n', 256)},{cfg.get('grid', 'length', 40.0)}"
+        )
         if not grid_text:
             raise CliError("need --grid N,L (or a [grid] config section)")
         grid = _parse_grid(grid_text)

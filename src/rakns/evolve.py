@@ -156,6 +156,20 @@ class FlowSpec:
         return np.array([1j**k * s.derivative(t) for k, s in self.entries], dtype=complex)
 
 
+def symbol_columns(spec: FlowSpec, xi) -> list:
+    """The columns (i xi)^(k+1), one per flow k of spec, that linear_symbol
+    weights; a stepper forms them once and the symbol at each t from them."""
+    xi = np.asarray(xi, dtype=float)
+    return [(1j * xi) ** (k + 1) for k, _ in spec.entries]
+
+
+def linear_symbol(spec: FlowSpec, t: float, columns) -> np.ndarray:
+    """mu(xi, t) = sum_k i^k alpha_k'(t) (i xi)^(k+1) from the columns
+    symbol_columns(spec, xi); purely imaginary for real schedules since
+    i^k (i xi)^(k+1) = i^(2k+1) xi^(k+1)."""
+    return sum(w * col for w, col in zip(spec.weights(t), columns))
+
+
 def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
     """One step of size dt as ``advance(f, t_new) -> Field``.
 
@@ -170,13 +184,7 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
         raise ValueError("dt must be positive")
     if method == "auto":
         method = "ifrk4" if spec.is_constant else "rk4"
-    columns = [(1j * grid.xi) ** (k + 1) for k, _ in spec.entries]  # formed once per stepper
-
-    def symbol(t):
-        """mu(xi, t) = sum_k i^k alpha_k'(t) (i xi)^(k+1); purely imaginary
-        for real schedules since i^k (i xi)^(k+1) = i^(2k+1) xi^(k+1)."""
-        return sum(w * col for w, col in zip(spec.weights(t), columns))
-
+    columns = symbol_columns(spec, grid.xi)
     if method == "rk4":
         plan = flow_plan(table, spec)
 
@@ -184,7 +192,7 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
             return eval_rhs(plan, v, grid, spec.weights(t))
 
         def integrate(v, t):
-            mu_max = float(np.max(np.abs(symbol(t))))
+            mu_max = float(np.max(np.abs(linear_symbol(spec, t, columns))))
             if dt * mu_max > RK4_IMAG_STABILITY:
                 raise StabilityViolation(f"dt*max|mu| = {dt * mu_max:.3g} exceeds {RK4_IMAG_STABILITY}")
             k1 = rhs(v, t)
@@ -200,7 +208,7 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
             *(table.H[k] - DiffPoly.var("psi", k + 1) for k, _ in spec.entries)
         )
         w = spec.weights(0.0)
-        e = np.exp(0.5 * dt * symbol(0.0))
+        e = np.exp(0.5 * dt * linear_symbol(spec, 0.0, columns))
         e2 = e * e
 
         def nhat(v):

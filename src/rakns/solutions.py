@@ -232,7 +232,8 @@ class _ThetaLattice:
     (Deconinck, Heil, Bobenko, van Hoeij & Schmies, Math. Comp. 73, 2004).
     Each term has modulus exp(-pi (m+f).Y.(m+f)) with f = c - k in
     [-1/2, 1/2]^g, so the sum is O(1) however large Im z is: only the
-    scale grows, and it is kept as its logarithm.
+    scale grows, and it is kept as its logarithm.  The largest term's
+    modulus is moved into the scale as well, so the sum is relative to it.
     """
 
     MAX_ENTRIES = 2**13  # complex entries per batch temporary (128 KiB)
@@ -266,13 +267,18 @@ class _ThetaLattice:
         w = 2.0 * np.pi * (1j * xk - Yf)
         s = -np.pi * np.sum(f * Yf, axis=1) - 1j * np.pi * np.sum(k * (z.real + xk), axis=1)
         osc = np.empty(len(z), dtype=complex)
+        peak = np.empty(len(z))
         rows = max(1, self.MAX_ENTRIES // self.points.shape[1])
         for lo in range(0, len(z), rows):
             e = w[lo : lo + rows] @ self.points
             e += self.quad
             e += s[lo : lo + rows, None]
+            # With the largest term at modulus 1, |osc| <= tol means theta
+            # vanishes, however small every term is (large Im B).
+            peak[lo : lo + rows] = e.real.max(axis=1)
+            e -= peak[lo : lo + rows, None]
             osc[lo : lo + rows] = np.exp(e, out=e).sum(axis=1)
-        return np.pi * np.sum(c * z.imag, axis=1), osc
+        return np.pi * np.sum(c * z.imag, axis=1) + peak, osc
 
 
 def theta(z, B, tol: float = 1e-12) -> complex:
@@ -398,8 +404,8 @@ def _finite_gap_values(data: RiemannData, x, times: tuple) -> np.ndarray:
     scale, osc = lattice(np.concatenate([[Z, ZD], U + ZD, U + Z]))
     n = len(x)
     num, den = osc[2 : n + 2], osc[n + 2 :]
-    # The oscillatory sums are accurate to about tol in absolute terms, so
-    # a denominator no larger than that is a zero of theta to that accuracy.
+    # The oscillatory sums are accurate to about tol relative to their
+    # largest term, so a denominator no larger than that is a zero of theta.
     vanishes = np.minimum(abs(osc[1]), np.abs(den)) <= lattice.tol
     if vanishes.any():
         raise ThetaZeroDivision(

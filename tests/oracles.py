@@ -16,13 +16,3 @@ def theta_brute(z, B, radius: int = 30) -> complex:
         total += np.exp(2j * np.pi * (0.5 * n @ B @ n + n @ z))
     return complex(total)
 
-
-def linear_symbol(spec, t: float, xi):
-    """mu(xi, t) = sum_k i^k alpha_k'(t) (i xi)^(k+1), one flow at a time;
-    purely imaginary for real schedules since i^k (i xi)^(k+1) =
-    i^(2k+1) xi^(k+1)."""
-    xi = np.asarray(xi, dtype=float)
-    mu = np.zeros(xi.shape, dtype=complex)
-    for (k, _), w in zip(spec.entries, spec.weights(t)):
-        mu += w * (1j * xi) ** (k + 1)
-    return mu if mu.shape else complex(mu)

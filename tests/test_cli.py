@@ -312,7 +312,14 @@ def test_verify_residual_mixed_grids_still_fails_check(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "grid_args, config_grid",
-    [(["--grid", "32,10"], None), (["--grid", "16,5"], None), ([], "n = 64\nlength = 10.0")],
+    [
+        (["--grid", "32,10"], None),
+        (["--grid", "16,5"], None),
+        ([], "n = 64\nlength = 10.0"),
+        ([], "n = 32"),
+        ([], "length = 40.0"),
+        (["--grid", "16,10"], "n = 32"),
+    ],
 )
 def test_evolve_grid_must_match_field_file(tmp_path, capsys, grid_args, config_grid):
     """A stated grid that is not the initial file's is rejected, not ignored."""
@@ -330,13 +337,23 @@ def test_evolve_grid_must_match_field_file(tmp_path, capsys, grid_args, config_g
     assert _one_error_line(err) and "disagrees" in err
 
 
-def test_evolve_grid_matching_field_file_runs(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config_grid, grid_args",
+    [
+        ("n = 16\nlength = 10", ["--grid", "16,10"]),
+        ("n = 16", []),
+        ("length = 10", []),
+        ("", []),
+    ],
+    ids=["both_keys_and_flag", "n_only", "length_only", "no_keys"],
+)
+def test_evolve_grid_matching_field_file_runs(tmp_path, capsys, config_grid, grid_args):
+    """Only the grid keys a [grid] section states are held to the file's;
+    the 256, 40 defaults apply to sampler initials alone."""
     path = tmp_path / "init.txt"
     _field_file(path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG.replace("n = 128", "n = 16").replace("length = 40.0", "length = 10"))
-    code, text, _ = run(
-        ["evolve", "--config", str(cfg), "--initial", str(path), "--grid", "16,10"], capsys
-    )
+    cfg.write_text(CONFIG.replace("n = 128\nlength = 40.0", config_grid))
+    code, text, _ = run(["evolve", "--config", str(cfg), "--initial", str(path), *grid_args], capsys)
     assert code == 0
     assert "final time" in text

