@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping, NamedTuple
 
 SYMBOLS = ("psi", "phi", "psibar", "phibar")
 _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
@@ -40,25 +41,46 @@ class MissingJet(DiffPolyError):
     pass
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number (a + b*i)/d with integers a, b and d.
 
-    re: Fraction
-    im: Fraction
+    The triple is canonical, d > 0 and gcd(a, b, d) = 1, so equal numbers
+    have equal triples and zero is (0, 0, 1).  Instances are immutable;
+    ``re`` and ``im`` give the parts as ``Fraction``s.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        # With re and im in lowest terms, gcd(a, b, lcm) is already 1.
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+        d, od = self._d, other._d
+        if d == od:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(
+            self._a * od + other._a * d, self._b * od + other._b * d, d * od
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-_as_gr(other))
@@ -67,51 +89,77 @@ class GaussianRational:
         return _as_gr(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is int:
+            return _reduced(self._a * other, self._b * other, self._d)
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_gr(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        c, e = other._a, other._b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        a, b, od = self._a, self._b, other._d
+        return _reduced(od * (a * c + b * e), od * (b * c - a * e), self._d * n)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
+
+    def __eq__(self, other):
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds correctly, as float(Fraction) does.
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
-        if self.im == 0:
-            return _frac_str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return _frac_str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{_frac_str(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        im = abs(self.im)
+            return f"{_frac_str(im)}*i"
+        sign = "+" if im > 0 else "-"
+        im = abs(im)
         im_s = "i" if im == 1 else f"{_frac_str(im)}*i"
-        return f"({_frac_str(self.re)}{sign}{im_s})"
+        return f"({_frac_str(re)}{sign}{im_s})"
 
     __repr__ = __str__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from a triple that is already canonical."""
+    g = object.__new__(GaussianRational)
+    g._a, g._b, g._d = a, b, d
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
 
 
 def _frac_str(f: Fraction) -> str:
@@ -121,30 +169,35 @@ def _frac_str(f: Fraction) -> str:
 def _as_gr(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+    if isinstance(x, int):
+        return _raw(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator)
     if isinstance(x, complex):
-        # Only exact small literals like 1j are expected here.
-        return GaussianRational(Fraction(x.real), Fraction(x.imag))
+        # Only exact small literals like 1j are expected here; 0.1j is a
+        # binary fraction, not 1/10, so it is refused rather than converted.
+        if x.real.is_integer() and x.imag.is_integer():
+            return _raw(int(x.real), int(x.imag), 1)
     raise TypeError(f"cannot interpret {x!r} as GaussianRational")
 
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+GR_MINUS_ONE = GaussianRational(-1)
+GR_MINUS_I = GaussianRational(0, -1)
 
 
 def gr_i_power(k: int) -> GaussianRational:
     """i**k for any integer k (negative allowed)."""
-    return (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))[k % 4]
+    return (GR_ONE, GR_I, GR_MINUS_ONE, GR_MINUS_I)[k % 4]
 
 
-@dataclass(frozen=True, order=True)
-class JetVariable:
+class JetVariable(NamedTuple):
     """A dependent symbol together with its x-derivative order.
 
-    The dataclass ordering (symbol index, order) is the canonicalization
-    key used throughout.
+    The tuple ordering (symbol index, order) is the canonicalization key
+    used throughout.
     """
 
     sym_index: int
@@ -187,10 +240,10 @@ class Monomial:
 
     @property
     def max_order(self) -> int:
-        return max((j.order for j, _ in self.factors), default=-1)
+        return _top_order(self.factors)
 
     def sort_key(self):
-        return (self.degree, tuple((j, e) for j, e in self.factors))
+        return (self.degree, self.factors)
 
     def __str__(self):
         return _render_monomial_text(self)
@@ -198,13 +251,32 @@ class Monomial:
     __repr__ = __str__
 
 
+def _top_order(factors: Factors) -> int:
+    return max(j.order for j, _ in factors) if factors else -1
+
+
 def _merge_factors(fa: Factors, fb: Factors) -> Factors:
-    d: dict[JetVariable, int] = {}
-    for j, e in fa:
-        d[j] = d.get(j, 0) + e
+    if not fa:
+        return fb
+    d = dict(fa)
     for j, e in fb:
         d[j] = d.get(j, 0) + e
     return tuple(sorted(d.items()))
+
+
+def _from_dict(combined: Mapping) -> "DiffPoly":
+    """Canonical DiffPoly of a {factors: coeff} dict; zero coefficients drop."""
+    out = [Monomial(c, f) for f, c in combined.items() if not c.is_zero()]
+    out.sort(key=Monomial.sort_key)
+    return DiffPoly(out, _canonical=True)
+
+
+def _accumulate(acc: dict, pairs) -> dict:
+    """Add (factors, coeff) pairs into acc; entries may cancel to zero."""
+    for f, c in pairs:
+        old = acc.get(f)
+        acc[f] = c if old is None else old + c
+    return acc
 
 
 class DiffPoly:
@@ -213,15 +285,9 @@ class DiffPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Monomial] = (), _canonical=False):
-        if _canonical:
-            object.__setattr__(self, "terms", tuple(terms))
-            return
-        combined: dict[Factors, GaussianRational] = {}
-        for m in terms:
-            combined[m.factors] = combined.get(m.factors, GR_ZERO) + m.coeff
-        out = [Monomial(c, f) for f, c in combined.items() if not c.is_zero()]
-        out.sort(key=Monomial.sort_key)
-        object.__setattr__(self, "terms", tuple(out))
+        if not _canonical:
+            terms = _from_dict(_accumulate({}, ((m.factors, m.coeff) for m in terms))).terms
+        object.__setattr__(self, "terms", tuple(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
@@ -286,7 +352,8 @@ class DiffPoly:
             return other
         if other.is_zero():
             return self
-        return DiffPoly(self.terms + other.terms)
+        acc = {m.factors: m.coeff for m in self.terms}
+        return _from_dict(_accumulate(acc, ((m.factors, m.coeff) for m in other.terms)))
 
     def __neg__(self) -> "DiffPoly":
         return DiffPoly(
@@ -301,11 +368,12 @@ class DiffPoly:
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(Monomial(a.coeff * b.coeff, _merge_factors(a.factors, b.factors)))
-        return DiffPoly(out)
+        pairs = (
+            (_merge_factors(a.factors, b.factors), a.coeff * b.coeff)
+            for a in self.terms
+            for b in other.terms
+        )
+        return _from_dict(_accumulate({}, pairs))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, complex)):
@@ -336,19 +404,24 @@ class DiffPoly:
 _DP_ZERO = DiffPoly((), _canonical=True)
 
 
+def _dx_terms(factors: Factors, coeff: GaussianRational):
+    """(factors, coeff) pairs of the Leibniz expansion of d/dx of one
+    monomial; each jet in turn bumps its order."""
+    for i, (j, e) in enumerate(factors):
+        rest = factors[:i] + factors[i + 1 :]
+        up = j.bump()
+        if e == 1:
+            yield _merge_factors(rest, ((up, 1),)), coeff
+        else:
+            yield _merge_factors(rest, ((j, e - 1), (up, 1))), coeff * e
+
+
 def dp_dx(p: DiffPoly) -> DiffPoly:
     """Total x-derivative: Leibniz over each monomial, jets bump their order."""
-    out = []
+    acc: dict = {}
     for m in p.terms:
-        for i, (j, e) in enumerate(m.factors):
-            rest = m.factors[:i] + m.factors[i + 1 :]
-            if e == 1:
-                new = _merge_factors(rest, ((j.bump(), 1),))
-                out.append(Monomial(m.coeff, new))
-            else:
-                new = _merge_factors(rest, ((j, e - 1), (j.bump(), 1)))
-                out.append(Monomial(m.coeff * e, new))
-    return DiffPoly(out)
+        _accumulate(acc, _dx_terms(m.factors, m.coeff))
+    return _from_dict(acc)
 
 
 def dp_dx_n(p: DiffPoly, n: int) -> DiffPoly:
@@ -395,45 +468,53 @@ def is_exact(p: DiffPoly) -> bool:
 def dp_antidx(p: DiffPoly) -> DiffPoly:
     """Anti-derivative q with dp_dx(q) == p and no constant term.
 
-    Repeatedly integrates by parts the canonically-first monomial whose
-    highest-order jet is the global maximum, appears linearly, and whose
-    other factors all have lower order.  Raises NotExact (carrying the
-    remainder) when the reduction gets stuck or cycles.
+    Integrates by parts one term of the remainder at a time: a term whose
+    highest-order jet (s, n) has the remainder's top order n, appears
+    linearly, and is the term's only jet of order n.  Then
+    (s,n) (s,n-1)^e R integrates to (s,n-1)^(e+1) R / (e+1).  When the
+    remainder is d/dx of some q, that piece is a monomial of q with its
+    exact coefficient, so each step removes one monomial from q: the result
+    does not depend on which term is taken, and no piece repeats.  Raises
+    NotExact (carrying the remainder) when no term qualifies or a piece
+    would repeat.  A piece has the degree of a term of p and lower order,
+    so there are finitely many, and the loop ends on any input.
     """
-    result = _DP_ZERO
-    remainder = p
-    seen: set = set()
-    while not remainder.is_zero():
-        n = remainder.max_order
+    remainder = {m.factors: m.coeff for m in p.terms}
+    # The remainder's keys by top jet order; dicts keep insertion order.
+    levels: dict[int, dict] = {}
+    for f in remainder:
+        levels.setdefault(_top_order(f), {})[f] = None
+    result: dict = {}
+    while remainder:
+        n = max(levels)
         if n < 1:
-            raise NotExact(remainder)
-        if remainder.terms in seen:
-            raise NotExact(remainder)
-        seen.add(remainder.terms)
-        candidate = None
-        for m in remainder.terms:
-            top = [(j, e) for j, e in m.factors if j.order == n]
+            raise NotExact(_from_dict(remainder))
+        for f in levels[n]:
+            top = [(j, e) for j, e in f if j.order == n]
             if len(top) == 1 and top[0][1] == 1:
-                candidate = m
                 break
-        if candidate is None:
-            raise NotExact(remainder)
-        (top_jet, _) = next((j, e) for j, e in candidate.factors if j.order == n)
+        else:
+            raise NotExact(_from_dict(remainder))
+        top_jet = top[0][0]
         lower = JetVariable(top_jet.sym_index, n - 1)
-        rest = tuple((j, e) for j, e in candidate.factors if j != top_jet)
+        rest = tuple((j, e) for j, e in f if j != top_jet)
         e_lower = next((e for j, e in rest if j == lower), 0)
-        # (s,n)*(s,n-1)^e * R  integrates to  (s,n-1)^(e+1) * R / (e+1)
-        piece = DiffPoly(
-            [
-                Monomial(
-                    candidate.coeff / GaussianRational(e_lower + 1),
-                    _merge_factors(rest, ((lower, 1),)),
-                )
-            ]
-        )
-        result = result + piece
-        remainder = remainder - dp_dx(piece)
-    return result
+        piece = _merge_factors(rest, ((lower, 1),))
+        if piece in result:
+            raise NotExact(_from_dict(remainder))
+        coeff = result[piece] = remainder[f] / (e_lower + 1)
+        for g, c in _dx_terms(piece, coeff):
+            new = remainder[g] - c if g in remainder else -c
+            t = _top_order(g)
+            level = levels.setdefault(t, {})
+            if new.is_zero():
+                del remainder[g], level[g]
+                if not level:
+                    del levels[t]
+            else:
+                remainder[g] = new
+                level[g] = None
+    return _from_dict(result)
 
 
 def dp_reduce(p: DiffPoly) -> DiffPoly:
@@ -637,11 +718,11 @@ def _render_coeff_text(c: GaussianRational, lead: str) -> str:
     """Coefficient prefix for a monomial with factors; '' or '-' when +-1."""
     if c == GR_ONE:
         return ""
-    if c == GaussianRational(-1):
+    if c == GR_MINUS_ONE:
         return "-"
     if c == GR_I:
         return "i*"
-    if c == GaussianRational(0, -1):
+    if c == GR_MINUS_I:
         return "-i*"
     return str(c) + "*"
 
@@ -673,11 +754,11 @@ def _latex_frac(f: Fraction) -> str:
 def _render_coeff_latex(c: GaussianRational) -> str:
     if c == GR_ONE:
         return ""
-    if c == GaussianRational(-1):
+    if c == GR_MINUS_ONE:
         return "-"
     if c == GR_I:
         return "i"
-    if c == GaussianRational(0, -1):
+    if c == GR_MINUS_I:
         return "-i"
     if c.im == 0:
         return _latex_frac(c.re)

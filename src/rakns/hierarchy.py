@@ -82,10 +82,11 @@ def build_flows(K: int) -> FlowTable:
         comm = mat_commutator(F[k], U0)
         try:
             d11 = dp_antidx(-comm[0, 0])
-            d22 = dp_antidx(-comm[1, 1])
         except NotExact as exc:
             raise RecursionBroken(f"diagonal density at order {k} not exact") from exc
-        D[k] = MatrixDP(d11, 0, 0, d22)
+        # A commutator is traceless, so comm[1, 1] = -comm[0, 0], and the
+        # antiderivative is odd: D_22 = -D_11 with no second integration.
+        D[k] = MatrixDP(d11, 0, 0, -d11)
         if k <= K:
             rhs = F[k].dx().scale(2) + mat_commutator(D[k], U0).scale(2)
             F[k + 1] = _solve_offdiag(rhs)

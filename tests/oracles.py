@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 
+from rakns.diffpoly import DiffPoly, GaussianRational, JetVariable, NotExact, dp_dx
+
 
 def theta_brute(z, B, radius: int = 30) -> complex:
     """Box-sum oracle over |n_i| <= radius (exponential cost in g)."""
@@ -16,3 +18,74 @@ def theta_brute(z, B, radius: int = 30) -> complex:
         total += np.exp(2j * np.pi * (0.5 * n @ B @ n + n @ z))
     return complex(total)
 
+
+# -- Gaussian rationals as (re, im) pairs of Fractions --------------------------
+
+
+def pair(x: GaussianRational) -> tuple:
+    return (x.re, x.im)
+
+
+def pair_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    if n == 0:
+        raise ZeroDivisionError("division by zero pair")
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def pair_conjugate(x):
+    return (x[0], -x[1])
+
+
+# -- antiderivative ---------------------------------------------------------------
+
+
+def antidx_reference(p: DiffPoly) -> DiffPoly:
+    """Canonical-first integration by parts on whole canonical remainders.
+
+    Each step takes the first monomial, in canonical order, whose
+    highest-order jet has the global maximum order, appears linearly, and
+    is the monomial's only jet of that order; it subtracts d/dx of that
+    monomial's integral from the whole remainder.  A remainder seen before
+    (a cycle) or no such monomial raises NotExact.
+    """
+    result = DiffPoly.zero()
+    remainder = p
+    seen: set = set()
+    while not remainder.is_zero():
+        n = remainder.max_order
+        if n < 1 or remainder.terms in seen:
+            raise NotExact(remainder)
+        seen.add(remainder.terms)
+        candidate = None
+        for m in remainder.terms:
+            top = [(j, e) for j, e in m.factors if j.order == n]
+            if len(top) == 1 and top[0][1] == 1:
+                candidate = m
+                break
+        if candidate is None:
+            raise NotExact(remainder)
+        top_jet = top[0][0]
+        lower = JetVariable(top_jet.sym_index, n - 1)
+        rest = {j: e for j, e in candidate.factors if j != top_jet}
+        e_lower = rest.get(lower, 0)
+        # (s,n)*(s,n-1)^e * R  integrates to  (s,n-1)^(e+1) * R / (e+1)
+        piece = DiffPoly.monomial(
+            candidate.coeff / GaussianRational(e_lower + 1),
+            {**rest, lower: e_lower + 1},
+        )
+        result = result + piece
+        remainder = remainder - dp_dx(piece)
+    return result

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, file round-trips."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from rakns.cli import main
 from rakns.diffpoly import from_json
 from rakns.solutions import random_riemann_data
 from rakns.spectral import Field, Grid, read_field, write_field
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CONFIG = """\
 [flows]
@@ -41,6 +44,13 @@ def test_hierarchy_show_json_structural(capsys, table5):
     code, out, _ = run(["hierarchy", "show", "--order", "3", "--format", "json"], capsys)
     assert code == 0
     assert from_json(out) == table5.H[3]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_hierarchy_show_json_matches_golden_text(capsys, k):
+    code, out, _ = run(["hierarchy", "show", "--order", str(k), "--format", "json"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"H{k}.json").read_text()
 
 
 def test_hierarchy_show_deterministic(capsys):

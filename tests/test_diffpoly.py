@@ -8,6 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    antidx_reference,
+    pair,
+    pair_add,
+    pair_conjugate,
+    pair_div,
+    pair_mul,
+    pair_sub,
+)
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
@@ -39,7 +48,7 @@ def test_gaussian_rational_arithmetic():
     b = GaussianRational(2, Fraction(-1, 3))
     assert complex(a * b) == complex(a) * complex(b)
     assert complex(a + b) == complex(a) + complex(b)
-    assert complex(a / b) * complex(b) == pytest.approx(complex(a))
+    assert (a / b) * b == a
     assert (a * a.conjugate()).is_real()
 
 
@@ -48,10 +57,55 @@ def test_i_powers_cycle():
     assert vals == [1, 1j, -1, -1j, 1, 1j, -1, -1j]
 
 
+def test_gr_canonical_form():
+    half = GaussianRational(Fraction(2, 4))
+    assert half == GaussianRational(Fraction(1, 2))
+    assert hash(half) == hash(GaussianRational(Fraction(1, 2)))
+    assert GaussianRational(3, 6) / 3 == GaussianRational(1, 2)
+    zeros = [
+        GaussianRational(),
+        GaussianRational(0, 0),
+        GaussianRational(Fraction(0, 7), Fraction(0, 3)),
+        half - half,
+        GaussianRational(Fraction(1, 3), 2) * 0,
+    ]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+    assert all(z.is_zero() for z in zeros)
+
+
+def test_gr_parts_are_fractions():
+    a = GaussianRational(Fraction(-3, 4), 5)
+    assert type(a.re) is Fraction and type(a.im) is Fraction
+    assert (a.re, a.im) == (Fraction(-3, 4), Fraction(5))
+    assert type(GaussianRational(2).im) is Fraction
+
+
+def test_gr_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1, 1) / GaussianRational(0)
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1) / 0
+
+
+def test_inexact_complex_is_refused():
+    """0.1j is a binary fraction, not 1/10; only integer parts convert."""
+    with pytest.raises(TypeError):
+        DiffPoly.var("psi") * 0.1j
+    with pytest.raises(TypeError):
+        GaussianRational(1) + complex(0.5, 1)
+    with pytest.raises(TypeError):
+        DiffPoly.var("psi", coeff=complex("nanj"))
+    assert DiffPoly.var("psi") * 2j == DiffPoly.var("psi", coeff=GaussianRational(0, 2))
+    assert GaussianRational(1) + (3 - 1j) == GaussianRational(4, -1)
+
+
 fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
 grs = st.builds(GaussianRational, fracs, fracs)
+
+wide_fracs = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9)
+wide_grs = st.builds(GaussianRational, wide_fracs, wide_fracs)
 
 
 @given(grs, grs, grs)
@@ -59,6 +113,44 @@ def test_gr_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
+
+
+def _canonical(x: GaussianRational) -> bool:
+    """x equals, with the same hash, the value rebuilt from its parts."""
+    y = GaussianRational(x.re, x.im)
+    return x == y and hash(x) == hash(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_grs, wide_grs)
+def test_gr_matches_fraction_pairs(a, b):
+    x, y = pair(a), pair(b)
+    for got, want in (
+        (a + b, pair_add(x, y)),
+        (a - b, pair_sub(x, y)),
+        (a * b, pair_mul(x, y)),
+        (a.conjugate(), pair_conjugate(x)),
+        (-a, pair_sub((0, 0), x)),
+    ):
+        assert pair(got) == want
+        assert _canonical(got)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert pair(a / b) == pair_div(x, y)
+        assert _canonical(a / b)
+        assert (a / b) * b == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_grs, st.integers(-(10**9), 10**9))
+def test_gr_mixed_with_ints(a, n):
+    x = pair(a)
+    assert pair(a + n) == pair(n + a) == pair_add(x, (n, 0))
+    assert pair(a * n) == pair(n * a) == pair_mul(x, (n, 0))
+    assert pair(n - a) == pair_sub((n, 0), x)
+    assert _canonical(a * n) and _canonical(a + n)
 
 
 # -- polynomials -------------------------------------------------------------
@@ -132,6 +224,22 @@ def test_euler_operator_agrees_with_antidx(p):
     except NotExact:
         integrable = False
     assert integrable == is_exact(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys())
+def test_antidx_matches_reference(p):
+    """The one-pass antiderivative equals the canonical-first reference on
+    exact input, and both raise NotExact on the same inputs."""
+    dp = dp_dx(p)
+    assert dp_antidx(dp) == antidx_reference(dp)
+    outcomes = []
+    for integrate in (dp_antidx, antidx_reference):
+        try:
+            outcomes.append(integrate(p))
+        except NotExact:
+            outcomes.append(NotExact)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_not_exact_simple():

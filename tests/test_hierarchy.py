@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from oracles import antidx_reference
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
@@ -14,8 +15,10 @@ from rakns.diffpoly import (
     from_json,
     is_exact,
     jet,
+    mat_commutator,
 )
 from rakns.hierarchy import (
+    U0,
     CurvatureReport,
     assemble_V,
     build_flows,
@@ -110,6 +113,15 @@ def test_diagonal_entries_are_antiderivatives(table5):
         d = table5.D[k]
         assert is_exact(dp_dx(d[0, 0]))
         assert d[1, 1] == -d[0, 0]
+
+
+def test_lower_diagonal_matches_reference_antiderivative():
+    """D_22 is set to -D_11 without a second integration; integrating
+    -[F_k, U0]_22 with the reference antiderivative must give it back."""
+    table = build_flows(7)
+    for k in range(1, 9):
+        comm = mat_commutator(table.F[k], U0)
+        assert antidx_reference(-comm[1, 1]) == table.D[k][1, 1]
 
 
 def test_conserved_density_first_is_mass(table5):
