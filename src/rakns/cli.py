@@ -263,7 +263,7 @@ def cmd_identity_check(args) -> int:
     errors = identity_errors(data, SymmetryParams(args.a, args.b), args.max_flow)
     print(f"argument identity error: {errors['argument']:.3e}")
     print(f"phase identity error:    {errors['phase']:.3e}")
-    ok = max(errors.values()) < args.tol
+    ok = all(e < args.tol for e in errors.values())  # NaN fails
     print("pass" if ok else "FAIL")
     return OK if ok else VERIFY_FAILED
 

@@ -52,6 +52,9 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, float) or isinstance(im, float):
+            # 0.1 is a binary fraction, not 1/10; Fraction(1, 10) or "0.1" is exact.
+            raise TypeError(f"cannot interpret float {re!r}, {im!r} as GaussianRational")
         re, im = Fraction(re), Fraction(im)
         # With re and im in lowest terms, gcd(a, b, lcm) is already 1.
         d = lcm(re.denominator, im.denominator)

@@ -212,16 +212,48 @@ def peregrine() -> Sampler:
 # -- Riemann theta -----------------------------------------------------------
 
 
-def _check_riemann_matrix(B: np.ndarray) -> float:
+def _check_riemann_matrix(B: np.ndarray) -> np.ndarray:
+    """Upper triangular T with pi Im B = T^T T; raises unless B is a
+    finite, symmetric matrix with positive definite imaginary part."""
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise NotPositiveDefinite("Riemann matrix must be square")
+    if not np.isfinite(B).all():
+        raise NotPositiveDefinite("Riemann matrix must be finite")
     if np.max(np.abs(B - B.T)) > 1e-12:
         raise NotPositiveDefinite("Riemann matrix must be symmetric")
-    lam_min = float(np.min(np.linalg.eigvalsh(B.imag)))
-    if lam_min <= 0:
-        raise NotPositiveDefinite("Im B must be positive definite")
-    return lam_min
+    try:
+        return np.linalg.cholesky(np.pi * B.imag).T
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("Im B must be positive definite") from None
+
+
+def _upper_gamma(n: int, x: float) -> float:
+    """Gamma(n/2, x) for a positive integer n, up from Gamma(1, x) = e^-x or
+    Gamma(1/2, x) = sqrt(pi) erfc(sqrt x) by Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x."""
+    a, G = (1.0, math.exp(-x)) if n % 2 == 0 else (0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x)))
+    while a < n / 2:
+        G, a = a * G + x**a * math.exp(-x), a + 1
+    return G
+
+
+def _lattice_points(T: np.ndarray, r: float) -> np.ndarray:
+    """Every integer m with |T m| <= r, one per row, for upper triangular T.
+
+    Fincke-Pohst recursion (Math. Comp. 44, 1985): with m_(i+1..g) fixed,
+    row i of T m is T_ii (m_i - c_i), so m_i ranges over an interval set by
+    the radius the later coordinates leave."""
+    m, rem = np.zeros((1, 0)), np.array([r * r])
+    for i in reversed(range(len(T))):
+        c = -(m @ T[i, i + 1 :]) / T[i, i]
+        h = np.sqrt(np.maximum(rem, 0.0)) / T[i, i]
+        lo = np.ceil(c - h)
+        n = np.maximum(np.floor(c + h) - lo + 1, 0).astype(int)
+        row = np.repeat(np.arange(len(m)), n)
+        mi = lo[row] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        m = np.column_stack([mi, m[row]])
+        rem = rem[row] - (T[i, i] * (mi - c[row])) ** 2
+    return m
 
 
 class _ThetaLattice:
@@ -230,10 +262,19 @@ class _ThetaLattice:
     With Y = Im B, c = Y^{-1} Im z and k = [[c]], the substitution n = m - k
     gives Theta(z) = exp(pi Im z.c) sum_m exp(i pi m.B.m + m.w + s)
     (Deconinck, Heil, Bobenko, van Hoeij & Schmies, Math. Comp. 73, 2004).
-    Each term has modulus exp(-pi (m+f).Y.(m+f)) with f = c - k in
-    [-1/2, 1/2]^g, so the sum is O(1) however large Im z is: only the
+    Each term has modulus exp(-|T(m+f)|^2), with pi Y = T^T T and f = c - k
+    in [-1/2, 1/2]^g, so the sum is O(1) however large Im z is: only the
     scale grows, and it is kept as its logarithm.  The largest term's
     modulus is moved into the scale as well, so the sum is relative to it.
+
+    The points are the ellipsoid |T m| <= R + D, D = max_f |T f|, so every m
+    with |T(m+f)| < R is kept for every f.  The terms beyond R sum to at
+    most (g/2) (2/rho)^g Gamma(g/2, (R - rho/2)^2), rho the shortest vector
+    of T Z^g (Deconinck et al., section 3; its ball-packing argument needs
+    R - rho/2 >= sqrt(g/2), where exp(-|y|^2) is subharmonic).  R is the
+    first of rho/2 + sqrt(g/2) + j/16, j = 0, 1, ..., that brings this
+    under tol exp(-D^2), a lower bound on the m = 0 term, so the omitted
+    terms sum to at most tol times the largest kept term, for every z.
     """
 
     MAX_ENTRIES = 2**13  # complex entries per batch temporary (128 KiB)
@@ -241,16 +282,20 @@ class _ThetaLattice:
     def __init__(self, B, tol: float = 1e-12):
         self.tol = min(max(tol, 1e-300), 1e-6)
         self.B = np.asarray(B, dtype=complex)
-        lam_min = _check_riemann_matrix(self.B)
-        g = len(self.B)
-        # Terms decay at least like exp(-pi lam_min r^2) beyond radius r
-        # from the Gaussian centre; pad by 1.5 sqrt(g) + 1 to cover the shell
-        # count, and by half the cell diagonal, 0.5 sqrt(g), because after the
-        # integer shift the centre -f sits up to 1/2 per axis off the origin.
-        radius = math.sqrt(max(-math.log(self.tol * 0.1), 1.0) / (math.pi * lam_min)) + 2.0 * math.sqrt(g) + 1.0
-        axis = np.arange(-math.floor(radius), math.floor(radius) + 1)
-        m = np.stack(np.meshgrid(*[axis] * g, indexing="ij"), axis=-1).reshape(-1, g)
-        m = m[np.sum(m * m, axis=1) <= radius**2].astype(float)
+        T = _check_riemann_matrix(self.B)
+        g = len(T)
+        # rho is no longer than T's shortest column; D is reached at a corner
+        v = np.linalg.norm(_lattice_points(T, np.linalg.norm(T, axis=0).min() * (1 + 1e-9)) @ T.T, axis=1)
+        rho = v[v > 0].min()
+        D = np.linalg.norm((np.indices((2,) * g).reshape(g, -1).T - 0.5) @ T.T, axis=1).max()
+        tail = lambda R: g / 2 * (2 / rho) ** g * _upper_gamma(g, (R - rho / 2) ** 2)
+        target = self.tol * math.exp(-D * D)
+        R = rho / 2 + math.sqrt(g / 2)
+        for step in 2.0 ** np.arange(5, -5, -1):  # the largest R that misses, to 1/16
+            R += step if tail(R + step) > target else 0.0
+        R += 1 / 16 if tail(R) > target else 0.0
+        m = _lattice_points(T, R + D)
+        m = m[np.lexsort(m.T[::-1])]  # a canonical order, whatever the enumeration's
         self.Y_inv = np.linalg.inv(self.B.imag)
         self.points = m.T.astype(complex)
         self.quad = 1j * np.pi * np.einsum("ni,ij,nj->n", m, self.B, m)
@@ -284,17 +329,16 @@ class _ThetaLattice:
 def theta(z, B, tol: float = 1e-12) -> complex:
     """Riemann theta Theta(z|B) = sum_n exp{2 pi i (n.B.n/2 + n.z)}.
 
-    The lattice sum is truncated to a ball that covers the maximizer of
-    the Gaussian factor with the radius the tail bound sets (decay rate
-    pi * lambda_min(Im B)); accurate to ``tol`` relative to the full sum.
-    The value is exp(scale) times an O(1) oscillatory sum (see
-    ``_ThetaLattice``); only this final product can overflow.
+    The lattice sum is truncated to an ellipsoid sized by the uniform tail
+    bound of Deconinck et al. (see ``_ThetaLattice``): the omitted terms
+    sum to at most ``tol`` times the largest term kept.  The value is
+    exp(scale) times an O(1) oscillatory sum; only this final product can
+    overflow.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    lattice = _ThetaLattice(B, tol)
-    if lattice.B.shape != (len(z), len(z)):
+    if np.shape(B) != (len(z), len(z)):
         raise ValueError("z/B dimension mismatch")
-    scale, osc = lattice(z)
+    scale, osc = _ThetaLattice(B, tol)(z)
     return complex(np.exp(scale[0]) * osc[0])
 
 
@@ -319,23 +363,26 @@ class RiemannData:
     rho: complex
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=complex)
-        _check_riemann_matrix(B)
         g = self.genus
-        if B.shape != (g, g):
+        fields = {
+            "B": np.asarray(self.B, dtype=complex),
+            "V": tuple(np.asarray(v, dtype=complex).reshape(g) for v in self.V),
+            "K": tuple(complex(k) for k in self.K),
+            "Z": np.asarray(self.Z, dtype=complex).reshape(g),
+            "delta": np.asarray(self.delta, dtype=complex).reshape(g),
+            "rho": complex(self.rho),
+        }
+        for name, value in fields.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        _check_riemann_matrix(self.B)
+        if self.B.shape != (g, g):
             raise ValueError("B has wrong shape for the declared genus")
-        V = tuple(np.asarray(v, dtype=complex).reshape(g) for v in self.V)
-        K = tuple(complex(k) for k in self.K)
-        if K[0] == 0:
+        if self.K[0] == 0:
             raise ValueError("K_0 must be nonzero")
-        if complex(self.rho) == 0:
+        if self.rho == 0:
             raise ValueError("rho must be nonzero")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "Z", np.asarray(self.Z, dtype=complex).reshape(g))
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=complex).reshape(g))
-        object.__setattr__(self, "rho", complex(self.rho))
 
     @property
     def max_flows(self) -> int:

@@ -116,13 +116,13 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
     argument map and phase factor.
 
     Both sides are linear in (x, t_1..t_M); the comparison is per basis
-    direction.  Returns max absolute errors {'argument': ..., 'phase': ...}.
+    direction.  Returns max absolute errors {'argument': ..., 'phase': ...},
+    NaN if any comparison is NaN.
     """
     from .solutions import moduli_transform
 
     td = moduli_transform(data, p.a, p.b)
-    err_arg = 0.0
-    err_phase = 0.0
+    err_arg, err_phase = [], []
     basis = [(1.0, (0.0,) * M)] + [
         (0.0, tuple(1.0 if i == m else 0.0 for i in range(M))) for m in range(M)
     ]
@@ -133,6 +133,7 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
         corr = -p.b * x - 0.5 * sum(
             (2.0 * p.b) ** (m + 1) * t for m, t in enumerate(times, start=1)
         )
-        err_arg = max(err_arg, float(np.max(np.abs(U_t - U_s))))
-        err_phase = max(err_phase, abs(Phi_t - (Phi_s + corr)))
-    return {"argument": err_arg, "phase": err_phase}
+        err_arg.append(np.max(np.abs(U_t - U_s)))
+        err_phase.append(abs(Phi_t - (Phi_s + corr)))
+    # np.max keeps a NaN, where max(err, nan) would drop it
+    return {"argument": float(np.max(err_arg)), "phase": float(np.max(err_phase))}

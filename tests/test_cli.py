@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,50 @@ def test_identity_check_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert "pass" in text
+
+
+def test_identity_check_refuses_non_finite_data(tmp_path, capsys):
+    """inf in V[0] once printed 'pass': every argument error was NaN, and
+    max(err, nan) kept err."""
+    data = json.loads(random_riemann_data(2, 5, rng=3).to_json())
+    data["V"][0][0][0] = float("inf")
+    path = tmp_path / "rd.json"
+    path.write_text(json.dumps(data))
+    code, text, err = run(
+        ["identity", "check", "--riemann", str(path), "--a", "1.4", "--b", "0.3", "--max-flow", "3"],
+        capsys,
+    )
+    assert code == 2
+    assert "pass" not in text
+    assert err.count("\n") == 1 and "V must be finite" in err
+
+
+def test_identity_check_nan_error_fails(monkeypatch, capsys):
+    import rakns.cli
+
+    monkeypatch.setattr(
+        rakns.cli, "identity_errors", lambda *args: {"argument": 0.0, "phase": float("nan")}
+    )
+    code, text, _ = run(["identity", "check", "--a", "1.4", "--b", "0.3"], capsys)
+    assert code == 1
+    assert text.splitlines()[-1] == "FAIL"
+
+
+def test_sample_refuses_nan_in_riemann_matrix(tmp_path, capsys):
+    """NaN in Re B once passed the symmetry check and sampled into a numpy
+    RuntimeWarning and a 'field contains NaN/Inf samples' usage error."""
+    data = json.loads(random_riemann_data(1, 2, rng=8).to_json())
+    data["B"][0][0][0] = float("nan")
+    path = tmp_path / "rd.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            ["sample", "--solution", "finitegap", "--riemann", str(path), "--grid", "16,10"],
+            capsys,
+        )
+    assert code == 2
+    assert err.count("\n") == 1 and "B must be finite" in err
 
 
 def test_sample_finitegap(tmp_path, capsys):

@@ -4,6 +4,7 @@ formal antiderivative, and serialization."""
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,16 @@ def test_inexact_complex_is_refused():
         DiffPoly.var("psi", coeff=complex("nanj"))
     assert DiffPoly.var("psi") * 2j == DiffPoly.var("psi", coeff=GaussianRational(0, 2))
     assert GaussianRational(1) + (3 - 1j) == GaussianRational(4, -1)
+
+
+def test_float_parts_are_refused():
+    """GaussianRational(0.1) would be 3602879701896397/36028797018963968,
+    not 1/10; floats are refused like in arithmetic, exact input is kept."""
+    for re_, im_ in ((0.1, 0), (0, 0.5), (2.0, 0), (np.float64(1), 1)):
+        with pytest.raises(TypeError):
+            GaussianRational(re_, im_)
+    assert GaussianRational("0.1", "-3/4") == GaussianRational(Fraction(1, 10), Fraction(-3, 4))
+    assert GaussianRational(np.int64(3), True) == GaussianRational(3, 1)
 
 
 fracs = st.fractions(

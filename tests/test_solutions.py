@@ -4,6 +4,7 @@ the affine transform of spectral-curve data."""
 import numpy as np
 import pytest
 
+import rakns.solutions
 from rakns.evolve import FlowSpec, Linear
 from rakns.solutions import (
     NotPositiveDefinite,
@@ -19,6 +20,9 @@ from rakns.solutions import (
     sech_reduction,
     soliton,
     theta,
+    _lattice_points,
+    _ThetaLattice,
+    _upper_gamma,
 )
 from rakns.spectral import Grid, residual, sample_onto_grid
 
@@ -179,6 +183,80 @@ def test_theta_rejects_bad_matrix():
         theta([0.0, 0.0], [[1j, 0.5], [0.4, 1j]])  # not symmetric
 
 
+def _anisotropic_B(lams, seed):
+    """Riemann matrix whose Im part has eigenvalues lams in a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(len(lams), len(lams))))
+    S = rng.normal(size=(len(lams), len(lams)))
+    return 0.3 * (S + S.T) + 1j * (q * np.asarray(lams)) @ q.T
+
+
+@pytest.mark.parametrize("lams", [(0.4, 4.5), (0.4, 1.5, 4.5)])
+def test_theta_truncation_within_tol_of_largest_term(lams):
+    """The omitted terms sum to at most tol times the largest kept term.
+
+    Im B has condition number >= 10 and smallest eigenvalue 0.4, so the
+    ellipsoid differs from a ball, and each argument puts the Gaussian
+    centre at a corner of the half cell, where the truncation is worst."""
+    B = _anisotropic_B(lams, seed=len(lams))
+    g = len(lams)
+    rng = np.random.default_rng(7)
+    corners = np.indices((2,) * g).reshape(g, -1).T - 0.5
+    lattices = [_ThetaLattice(B, tol) for tol in (1e-6, 1e-9, 1e-12)]
+    for corner in corners[: len(corners) // 2]:  # theta is even: -corner is the same case
+        centre = rng.integers(-2, 3, size=g) + corner
+        z = rng.uniform(-0.5, 0.5, size=g) + 1j * (B.imag @ centre)
+        brute = theta_brute(z, B, radius=10 if g == 3 else 25)
+        for lattice in lattices:
+            scale, osc = lattice(z)
+            assert abs(osc[0] - brute * np.exp(-scale[0])) <= lattice.tol
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_lattice_points_match_filtered_box(g):
+    """The Fincke-Pohst recursion finds exactly the box points in the ellipsoid."""
+    rng = np.random.default_rng(g)
+    for _ in range(5):
+        T = np.triu(rng.normal(size=(g, g)), 1) * 0.5 + np.diag(rng.uniform(0.5, 2.0, size=g))
+        r = rng.uniform(1.0, 4.0)
+        # |m_i| <= r |row i of T^-1| bounds the box that holds the ellipsoid
+        width = int(np.ceil(r * np.linalg.norm(np.linalg.inv(T), axis=1).max()))
+        axis = np.arange(-width, width + 1)
+        box = np.stack(np.meshgrid(*[axis] * g, indexing="ij"), axis=-1).reshape(-1, g)
+        box = box[np.linalg.norm(box @ T.T, axis=1) <= r]
+        found = _lattice_points(T, r)
+        assert len(found) == len(box)
+        assert {tuple(m) for m in found.astype(int)} == {tuple(m) for m in box}
+
+
+def test_upper_gamma_against_quadrature():
+    """Gamma(n/2, x) = integral of t^(n/2 - 1) e^-t over t > x."""
+    for n in range(1, 8):
+        for x in (0.3, 2.0, 9.0, 30.0):
+            u = np.linspace(0.0, 12.0, 20001)  # t = x + u^2 removes the endpoint singularity
+            f = 2 * u * (x + u * u) ** (n / 2 - 1) * np.exp(-(x + u * u))
+            quad = (f[0] + 4 * f[1::2].sum() + 2 * f[2:-1:2].sum() + f[-1]) * (u[1] - u[0]) / 3  # Simpson
+            assert _upper_gamma(n, x) == pytest.approx(quad, rel=1e-12)
+
+
+@pytest.mark.parametrize("lams", [(1.5, 1.5, 1.5), (1.5, 2.0, 2.5), (1.5, 1.6, 1.7)])
+def test_theta_lattice_size_genus_three(lams):
+    """At lambda_min(Im B) = 1.5 and tol = 1e-12 the ellipsoid keeps at
+    most 300 points; a ball with the same tail radius, padded to cover the
+    half cell, needs over 1,000."""
+    lattice = _ThetaLattice(_anisotropic_B(lams, seed=0), 1e-12)
+    assert lattice.points.shape[1] <= 300
+
+
+def test_theta_checks_shape_before_building_lattice(monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("lattice built for a mismatched argument")
+
+    monkeypatch.setattr(rakns.solutions, "_ThetaLattice", no_lattice)
+    with pytest.raises(ValueError, match="dimension"):
+        theta([0.1, 0.2, 0.3], _random_B(2, 0))
+
+
 def test_theta_genus_one_series():
     """g=1 reduces to the classical one-dimensional series."""
     B = np.array([[0.3 + 1.1j]])
@@ -216,6 +294,24 @@ def test_riemann_data_validation():
             delta=np.array([0.0]),
             rho=1.0,
         )
+
+
+@pytest.mark.parametrize("field", ["B", "V", "K", "Z", "delta", "rho"])
+def test_riemann_data_refuses_non_finite(field):
+    """inf or NaN in any field is refused by name; NaN in Re B used to pass
+    the symmetry check because nan > 1e-12 is False."""
+    good = random_riemann_data(2, 2, rng=3)
+    bad = {
+        "B": good.B + np.array([[np.nan, 0], [0, 0]]),
+        "V": (good.V[0] * np.inf,) + good.V[1:],
+        "K": good.K[:1] + (complex(np.nan),) + good.K[2:],
+        "Z": good.Z * np.nan,
+        "delta": good.delta + np.inf,
+        "rho": complex(np.inf, 0),
+    }[field]
+    kwargs = {f: getattr(good, f) for f in ("genus", "B", "V", "K", "Z", "delta", "rho")}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RiemannData(**{**kwargs, field: bad})
 
 
 def test_finite_gap_at_origin_argument():
