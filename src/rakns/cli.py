@@ -105,7 +105,8 @@ def cmd_hierarchy_verify(args) -> int:
     return OK if ok else VERIFY_FAILED
 
 
-def _flow_spec_from_args(args) -> FlowSpec:
+def _flow_spec_from_args(args, cfg) -> FlowSpec:
+    """The flows of --preset, else of ``cfg``, the parsed --config (or None)."""
     if getattr(args, "preset", None):
         m = re.fullmatch(r"([a-z0-9]+)(?:\(([^)]*)\))?", args.preset.strip())
         if not m:
@@ -120,18 +121,17 @@ def _flow_spec_from_args(args) -> FlowSpec:
                     # positional: alpha, beta, gamma1, gamma2, gamma3
                     params[["alpha", "beta", "gamma1", "gamma2", "gamma3"][i]] = chunk
         return preset_flow_spec(m.group(1), params)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return parse_config(fh.read()).flow_spec()
+    if cfg is not None:
+        return cfg.flow_spec()
     raise CliError("need --config or --preset to define the flows")
 
 
 def cmd_evolve(args) -> int:
-    spec = _flow_spec_from_args(args)
     cfg = None
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
+    spec = _flow_spec_from_args(args, cfg)
     if os.path.exists(args.initial):
         f0 = read_field(args.initial)
         stated = [cfg.sections.get("grid", {})] if cfg else []  # only the keys given

@@ -492,17 +492,24 @@ def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
         raise ValueError("a must be nonzero")
     g = data.genus
     n_vec = len(data.V)
-    newV = []
-    newK = [a * data.K[0]]
-    for j in range(1, n_vec + 1):
-        v = np.zeros(g, dtype=complex)
-        kj = complex(2 ** (j - 1) * b**j)
-        for m in range(1, j + 1):
-            c = 2 ** (j - m) * math.comb(j, m) * a**m * b ** (j - m)
-            v = v + c * data.V[m - 1]
-            kj = kj + c * data.K[m]
-        newV.append(v)
-        newK.append(kj)
+    # Powers as products: a float power that overflows raises OverflowError,
+    # a product gives inf, and RiemannData refuses the non-finite result.
+    a_pow, b_pow = [1.0], [1.0]
+    for _ in range(n_vec):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        newV = []
+        newK = [a * data.K[0]]
+        for j in range(1, n_vec + 1):
+            v = np.zeros(g, dtype=complex)
+            kj = complex(2 ** (j - 1) * b_pow[j])
+            for m in range(1, j + 1):
+                c = 2 ** (j - m) * math.comb(j, m) * a_pow[m] * b_pow[j - m]
+                v = v + c * data.V[m - 1]
+                kj = kj + c * data.K[m]
+            newV.append(v)
+            newK.append(kj)
     return replace(data, V=tuple(newV), K=tuple(newK))
 
 

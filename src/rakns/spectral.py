@@ -108,12 +108,32 @@ class EvalPlan:
     evaluation time.  psibar jets are obtained by conjugating the
     corresponding psi jets (conjugation commutes with d/dx for the real
     variable x).
+
+    The monomials compile into a product program over one workspace of
+    ``rows`` grid rows.  Each monomial is its sorted sequence of factors,
+    and every prefix of two or more factors is one product row, made once
+    from the row of the prefix one shorter, so monomials that begin alike
+    share their products.  The rows are psi and its jets at ``orders``, a
+    row of ones if a monomial is constant (``unit``), the products that are
+    monomials, the other products, and last the psibar jets in use
+    (``conj``, one conjugation each).  ``scatter`` holds ``matrix`` for
+    the block of rows from ``first`` that carries every coefficient: just
+    the monomials when the linear ones are the top jets, as in the flows.
+    The weighted sum scales that block and adds up its rows.  It is not a
+    BLAS matrix-vector product: OpenBLAS runs one of this size on two
+    threads, and on a loaded 2-core host each handoff can wait 8 ms.
     """
 
     orders: tuple  # distinct positive jet orders, ascending
     coeffs: tuple  # per monomial: exact coefficients, one per source
     matrix: np.ndarray  # the same coefficients as complex, (monomials, m)
     factors: tuple  # per monomial: ((conjugated, order, exponent), ...)
+    rows: int  # workspace rows
+    unit: int | None  # row of ones for a constant monomial, if any
+    conj: tuple  # (row, psi jet row) per psibar jet in use
+    products: tuple  # (row, a, b): row = a * b, each after its operands
+    first: int  # scatter row i is workspace row first + i
+    scatter: np.ndarray  # (block rows, m): matrix placed at each monomial's row
 
     def decompile(self) -> DiffPoly:
         """P_1 + ... + P_m, rebuilt from the compiled monomials."""
@@ -140,11 +160,33 @@ def compile_plan(*polys: DiffPoly) -> EvalPlan:
     )
     coeffs = tuple(tuple(cs) for cs in merged.values())
     matrix = np.array([[complex(c) for c in cs] for cs in coeffs], dtype=complex)
+    matrix = matrix.reshape(len(coeffs), len(polys))
+    orders = tuple(sorted({o for facs in factors for _, o, _ in facs} - {0}))
+
+    seqs = [tuple(sorted((c, o) for c, o, e in facs for _ in range(e))) for facs in factors]
+    prefixes = sorted({s[:k] for s in seqs for k in range(2, len(s) + 1)})
+    inner = set(prefixes) - set(seqs)
+    conj = sorted({o for facs in factors for c, o, _ in facs if c})
+    # A row per factor sequence; sorted order runs every prefix before its
+    # extensions, and putting inner prefixes last keeps the monomials together.
+    order = [((False, o),) for o in (0,) + orders] + ([()] if () in seqs else [])
+    order += sorted(prefixes, key=lambda p: p in inner) + [((True, o),) for o in conj]
+    at = {seq: r for r, seq in enumerate(order)}
+    mono = [at[s] for s in seqs]
+    first, last = min(mono, default=0), max(mono, default=-1)
+    scatter = np.zeros((last + 1 - first, len(polys)), dtype=complex)
+    scatter[[r - first for r in mono]] = matrix
     return EvalPlan(
-        orders=tuple(sorted({o for facs in factors for _, o, _ in facs} - {0})),
+        orders=orders,
         coeffs=coeffs,
-        matrix=matrix.reshape(len(coeffs), len(polys)),
+        matrix=matrix,
         factors=factors,
+        rows=len(order),
+        unit=at.get(()),
+        conj=tuple((at[(True, o),], at[(False, o),]) for o in conj),
+        products=tuple((at[p], at[p[:-1]], at[p[-1:]]) for p in prefixes),
+        first=first,
+        scatter=scatter,
     )
 
 
@@ -154,20 +196,22 @@ def eval_rhs(
     """Evaluate sum_j weights[j] P_j pointwise over the grid (unit weights
     by default), from a Field or from raw samples plus their grid."""
     values, grid = _samples(f, grid)
-    jets = {0: values}
+    ws = np.empty((plan.rows, grid.n), dtype=complex)
+    ws[0] = values
     if plan.orders:
-        derivs = np.fft.ifft(np.fft.fft(values) * _multipliers(grid, plan.orders), axis=-1)
-        jets.update(zip(plan.orders, derivs))
-    coeffs = plan.matrix.sum(axis=1) if weights is None else plan.matrix @ np.asarray(weights)
-    out = np.zeros(grid.n, dtype=complex)
-    for c, facs in zip(coeffs, plan.factors):
-        term = c
-        for conj, o, e in facs:
-            base = np.conj(jets[o]) if conj else jets[o]
-            for _ in range(e):  # complex ** is markedly slower than multiplying
-                term = term * base
-        out += term
-    return out
+        jets = ws[1 : 1 + len(plan.orders)]
+        np.multiply(np.fft.fft(values), _multipliers(grid, plan.orders), out=jets)
+        np.fft.ifft(jets, axis=-1, out=jets)
+    for r, src in plan.conj:
+        np.conj(ws[src], out=ws[r])
+    if plan.unit is not None:
+        ws[plan.unit] = 1.0
+    for r, a, b in plan.products:
+        np.multiply(ws[a], ws[b], out=ws[r])
+    coeffs = plan.scatter.sum(axis=1) if weights is None else plan.scatter @ np.asarray(weights)
+    terms = ws[plan.first : plan.first + len(coeffs)]
+    terms *= coeffs[:, None]
+    return terms.sum(axis=0)
 
 
 @lru_cache(maxsize=256)
@@ -214,9 +258,9 @@ FIELD_MAGIC = "# akns-field v1"
 
 
 def write_field(f: Field, path) -> None:
+    samples = zip(f.values.real.tolist(), f.values.imag.tolist())
     lines = [FIELD_MAGIC, f"n={f.grid.n} L={f.grid.length:.17g} t={f.time:.17g}"]
-    for i, v in enumerate(f.values):
-        lines.append(f"{i} {v.real:.17g} {v.imag:.17g}")
+    lines.extend(f"{i} {re:.17g} {im:.17g}" for i, (re, im) in enumerate(samples))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

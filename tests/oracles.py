@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from rakns.diffpoly import DiffPoly, GaussianRational, JetVariable, NotExact, dp_dx
+from rakns.spectral import spectral_derivative
 
 
 def theta_brute(z, B, radius: int = 30) -> complex:
@@ -89,3 +90,32 @@ def antidx_reference(p: DiffPoly) -> DiffPoly:
         result = result + piece
         remainder = remainder - dp_dx(piece)
     return result
+
+
+# -- compiled evaluation ----------------------------------------------------------
+
+
+def rhs_terms(plan, values, grid, weights=None) -> list:
+    """The weighted monomials of an EvalPlan on the grid, one per monomial,
+    by the per-monomial loop: each jet by its own spectral derivative, each
+    psibar factor conjugated where it is used, powers by repeated products.
+    A constant monomial gives a scalar."""
+    jets = {o: spectral_derivative(values, o, grid) for o in (0,) + plan.orders}
+    coeffs = plan.matrix.sum(axis=1) if weights is None else plan.matrix @ np.asarray(weights)
+    terms = []
+    for c, facs in zip(coeffs, plan.factors):
+        term = c
+        for conj, o, e in facs:
+            base = np.conj(jets[o]) if conj else jets[o]
+            for _ in range(e):
+                term = term * base
+        terms.append(term)
+    return terms
+
+
+def eval_rhs_reference(plan, values, grid, weights=None) -> np.ndarray:
+    """sum_j weights[j] P_j on the grid, summed monomial by monomial."""
+    out = np.zeros(grid.n, dtype=complex)
+    for term in rhs_terms(plan, values, grid, weights):
+        out += term
+    return out

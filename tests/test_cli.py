@@ -116,6 +116,19 @@ def test_verify_residual_fails_wrong_equation(tmp_path, capsys):
     assert code == 1
 
 
+def test_evolve_parses_config_once(tmp_path, capsys, monkeypatch):
+    import rakns.cli
+
+    calls = []
+    parse = rakns.cli.parse_config
+    monkeypatch.setattr(rakns.cli, "parse_config", lambda text: calls.append(text) or parse(text))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    code, _, _ = run(["evolve", "--config", str(cfg), "--initial", "soliton"], capsys)
+    assert code == 0
+    assert calls == [CONFIG]
+
+
 def test_evolve_preset_with_sampler_initial(tmp_path, capsys):
     code, text, _ = run(
         ["evolve", "--preset", "hirota(1.0,0.5)", "--initial", "soliton",
@@ -174,6 +187,27 @@ def test_identity_check_refuses_non_finite_data(tmp_path, capsys):
     assert code == 2
     assert "pass" not in text
     assert err.count("\n") == 1 and "V must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "a, b, max_flow",
+    [
+        ("1e200", "0", "1"),  # a**2 overflows
+        ("1e60", "1e60", "5"),  # a**m * b**(j-m) overflows
+        ("1.3e154", "0", "1"),  # a**2 is finite, a**2 * V overflows
+    ],
+)
+def test_identity_check_refuses_overflowing_transform(a, b, max_flow, capsys):
+    """A float power that overflowed once escaped as a bare OverflowError
+    traceback; an overflowing product printed a RuntimeWarning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run(
+            ["identity", "check", "--a", a, "--b", b, "--max-flow", max_flow], capsys
+        )
+    assert code == 2
+    assert "pass" not in text
+    assert err.count("\n") == 1 and err.startswith("error:") and "must be finite" in err
 
 
 def test_identity_check_nan_error_fails(monkeypatch, capsys):

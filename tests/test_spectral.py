@@ -3,8 +3,11 @@ residual tests, conserved integrals, and field file I/O."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import eval_rhs_reference, rhs_terms
 
-from rakns.diffpoly import DiffPoly, dp_reduce
+from rakns.diffpoly import DiffPoly, GaussianRational, dp_reduce, jet
 from rakns.evolve import FlowSpec, Linear
 from rakns.solutions import plane_wave, soliton
 from rakns.spectral import (
@@ -132,6 +135,61 @@ def test_eval_h2_on_sech(table5):
     assert np.max(np.abs(out - du)) < 1e-8
 
 
+_jet_powers = st.dictionaries(
+    st.builds(jet, st.sampled_from(["psi", "psibar"]), st.integers(0, 4)),
+    st.integers(1, 3),
+    max_size=4,
+)
+_gaussian_ints = st.builds(GaussianRational, st.integers(-9, 9), st.integers(-9, 9))
+_reduced_polys = st.lists(st.tuples(_gaussian_ints, _jet_powers), max_size=6).map(
+    lambda terms: sum((DiffPoly.monomial(c, facs) for c, facs in terms), DiffPoly.zero())
+)
+_weights = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sources_and_weights(draw):
+    sources = draw(st.lists(_reduced_polys, min_size=1, max_size=3))
+    weights = draw(st.none() | st.lists(_weights, min_size=len(sources), max_size=len(sources)))
+    return sources, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sources_and_weights(), st.integers(0, 2**32 - 1))
+@example(([DiffPoly.zero()], None), 0)
+@example(([DiffPoly.zero(), DiffPoly.zero()], [1.0, 2j]), 1)
+@example(([DiffPoly.constant(GaussianRational(2, -1)) + DiffPoly.var("psibar", 2)], None), 2)
+@example(([DiffPoly.monomial(3, {jet("psi", 1): 3, jet("psibar", 4): 2})], [0.5j]), 3)
+@example(([DiffPoly.var("psi", 3), DiffPoly.constant(1)], None), 4)
+def test_eval_rhs_matches_per_monomial_loop(sources_weights, seed):
+    """The product program sums the same monomials as the per-monomial
+    loop: the same values up to the order of products and sums."""
+    sources, weights = sources_weights
+    g = Grid(32, 2 * np.pi)
+    rng = np.random.default_rng(seed)
+    amps = [1, 1j] @ rng.uniform(-1, 1, (2, 7))  # modes -3..3, jets of order 4 stay O(100)
+    values = np.exp(1j * np.outer(g.nodes, np.arange(-3, 4))) @ amps
+    plan = compile_plan(*sources)
+    got = eval_rhs(plan, values, g, weights)
+    terms = rhs_terms(plan, values, g, weights)
+    scale = np.max(sum((np.abs(t) for t in terms), np.zeros(g.n)))
+    assert got.shape == (g.n,)
+    assert np.max(np.abs(got - eval_rhs_reference(plan, values, g, weights))) <= 1e-13 * scale
+
+
+def test_hnls5_ifrk4_program_shares_products(table5):
+    """The IF-RK4 remainder of the hnls5 mix, 28 monomials whose factor
+    loop takes 102 multiplications, shares prefixes down to 49 products and
+    conjugates each psibar jet once."""
+    plan = compile_plan(*(table5.H[k] - DiffPoly.var("psi", k + 1) for k in range(1, 6)))
+    assert len(plan.factors) == 28
+    assert len(plan.products) <= 49
+    assert len(plan.conj) == 5
+    # the weighted sum touches the monomial rows only, linear jets included
+    for p in (plan, compile_plan(table5.H[1], table5.H[2], table5.H[3])):
+        assert p.scatter.shape == (len(p.factors), len(p.matrix[0]))
+
+
 # -- residual ----------------------------------------------------------------
 
 
@@ -215,6 +273,21 @@ def test_field_file_roundtrip(tmp_path):
     assert back.grid == g
     assert back.time == f.time
     assert np.array_equal(back.values, f.values)  # 17 digits: exact doubles
+
+
+def test_field_file_bytes_match_per_sample_format(tmp_path):
+    """The file is byte for byte what formatting each numpy sample gives."""
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 1 / 3, -1.0]
+    re_ = np.array(special + [2.0**k for k in range(-3, 3)])
+    v = np.empty(16, dtype=complex)
+    v.real, v.imag = re_, re_[::-1]  # re + 1j * im would turn -0.0 into 0.0
+    f = Field(Grid(16, 0.1 + 0.2), v, -1e-300)
+    lines = ["# akns-field v1", f"n=16 L={f.grid.length:.17g} t={f.time:.17g}"]
+    lines += [f"{i} {x.real:.17g} {x.imag:.17g}" for i, x in enumerate(f.values)]
+    path = tmp_path / "f.txt"
+    write_field(f, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert "\n0 -0 " in path.read_text() and "e-324 " in path.read_text()
 
 
 def test_field_file_header_check(tmp_path):
