@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import hierarchy
-from .config import ConfigError, parse_config, preset_flow_spec
+from .config import ConfigError, parse_config, parse_preset
 from .diffpoly import render
 from .evolve import Blowup, EvolveError, FlowSpec, Linear, StabilityViolation, evolve_run
 from .solutions import (
@@ -81,10 +81,6 @@ def _parse_grid(text: str) -> Grid:
     return Grid(int(m.group(1)), float(m.group(2)))
 
 
-def _parse_times(items) -> tuple:
-    return tuple(float(t) for t in items or ())
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -105,60 +101,42 @@ def cmd_hierarchy_verify(args) -> int:
     return OK if ok else VERIFY_FAILED
 
 
-def _flow_spec_from_args(args, cfg) -> FlowSpec:
-    """The flows of --preset, else of ``cfg``, the parsed --config (or None)."""
-    if getattr(args, "preset", None):
-        m = re.fullmatch(r"([a-z0-9]+)(?:\(([^)]*)\))?", args.preset.strip())
-        if not m:
-            raise CliError(f"bad preset {args.preset!r}")
-        params = {}
-        if m.group(2):
-            for i, chunk in enumerate(m.group(2).split(",")):
-                if "=" in chunk:
-                    k, v = chunk.split("=", 1)
-                    params[k.strip()] = v
-                else:
-                    # positional: alpha, beta, gamma1, gamma2, gamma3
-                    params[["alpha", "beta", "gamma1", "gamma2", "gamma3"][i]] = chunk
-        return preset_flow_spec(m.group(1), params)
-    if cfg is not None:
-        return cfg.flow_spec()
-    raise CliError("need --config or --preset to define the flows")
-
-
 def cmd_evolve(args) -> int:
     cfg = None
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-    spec = _flow_spec_from_args(args, cfg)
+    if args.preset:
+        spec = parse_preset(args.preset)
+    elif cfg is not None:
+        spec = cfg.flow_spec()
+    else:
+        raise CliError("need --config or --preset to define the flows")
+    sections = cfg.sections if cfg else {}
+    grid_keys, time_keys = sections.get("grid", {}), sections.get("time", {})
+    flag_grid = _parse_grid(args.grid) if args.grid else None
     if os.path.exists(args.initial):
         f0 = read_field(args.initial)
-        stated = [cfg.sections.get("grid", {})] if cfg else []  # only the keys given
-        if args.grid:
-            grid = _parse_grid(args.grid)
-            stated.append({"n": grid.n, "length": grid.length})
-        for keys in stated:
-            for key, value in keys.items():
-                if value != getattr(f0.grid, key):
-                    raise CliError(f"grid {key} = {value} disagrees with the initial field's n={f0.grid.n}, L={f0.grid.length:.17g}")
+        stated = list(grid_keys.items())  # only the keys given
+        if flag_grid:
+            stated += [("n", flag_grid.n), ("length", flag_grid.length)]
+        for key, value in stated:
+            if value != getattr(f0.grid, key):
+                raise CliError(f"grid {key} = {value} disagrees with the initial field's n={f0.grid.n}, L={f0.grid.length:.17g}")
     else:
-        grid_text = args.grid or (
-            cfg and f"{cfg.get('grid', 'n', 256)},{cfg.get('grid', 'length', 40.0)}"
-        )
-        if not grid_text:
+        if flag_grid is None and cfg is None:
             raise CliError("need --grid N,L (or a [grid] config section)")
-        grid = _parse_grid(grid_text)
+        grid = flag_grid or Grid(grid_keys.get("n", 256), grid_keys.get("length", 40.0))
         sampler = _parse_sampler(args.initial, _parse_params(args.param))
         f0 = sample_onto_grid(sampler, grid, ())
-    dt = args.dt if args.dt is not None else (cfg.get("time", "dt") if cfg else None)
-    t_end = args.t_end if args.t_end is not None else (cfg.get("time", "t_end") if cfg else None)
+    dt = args.dt if args.dt is not None else time_keys.get("dt")
+    t_end = args.t_end if args.t_end is not None else time_keys.get("t_end")
     if dt is None or t_end is None:
         raise CliError("need --dt and --t-end (or a [time] config section)")
-    method = args.method or (cfg.get("time", "method", "auto") if cfg else "auto")
-    stride = cfg.get("time", "snapshot_stride") if cfg else None
+    method = args.method or time_keys.get("method", "auto")
+    stride = time_keys.get("snapshot_stride")
     try:
-        traj = evolve_run(f0, spec, float(t_end), float(dt), method=method, snapshot_stride=stride)
+        traj = evolve_run(f0, spec, t_end, dt, method=method, snapshot_stride=stride)
     except Blowup as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         if exc.last_good is not None and args.out:
@@ -242,7 +220,7 @@ def cmd_sample(args) -> int:
         params["riemann"] = args.riemann
     sampler = _parse_sampler(args.solution, params)
     grid = _parse_grid(args.grid)
-    f = sample_onto_grid(sampler, grid, _parse_times(args.times))
+    f = sample_onto_grid(sampler, grid, tuple(float(t) for t in args.times or ()))
     if args.out:
         write_field(f, args.out)
         print(f"wrote field to {args.out}")

@@ -1,8 +1,10 @@
 """Line-based run configuration: `[section]` headers, `key = value` pairs,
-schedule literals, fail-closed validation with line numbers."""
+one typed parser per key, fail-closed validation with line numbers; and
+the named presets."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -29,16 +31,6 @@ class BadScheduleLiteral(ConfigError):
     pass
 
 
-# Known sections and keys; flowN keys are matched by pattern.
-_KNOWN = {
-    "flows": re.compile(r"flow[1-9]$"),
-    "grid": re.compile(r"(n|length)$"),
-    "time": re.compile(r"(dt|t_end|method|snapshot_stride)$"),
-}
-
-_SCHEDULE_RE = re.compile(r"(linear|poly|sin|bump)\(([^)]*)\)$")
-
-
 @dataclass(frozen=True)
 class Config:
     sections: dict  # section -> {key: value}
@@ -48,68 +40,57 @@ class Config:
 
     def flow_spec(self) -> FlowSpec:
         flows = self.sections.get("flows", {})
-        entries = []
-        for key, sched in sorted(flows.items()):
-            if not isinstance(sched, (Linear, Poly, Sinusoid, Bump)):
-                raise ConfigError(f"{key} must be a schedule literal")
-            entries.append((int(key[4:]), sched))
-        if not entries:
+        if not flows:
             raise ConfigError("config has no [flows] entries")
-        return FlowSpec(entries)
+        return FlowSpec((int(key[4:]), sched) for key, sched in sorted(flows.items()))
 
 
-def _parse_schedule(kind: str, args_text: str, line: int):
+_LITERAL_RE = re.compile(r"([a-z][a-z0-9]*)(?:\(\s*([^()]*?)\s*\))?")
+
+
+def _literal(text: str):
+    """``name`` or ``name(a, b, ...)`` as (name, [a, b, ...])."""
+    m = _LITERAL_RE.fullmatch(text.strip())
+    if not m:
+        raise ValueError(f"expected name or name(args), got {text!r}")
+    args = m.group(2)
+    return m.group(1), [a.strip() for a in args.split(",")] if args else []
+
+
+_SCHEDULES = {"linear": Linear, "poly": lambda *c: Poly(c), "sin": Sinusoid, "bump": Bump}
+
+
+def _schedule(text: str):
+    """linear(slope[, offset]), poly(c0, c1, ...), sin(amplitude,
+    frequency[, phase]) or bump(t0, t1, height); the schedule refuses
+    non-finite parameters."""
+    name, args = _literal(text)
+    if name not in _SCHEDULES:
+        raise ValueError(f"unknown schedule {name!r}")
     try:
-        args = [float(a) for a in args_text.split(",")] if args_text.strip() else []
-    except ValueError:
-        raise BadScheduleLiteral(f"non-numeric schedule argument in {args_text!r}", line)
-    try:
-        if kind == "linear":
-            if len(args) == 1:
-                args.append(0.0)
-            if len(args) != 2:
-                raise ValueError
-            return Linear(*args)
-        if kind == "poly":
-            if not args:
-                raise ValueError
-            return Poly(args)
-        if kind == "sin":
-            if len(args) == 2:
-                args.append(0.0)
-            if len(args) != 3:
-                raise ValueError
-            return Sinusoid(*args)
-        if kind == "bump":
-            if len(args) != 3:
-                raise ValueError
-            return Bump(*args)
-    except (ValueError, TypeError):
-        raise BadScheduleLiteral(f"bad arguments for {kind}(...): {args_text!r}", line)
-    raise BadScheduleLiteral(f"unknown schedule {kind!r}", line)
+        return _SCHEDULES[name](*(float(a) for a in args))
+    except TypeError:
+        raise ValueError(f"wrong number of arguments in {text!r}") from None
 
 
-def _parse_value(text: str, line: int):
-    text = text.strip()
-    m = _SCHEDULE_RE.match(text)
-    if m:
-        return _parse_schedule(m.group(1), m.group(2), line)
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        try:
-            return [float(v) for v in inner.split(",")]
-        except ValueError:
-            raise ParseError(f"bad list literal {text!r}", line)
-    try:
-        f = float(text)
-        return int(f) if f == int(f) and "." not in text and "e" not in text.lower() else f
-    except ValueError:
-        pass
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
-        return text
-    raise ParseError(f"cannot parse value {text!r}", line)
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+# The only keys a config may hold, each with the one parser for its value.
+_KEYS = {
+    **{("flows", f"flow{k}"): _schedule for k in range(1, 10)},
+    ("grid", "n"): int,
+    ("grid", "length"): _finite,
+    ("time", "dt"): _finite,
+    ("time", "t_end"): _finite,
+    ("time", "method"): str,
+    ("time", "snapshot_stride"): int,
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def parse_config(text: str) -> Config:
@@ -121,7 +102,7 @@ def parse_config(text: str) -> Config:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KNOWN:
+            if current not in _SECTIONS:
                 raise UnknownKey(f"unknown section [{current}]", lineno)
             sections.setdefault(current, {})
             continue
@@ -130,11 +111,16 @@ def parse_config(text: str) -> Config:
         if current is None:
             raise ParseError("key outside any [section]", lineno)
         key, value = (s.strip() for s in line.split("=", 1))
-        if not _KNOWN[current].match(key):
+        parse = _KEYS.get((current, key))
+        if parse is None:
             raise UnknownKey(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current]:
             raise ParseError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = _parse_value(value, lineno)
+        try:
+            sections[current][key] = parse(value)
+        except ValueError as exc:
+            error = BadScheduleLiteral if current == "flows" else ParseError
+            raise error(f"{key}: {exc}", lineno) from None
     return Config(sections)
 
 
@@ -143,42 +129,47 @@ def parse_config(text: str) -> Config:
 # Coefficient mixes psi_t = sum_k i^k b_k H_k for the named equations.
 # Signs are resolved once, here, from the equations' +-i prefixes:
 # the named equation i psi_t + a1 H1 - i a2 H2 + a3 H3 - i a4 H4 + a5 H5 = 0
-# maps to b = (a1, -a2, -a3, a4, a5).
+# maps to b = (a1, -a2, -a3, a4, a5).  A preset is a fixed mix, or takes
+# that many leading parameters, each 1 by default.
+
+_PARAMS = ("alpha", "beta", "gamma1", "gamma2", "gamma3")
+_SIGNS = (1.0, -1.0, -1.0, 1.0, 1.0)
+_PRESETS = {
+    "nls": (1.0,),
+    "mkdv": (0.0, 1.0),
+    "lpd": (0.0, 0.0, -1.0),
+    "hirota": 2,
+    "gnls": 3,
+    "hnls4": 4,
+    "hnls5": 5,
+}
 
 
 def preset_flow_spec(name: str, params: dict | None = None) -> FlowSpec:
     params = dict(params or {})
-
-    def p(key, default=None):
-        if key in params:
-            return float(params.pop(key))
-        if default is None:
-            raise ConfigError(f"preset parameter {key!r} required")
-        return default
-
-    name = name.lower()
-    if name == "nls":
-        coeffs = [1.0]
-    elif name == "mkdv":
-        coeffs = [0.0, 1.0]
-    elif name == "lpd":
-        coeffs = [0.0, 0.0, -1.0]
-    elif name == "hirota":
-        coeffs = [p("alpha", 1.0), -p("beta", 1.0)]
-    elif name == "gnls":
-        coeffs = [p("alpha", 1.0), -p("beta", 1.0), -p("gamma1", 1.0)]
-    elif name == "hnls4":
-        coeffs = [p("alpha", 1.0), -p("beta", 1.0), -p("gamma1", 1.0), p("gamma2", 1.0)]
-    elif name == "hnls5":
-        coeffs = [
-            p("alpha", 1.0),
-            -p("beta", 1.0),
-            -p("gamma1", 1.0),
-            p("gamma2", 1.0),
-            p("gamma3", 1.0),
-        ]
-    else:
+    mix = _PRESETS.get(name.lower())
+    if mix is None:
         raise ConfigError(f"unknown preset {name!r}")
+    if isinstance(mix, int):
+        mix = [s * float(params.pop(key, 1.0)) for key, s in zip(_PARAMS[:mix], _SIGNS)]
     if params:
         raise ConfigError(f"unused preset parameters {sorted(params)}")
-    return FlowSpec.from_coeffs(coeffs)
+    return FlowSpec.from_coeffs(mix)
+
+
+def parse_preset(text: str) -> FlowSpec:
+    """``name`` or ``name(v, ..., key=value, ...)``: positional values are
+    alpha, beta, gamma1, gamma2, gamma3 in turn."""
+    name, args = _literal(text)
+    params = {}
+    for i, arg in enumerate(args):
+        key, eq, value = arg.partition("=")
+        if not eq:
+            if i >= len(_PARAMS):
+                raise ConfigError(f"preset {name!r} takes at most {len(_PARAMS)} positional values")
+            key, value = _PARAMS[i], arg
+        key = key.strip()
+        if key in params:
+            raise ConfigError(f"preset parameter {key!r} given twice")
+        params[key] = value
+    return preset_flow_spec(name, params)

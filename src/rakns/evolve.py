@@ -12,13 +12,13 @@ import csv
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .diffpoly import DiffPoly
-from .spectral import Field, Grid, _cached_plan, eval_rhs, flow_plan, write_field
+from .spectral import Field, Grid, _cached_plan, _multipliers, eval_rhs, flow_plan, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 
@@ -40,8 +40,16 @@ class StabilityViolation(EvolveError):
 # -- schedules ---------------------------------------------------------------
 
 
+class _FiniteParams:
+    """A schedule refuses non-finite parameters, whoever passes them."""
+
+    def __post_init__(self):
+        if not all(math.isfinite(p) for p in astuple(self)):
+            raise ValueError(f"{type(self).__name__} parameters must be finite")
+
+
 @dataclass(frozen=True)
-class Linear:
+class Linear(_FiniteParams):
     """alpha(t) = slope*t + offset; the constant-coefficient special case."""
 
     slope: float
@@ -61,7 +69,10 @@ class Poly:
     coeffs: tuple
 
     def __init__(self, coeffs: Sequence[float]):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
+        coeffs = tuple(float(c) for c in coeffs)
+        if not (coeffs and all(math.isfinite(c) for c in coeffs)):
+            raise ValueError("Poly needs one or more finite coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def value(self, t: float) -> float:
         return sum(c * t**m for m, c in enumerate(self.coeffs))
@@ -71,7 +82,7 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_FiniteParams):
     """alpha(t) = amplitude * sin(frequency*t + phase)."""
 
     amplitude: float
@@ -86,7 +97,7 @@ class Sinusoid:
 
 
 @dataclass(frozen=True)
-class Bump:
+class Bump(_FiniteParams):
     """Smooth bump supported on [t0, t1], peak value ``height`` at the center.
 
     alpha(t) = height * exp(4 - 1/(s(1-s))) with s = (t-t0)/(t1-t0); alpha
@@ -98,6 +109,7 @@ class Bump:
     height: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.t1 > self.t0:
             raise ValueError("Bump needs t1 > t0")
 
@@ -156,11 +168,12 @@ class FlowSpec:
         return np.array([1j**k * s.derivative(t) for k, s in self.entries], dtype=complex)
 
 
-def symbol_columns(spec: FlowSpec, xi) -> list:
+def symbol_columns(spec: FlowSpec, grid: Grid) -> np.ndarray:
     """The columns (i xi)^(k+1), one per flow k of spec, that linear_symbol
-    weights; a stepper forms them once and the symbol at each t from them."""
-    xi = np.asarray(xi, dtype=float)
-    return [(1j * xi) ** (k + 1) for k, _ in spec.entries]
+    weights: the multipliers eval_rhs differentiates with, so the Nyquist
+    mode of an odd order is zero here too.  A stepper forms them once and
+    the symbol at each t from them."""
+    return _multipliers(grid, tuple(k + 1 for k, _ in spec.entries))
 
 
 def linear_symbol(spec: FlowSpec, t: float, columns) -> np.ndarray:
@@ -184,7 +197,7 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
         raise ValueError("dt must be positive")
     if method == "auto":
         method = "ifrk4" if spec.is_constant else "rk4"
-    columns = symbol_columns(spec, grid.xi)
+    columns = symbol_columns(spec, grid)
     if method == "rk4":
         plan = flow_plan(table, spec)
 

@@ -364,6 +364,8 @@ class RiemannData:
 
     def __post_init__(self):
         g = self.genus
+        if g < 1:
+            raise ValueError("genus must be >= 1")
         fields = {
             "B": np.asarray(self.B, dtype=complex),
             "V": tuple(np.asarray(v, dtype=complex).reshape(g) for v in self.V),
@@ -474,6 +476,15 @@ def finite_gap_sampler(data: RiemannData) -> Sampler:
     return Sampler(partial(_finite_gap_values, data), data.max_flows, "finite_gap", {"genus": data.genus})
 
 
+def _powers(base: float, n: int) -> list:
+    """[1, base, ..., base**n] as products: a float power that overflows
+    raises OverflowError, where a product gives inf."""
+    out = [1.0]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
+
+
 def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
     """Push the affine spectral-parameter map lambda -> a lambda + b through
     the period vectors and expansion constants; B, Z, Delta, rho unchanged.
@@ -492,12 +503,8 @@ def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
         raise ValueError("a must be nonzero")
     g = data.genus
     n_vec = len(data.V)
-    # Powers as products: a float power that overflows raises OverflowError,
-    # a product gives inf, and RiemannData refuses the non-finite result.
-    a_pow, b_pow = [1.0], [1.0]
-    for _ in range(n_vec):
-        a_pow.append(a_pow[-1] * a)
-        b_pow.append(b_pow[-1] * b)
+    # RiemannData refuses the non-finite result of an overflowing power.
+    a_pow, b_pow = _powers(a, n_vec), _powers(b, n_vec)
     with np.errstate(over="ignore", invalid="ignore"):
         newV = []
         newK = [a * data.K[0]]

@@ -73,8 +73,9 @@ class Field:
 @lru_cache(maxsize=64)
 def _multipliers(grid: Grid, orders: tuple) -> np.ndarray:
     """Fourier multipliers (i xi)^order, one row per order, with the Nyquist
-    mode zeroed for odd orders so that real fields keep real derivatives."""
-    mults = np.stack([(1j * grid.xi) ** o for o in orders])
+    mode zeroed for odd orders so that real fields keep real derivatives.
+    No orders give zero rows, the symbol columns of a spec with no flows."""
+    mults = np.array([(1j * grid.xi) ** o for o in orders]).reshape(len(orders), grid.n)
     mults[[o % 2 == 1 for o in orders], grid.n // 2] = 0.0
     mults.setflags(write=False)
     return mults

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solutions import Sampler
+from .solutions import Sampler, _powers
 
 
 @dataclass(frozen=True)
@@ -37,29 +37,34 @@ class SymmetryParams:
 
 def transform_arguments(p: SymmetryParams, x, times: Sequence[float]):
     """X = a(x + sum_m C(m+1,1) (2b)^m t_m),
-    T_j = a^(j+1) (t_j + sum_{m>j} C(m+1, j+1) (2b)^(m-j) t_m)."""
-    a, b = p.a, p.b
+    T_j = a^(j+1) (t_j + sum_{m>j} C(m+1, j+1) (2b)^(m-j) t_m).
+
+    Powers are products, so an overflowing one is inf and the samples
+    built from it are non-finite, which a Field refuses."""
     times = tuple(times)
     M = len(times)
-    X = x + sum(
-        math.comb(m + 1, 1) * (2 * b) ** m * t for m, t in enumerate(times, start=1)
-    )
-    X = a * X
+    a_pow, b2_pow = _powers(p.a, M + 1), _powers(2 * p.b, M)
+    X = x + sum(math.comb(m + 1, 1) * b2_pow[m] * t for m, t in enumerate(times, start=1))
+    X = p.a * X
     T = []
     for j in range(1, M + 1):
         tj = times[j - 1] + sum(
-            math.comb(m + 1, j + 1) * (2 * b) ** (m - j) * times[m - 1]
+            math.comb(m + 1, j + 1) * b2_pow[m - j] * times[m - 1]
             for m in range(j + 1, M + 1)
         )
-        T.append(a ** (j + 1) * tj)
+        T.append(a_pow[j + 1] * tj)
     return X, tuple(T)
+
+
+def _boost_exponent(b: float, times: Sequence[float]) -> float:
+    """sum_m (2b)^(m+1) t_m, the time part of the boost phase."""
+    b2_pow = _powers(2 * b, len(times) + 1)
+    return sum(b2_pow[m + 1] * t for m, t in enumerate(times, start=1))
 
 
 def phase_factor(p: SymmetryParams, x, times: Sequence[float]):
     """exp{-2ibx - i sum_m (2b)^(m+1) t_m}; unit modulus for real input."""
-    b = p.b
-    s = sum((2 * b) ** (m + 1) * t for m, t in enumerate(times, start=1))
-    return np.exp(-2j * b * np.asarray(x, dtype=float) - 1j * s)
+    return np.exp(-2j * p.b * np.asarray(x, dtype=float) - 1j * _boost_exponent(p.b, times))
 
 
 def transform_solution(s: Sampler, p: SymmetryParams) -> Sampler:
@@ -130,9 +135,7 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
         U_t, Phi_t = td.phases(x, times)  # transformed-data side
         U_s, Phi_s = data.phases(*transform_arguments(p, x, times))  # argument-map side
         # half the boost phase exponent: -bx - (1/2) sum (2b)^{m+1} t_m
-        corr = -p.b * x - 0.5 * sum(
-            (2.0 * p.b) ** (m + 1) * t for m, t in enumerate(times, start=1)
-        )
+        corr = -p.b * x - 0.5 * _boost_exponent(p.b, times)
         err_arg.append(np.max(np.abs(U_t - U_s)))
         err_phase.append(abs(Phi_t - (Phi_s + corr)))
     # np.max keeps a NaN, where max(err, nan) would drop it

@@ -446,3 +446,44 @@ def test_evolve_grid_matching_field_file_runs(tmp_path, capsys, config_grid, gri
     code, text, _ = run(["evolve", "--config", str(cfg), "--initial", str(path), *grid_args], capsys)
     assert code == 0
     assert "final time" in text
+
+
+_EVOLVE = ["evolve", "--initial", "soliton"]
+_PRESET_RUN = ["--grid", "64,20", "--dt", "1e-3", "--t-end", "2e-3"]
+
+
+@pytest.mark.parametrize(
+    "config_edit, argv",
+    [
+        (("dt = 1e-3", "dt = [1,2]"), _EVOLVE),
+        (("dt = 1e-3", "dt = linear(1)"), _EVOLVE),
+        (("length = 40.0", "length = inf"), _EVOLVE),
+        (("length = 40.0", "length = nan"), _EVOLVE),
+        (("n = 128", "n = 1e3"), _EVOLVE),
+        (("linear(1.0)", "linear(nan)"), _EVOLVE),
+        (None, [*_EVOLVE, "--preset", "hnls5(1,2,3,4,5,6)", *_PRESET_RUN]),
+        (None, [*_EVOLVE, "--preset", "hirota(1,nan)", *_PRESET_RUN]),
+        (None, ["transform", "--a", "1e200", "--b", "0", "--sampler", "soliton", "--probe", "64,10"]),
+        (None, ["transform", "--a", "1", "--b", "1e200", "--sampler", "soliton", "--probe", "64,10"]),
+        (None, ["identity", "check", "--a", "1", "--b", "0", "--genus", "0"]),
+    ],
+    ids=[
+        "dt_list", "dt_schedule", "length_inf", "length_nan", "n_float", "flow_nan",
+        "preset_six_values", "preset_nan", "transform_a_overflow", "transform_b_overflow",
+        "genus_0",
+    ],
+)
+def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):
+    """Each of these once ended in a traceback, ran to a 'blow-up' exit 1,
+    or exited 2 with numpy's words rather than the input's."""
+    if config_edit:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace(*config_edit))
+        argv = [*argv, "--config", str(cfg)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(argv, capsys)
+    assert code == 2
+    assert _one_error_line(err) and "Traceback" not in err
+    if argv[0] == "identity":
+        assert "genus must be >= 1" in err

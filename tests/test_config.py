@@ -8,9 +8,10 @@ from rakns.config import (
     ParseError,
     UnknownKey,
     parse_config,
+    parse_preset,
     preset_flow_spec,
 )
-from rakns.evolve import Bump, Linear, Sinusoid
+from rakns.evolve import Bump, Linear, Poly, Sinusoid
 
 GOOD = """\
 # a comment
@@ -123,3 +124,102 @@ def test_preset_unknown():
 def test_preset_rejects_stray_params():
     with pytest.raises(ConfigError):
         preset_flow_spec("nls", {"alpha": 1.0})
+
+
+# -- one typed parser per key ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("flows", "flow1", "[1, 2]"),
+        ("flows", "flow1", "1.0"),
+        ("flows", "flow1", "linear"),
+        ("flows", "flow1", "cosh(1.0)"),
+        ("flows", "flow1", "linear(1, 2, 3)"),
+        ("flows", "flow1", "linear(nan)"),
+        ("flows", "flow2", "sin(1.0, inf)"),
+        ("flows", "flow3", "bump(0.0, nan, 1.0)"),
+        ("flows", "flow4", "poly()"),
+        ("flows", "flow5", "poly(1.0, -inf)"),
+        ("grid", "n", "1e3"),
+        ("grid", "n", "64.0"),
+        ("grid", "n", "[64]"),
+        ("grid", "n", "sixty-four"),
+        ("grid", "n", "inf"),
+        ("grid", "length", "inf"),
+        ("grid", "length", "nan"),
+        ("grid", "length", "[1, 2]"),
+        ("grid", "length", "linear(1)"),
+        ("time", "dt", "[1, 2]"),
+        ("time", "dt", "linear(1)"),
+        ("time", "dt", "-inf"),
+        ("time", "dt", "nan"),
+        ("time", "dt", ""),
+        ("time", "t_end", "inf"),
+        ("time", "t_end", "one"),
+        ("time", "snapshot_stride", "2.5"),
+        ("time", "snapshot_stride", "1e1"),
+        ("time", "snapshot_stride", "nan"),
+    ],
+)
+def test_bad_value_names_its_line(section, key, value):
+    with pytest.raises(ConfigError) as e:
+        parse_config(f"# run\n[{section}]\n{key} = {value}\n")
+    assert type(e.value) is (BadScheduleLiteral if section == "flows" else ParseError)
+    assert e.value.line == 3
+    assert str(e.value).startswith(f"line 3: {key}:")
+
+
+def test_values_have_their_key_type():
+    cfg = parse_config(
+        "[flows]\nflow1 = linear(2)\nflow2 = sin(1, 2)\nflow3 = poly(1, 2, 3)\n"
+        "[grid]\nn = 64\nlength = 40\n"
+        "[time]\ndt = 1\nt_end = 2e-3\nmethod = rk4\nsnapshot_stride = 5\n"
+    )
+    assert cfg.get("flows", "flow1") == Linear(2.0, 0.0)
+    assert cfg.get("flows", "flow2") == Sinusoid(1.0, 2.0, 0.0)
+    assert cfg.get("flows", "flow3") == Poly([1.0, 2.0, 3.0])
+    typed = [cfg.get(s, k) for s, k in [("grid", "n"), ("time", "snapshot_stride"),
+                                        ("grid", "length"), ("time", "dt"), ("time", "method")]]
+    assert typed == [64, 5, 40.0, 1.0, "rk4"]
+    assert [type(v) for v in typed] == [int, int, float, float, str]
+
+
+def test_readme_example_config_values():
+    cfg = parse_config(
+        "[flows]\nflow1 = linear(1.0)        # constant coefficient\n"
+        "flow2 = sin(0.5, 2.0)\nflow3 = bump(0.0, 1.0, 0.3)\n\n"
+        "[grid]\nn = 256\nlength = 40.0\n\n"
+        "[time]\ndt = 1e-3\nt_end = 1.0\nmethod = ifrk4\nsnapshot_stride = 5\n"
+    )
+    assert cfg.sections == {
+        "flows": {"flow1": Linear(1.0), "flow2": Sinusoid(0.5, 2.0), "flow3": Bump(0.0, 1.0, 0.3)},
+        "grid": {"n": 256, "length": 40.0},
+        "time": {"dt": 1e-3, "t_end": 1.0, "method": "ifrk4", "snapshot_stride": 5},
+    }
+
+
+# -- preset literals ---------------------------------------------------------
+
+
+def test_parse_preset_positional_and_keyword():
+    assert _coeffs(parse_preset("nls")) == [1.0]
+    assert _coeffs(parse_preset(" hirota( 2.0 , 0.5 ) ")) == [2.0, -0.5]
+    assert _coeffs(parse_preset("gnls(2, gamma1=3)")) == [2.0, -1.0, -3.0]
+    assert _coeffs(parse_preset("hnls5(1,2,3,4,5)")) == [1.0, -2.0, -3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["hnls5(1,2,3,4,5,6)", "hirota(1, alpha=2)", "nls(1)", "kdv", "hirota x", "hirota(1,beta)"],
+)
+def test_parse_preset_refuses(text):
+    with pytest.raises((ConfigError, ValueError)):
+        parse_preset(text)
+
+
+@pytest.mark.parametrize("text", ["hirota(1,nan)", "hnls4(1, gamma2=inf)"])
+def test_parse_preset_refuses_non_finite(text):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_preset(text)

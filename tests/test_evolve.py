@@ -73,10 +73,30 @@ def test_flowspec_validation():
     assert FlowSpec.from_coeffs([1.0, 0.0, -2.0]).entries[1][0] == 3
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Linear(math.nan),
+        lambda: Linear(1.0, math.inf),
+        lambda: Poly([1.0, math.nan]),
+        lambda: Poly([]),
+        lambda: Sinusoid(1.0, math.inf),
+        lambda: Sinusoid(1.0, 1.0, -math.inf),
+        lambda: Bump(0.0, math.nan, 1.0),
+        lambda: Bump(0.0, 1.0, math.inf),
+    ],
+    ids=["linear_nan", "linear_inf", "poly_nan", "poly_empty", "sin_inf", "sin_phase",
+         "bump_nan", "bump_inf"],
+)
+def test_schedules_refuse_non_finite_parameters(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_linear_symbol_is_imaginary():
     spec = FlowSpec.from_coeffs([1.0, -0.5, 2.0, 0.3, -1.0])
     g = Grid(64, 10.0)
-    mu = linear_symbol(spec, 0.0, symbol_columns(spec, g.xi))
+    mu = linear_symbol(spec, 0.0, symbol_columns(spec, g))
     assert np.max(np.abs(mu.real)) < 1e-14
 
 
@@ -96,7 +116,7 @@ def test_stability_guard_threshold_is_linear_symbols():
     schedule is live."""
     spec = FlowSpec([(1, Sinusoid(1.0, 2.0)), (2, Sinusoid(0.3, 3.0)), (3, Sinusoid(0.05, 1.0))])
     f = sample_onto_grid(soliton(1.0), Grid(256, 40.0), (), t=0.7)
-    dt = RK4_IMAG_STABILITY / np.max(np.abs(linear_symbol(spec, 0.7, symbol_columns(spec, f.grid.xi))))
+    dt = RK4_IMAG_STABILITY / np.max(np.abs(linear_symbol(spec, 0.7, symbol_columns(spec, f.grid))))
     step(f, spec, dt * (1 - 1e-12), method="rk4")
     with pytest.raises(StabilityViolation):
         step(f, spec, dt * (1 + 1e-12), method="rk4")
@@ -107,6 +127,26 @@ def test_rk4_and_ifrk4_agree_small_dt():
     a = step(f, NLS, 1e-4, method="rk4")
     b = step(f, NLS, 1e-4, method="ifrk4")
     assert np.max(np.abs(a.values - b.values)) < 1e-10
+
+
+def test_rk4_and_ifrk4_agree_with_nyquist_content():
+    """Both steppers use the one discrete operator: the Nyquist mode of an
+    odd-order derivative is zero in IF-RK4's linear factor as in the RHS."""
+    g = Grid(64, 10.0)
+    nyquist = 0.01 * (-1.0) ** np.arange(g.n)
+    f = Field(g, _soliton_field(g).values + nyquist)
+    spec = FlowSpec([(2, Linear(1.0))])
+    a = step(f, spec, 1e-5, method="rk4")
+    b = step(f, spec, 1e-5, method="ifrk4")
+    assert np.max(np.abs(a.values - b.values)) < 1e-10
+
+
+@pytest.mark.parametrize("method", ["rk4", "ifrk4"])
+def test_all_zero_mix_leaves_the_field(method):
+    """hirota(0,0) is a spec with no flows: an empty symbol, no motion."""
+    f = _soliton_field(Grid(64, 10.0))
+    out = step(f, FlowSpec.from_coeffs([0.0, 0.0]), 1e-3, method=method)
+    assert np.max(np.abs(out.values - f.values)) < 1e-15
 
 
 def test_ifrk4_requires_constant_coefficients():
