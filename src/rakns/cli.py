@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import re
 import sys
@@ -24,6 +25,7 @@ from .solutions import (
     finite_gap_sampler,
     peregrine,
     plane_wave,
+    random_riemann_data,
     soliton,
 )
 from .spectral import (
@@ -72,6 +74,11 @@ def _parse_params(items) -> dict:
         k, v = item.split("=", 1)
         out[k.strip()] = v.strip()
     return out
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise CliError(f"--tol must be positive and finite, got {tol}")
 
 
 def _parse_grid(text: str) -> Grid:
@@ -152,6 +159,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _check_tol(args.tol)
     sampler = _parse_sampler(args.sampler, _parse_params(args.param))
     p = SymmetryParams(args.a, args.b)
     transformed = transform_solution(sampler, p)
@@ -189,6 +197,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify_residual(args) -> int:
+    _check_tol(args.tol)
     with open(args.config) as fh:
         spec = parse_config(fh.read()).flow_spec()
     snaps = sorted(
@@ -231,12 +240,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    _check_tol(args.tol)
     if args.riemann:
         with open(args.riemann) as fh:
             data = RiemannData.from_json(fh.read())
     else:
-        from .solutions import random_riemann_data
-
         data = random_riemann_data(args.genus, args.max_flow, rng=args.seed)
     errors = identity_errors(data, SymmetryParams(args.a, args.b), args.max_flow)
     print(f"argument identity error: {errors['argument']:.3e}")

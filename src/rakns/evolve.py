@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .diffpoly import DiffPoly
-from .spectral import Field, Grid, _cached_plan, _multipliers, eval_rhs, flow_plan, write_field
+from .hierarchy import default_flow_table
+from .spectral import Field, Grid, _cached_plan, _multipliers, conserved_integral, eval_rhs, flow_plan, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 
@@ -247,13 +248,10 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
     return advance
 
 
-def step(f: Field, spec: FlowSpec, dt: float, method: str = "rk4", table=None) -> Field:
+def step(f: Field, spec: FlowSpec, dt: float, method: str = "rk4") -> Field:
     """Advance one time step.  rk4 enforces the stability bound; ifrk4
     requires constant coefficients."""
-    from .hierarchy import default_flow_table
-
-    if table is None:
-        table = default_flow_table(max(spec.max_order, 1))
+    table = default_flow_table(max(spec.max_order, 1))
     return _stepper(table, spec, f.grid, dt, method)(f, f.time + dt)
 
 
@@ -289,23 +287,14 @@ def evolve_run(
     spec: FlowSpec,
     t_end: float,
     dt: float,
-    observers: Sequence = (),
     method: str = "auto",
     snapshot_stride: int | None = None,
-    table=None,
 ) -> Trajectory:
     """Integrate from f0.time to f0.time + t_end, recording snapshots and a
-    conserved-quantity log (orders 1..3) at each snapshot.
-
-    Observers are callables invoked synchronously with each snapshot Field.
-    """
-    from .hierarchy import default_flow_table
-    from .spectral import conserved_integral
-
+    conserved-quantity log (orders 1..3) at each snapshot."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and non-negative")
-    if table is None:
-        table = default_flow_table(max(spec.max_order, 2))
+    table = default_flow_table(max(spec.max_order, 2))
     advance = _stepper(table, spec, f0.grid, dt, method)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
@@ -318,10 +307,7 @@ def evolve_run(
     traj = Trajectory()
 
     def record(f: Field):
-        row = tuple(conserved_integral(f, table, k) for k in (1, 2, 3))
-        traj.append(f, row)
-        for obs in observers:
-            obs(f)
+        traj.append(f, tuple(conserved_integral(f, table, k) for k in (1, 2, 3)))
 
     record(f0)
     f = f0

@@ -7,13 +7,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffpoly import DiffPoly
+from .diffpoly import dp_eval
+from .hierarchy import default_flow_table
 
 
 class SolutionError(Exception):
@@ -35,7 +35,6 @@ class Sampler:
     fn: Callable
     max_order: int
     name: str
-    params: dict
 
     def __call__(self, x, times: Sequence[float] = ()):
         times = tuple(times)
@@ -48,113 +47,9 @@ class Sampler:
         return self.fn(np.asarray(x, dtype=float), times)
 
 
-# -- constants of the sech ansatz -------------------------------------------
-#
-# On the profile A = sech with the identities A'' = A - 2A^3 and
-# (A')^2 = A^2 - A^4, every reduced flow collapses: H_k(A) = A for odd k
-# and H_k(A) = A' for even k.  The derivation below reproduces that
-# reduction exactly in rational arithmetic, so the soliton's phase rates
-# and velocities are computed, not guessed.
-
-
-def _sech_poly_reduce(p: dict) -> dict:
-    out: dict = {}
-    work = dict(p)
-    while work:
-        (i, j), c = work.popitem()
-        if c == 0:
-            continue
-        if j >= 2:
-            for di, dc in ((2, c), (4, -c)):
-                key = (i + di, j - 2)
-                work[key] = work.get(key, Fraction(0)) + dc
-        else:
-            out[(i, j)] = out.get((i, j), Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _sech_poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i, j), c in a.items():
-        for (k, l), d in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return _sech_poly_reduce(out)
-
-
-def _sech_poly_dx(p: dict) -> dict:
-    out: dict = {}
-    for (i, j), c in p.items():
-        if i:
-            key = (i - 1, j + 1)
-            out[key] = out.get(key, Fraction(0)) + c * i
-        if j:  # j is 0 or 1 in reduced form; A'' = A - 2A^3
-            for di, dc in ((1, c), (3, -2 * c)):
-                key = (i + di, j - 1)
-                out[key] = out.get(key, Fraction(0)) + dc
-    return _sech_poly_reduce(out)
-
-
-def sech_reduction(h: DiffPoly) -> tuple[Fraction, Fraction]:
-    """Reduce a real flow polynomial on the unit sech profile.
-
-    Returns (coefficient of A, coefficient of A'); raises if any other
-    monomial survives, i.e. the ansatz does not close for this flow.
-    """
-    jets = [{(1, 0): Fraction(1)}]
-    max_order = h.max_order
-    for _ in range(max_order):
-        jets.append(_sech_poly_dx(jets[-1]))
-    total: dict = {}
-    for m in h.terms:
-        if m.coeff.im != 0:
-            raise SolutionError("sech reduction expects real coefficients")
-        term = {(0, 0): Fraction(m.coeff.re)}
-        for j, e in m.factors:
-            for _ in range(e):
-                term = _sech_poly_mul(term, jets[j.order])
-        for key, c in term.items():
-            total[key] = total.get(key, Fraction(0)) + c
-    total = {k: v for k, v in total.items() if v != 0}
-    extra = set(total) - {(1, 0), (0, 1)}
-    if extra:
-        raise SolutionError(f"sech ansatz does not close; residual monomials {extra}")
-    return total.get((1, 0), Fraction(0)), total.get((0, 1), Fraction(0))
-
-
-@lru_cache(maxsize=16)
-def _sech_flow_constants(M: int) -> tuple:
-    """Per flow k: ('phase', c) with omega_k = i^(k-1) c a^(k+1), or
-    ('shift', c) with v_k = -i^k c a^k (both real for the hierarchy flows)."""
-    from .hierarchy import default_flow_table
-
-    table = default_flow_table(max(M, 1))
-    out = []
-    for k in range(1, M + 1):
-        cA, cAp = sech_reduction(table.H[k])
-        if cAp == 0:
-            # psi_{t_k} = i^k c A e^{i theta} = i omega_k psi
-            omega = complex(1j ** (k - 1)) * float(cA)
-            if abs(omega.imag) > 0:
-                raise SolutionError(f"flow {k}: non-real phase rate")
-            out.append(("phase", omega.real))
-        elif cA == 0:
-            # psi_{t_k} = i^k c A' e^{i theta} = -v_k A' e^{i theta}
-            v = -complex(1j**k) * float(cAp)
-            if abs(v.imag) > 0:
-                raise SolutionError(f"flow {k}: non-real velocity")
-            out.append(("shift", v.real))
-        else:
-            raise SolutionError(f"flow {k}: mixed A/A' response to sech ansatz")
-    return tuple(out)
-
-
 def plane_wave(q: float, M: int = 5) -> Sampler:
     """Constant-modulus background q exp(i sum_odd omega_k t_k); the phase
     rates come from evaluating each flow on the constant field."""
-    from .diffpoly import dp_eval
-    from .hierarchy import default_flow_table
-
     if not q > 0:
         raise ValueError("q must be positive")
     if not 1 <= M <= 5:
@@ -171,7 +66,21 @@ def plane_wave(q: float, M: int = 5) -> Sampler:
         phase = sum(w * t for w, t in zip(rates, times))
         return np.full(np.shape(x), q * np.exp(1j * phase), dtype=complex)
 
-    return Sampler(fn, M, "plane_wave", {"q": q})
+    return Sampler(fn, M, "plane_wave")
+
+
+def _soliton_rate(k: int, a: float) -> float:
+    """Phase rate (odd k) or velocity (even k) of the amplitude-a soliton
+    under flow k.
+
+    On the tail psi ~ 2a exp(-a(x - s) + i phi) the nonlinear terms of H_k
+    are O(exp(-3ax)), so psi_{t_k} = i^k psi_{(k+1)x} there and
+    a ds/dt_k + i dphi/dt_k = i^k (-a)^(k+1): odd flows turn the phase at
+    (-1)^((k-1)/2) a^(k+1), even flows move the profile at
+    (-1)^((k-2)/2) a^k.
+    """
+    sign = (-1) ** ((k - 1) // 2)
+    return sign * a ** (k + 1) if k % 2 else sign * a**k
 
 
 def soliton(a_amp: float, M: int = 5) -> Sampler:
@@ -181,20 +90,19 @@ def soliton(a_amp: float, M: int = 5) -> Sampler:
         raise ValueError("amplitude must be positive")
     if not 1 <= M <= 5:
         raise ValueError("M must be in 1..5")
-    consts = _sech_flow_constants(M)
     a = a_amp
 
     def fn(x, times):
         shift = 0.0
         phase = 0.0
-        for k, ((kind, c), t) in enumerate(zip(consts, times), start=1):
-            if kind == "phase":
-                phase += c * a ** (k + 1) * t
+        for k, t in enumerate(times, start=1):
+            if k % 2:
+                phase += _soliton_rate(k, a) * t
             else:
-                shift += c * a**k * t
+                shift += _soliton_rate(k, a) * t
         return a / np.cosh(a * (x - shift)) * np.exp(1j * phase)
 
-    return Sampler(fn, M, "soliton", {"a": a})
+    return Sampler(fn, M, "soliton")
 
 
 def peregrine() -> Sampler:
@@ -206,7 +114,7 @@ def peregrine() -> Sampler:
         denom = 1.0 + 4.0 * x**2 + 16.0 * t1**2
         return (1.0 - 4.0 * (1.0 + 4j * t1) / denom) * np.exp(2j * t1)
 
-    return Sampler(fn, 1, "peregrine", {})
+    return Sampler(fn, 1, "peregrine")
 
 
 # -- Riemann theta -----------------------------------------------------------
@@ -473,7 +381,7 @@ def finite_gap_sample(data: RiemannData, x: float, times: Sequence[float] = ()) 
 
 
 def finite_gap_sampler(data: RiemannData) -> Sampler:
-    return Sampler(partial(_finite_gap_values, data), data.max_flows, "finite_gap", {"genus": data.genus})
+    return Sampler(partial(_finite_gap_values, data), data.max_flows, "finite_gap")
 
 
 def _powers(base: float, n: int) -> list:
@@ -520,19 +428,21 @@ def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
     return replace(data, V=tuple(newV), K=tuple(newK))
 
 
-def random_riemann_data(genus: int, n_flows: int, rng=None, scale: float = 1.0) -> RiemannData:
+def random_riemann_data(genus: int, n_flows: int, rng=None) -> RiemannData:
     """Random well-conditioned RiemannData (identity checks, demos, tests).
 
     The Riemann matrix is symmetric with Im part diagonally dominant, so
     theta sums converge quickly; vectors and constants are generic complex.
     """
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
     rng = np.random.default_rng(rng)
     g = genus
     S = rng.normal(size=(g, g))
     Y = 0.5 * (S + S.T) * 0.2 + np.eye(g) * (1.5 + rng.uniform(0, 1))
     X = 0.3 * (lambda A: 0.5 * (A + A.T))(rng.normal(size=(g, g)))
     B = X + 1j * Y
-    cx = lambda shape=(): rng.normal(size=shape) * scale + 1j * rng.normal(size=shape) * scale
+    cx = lambda shape=(): rng.normal(size=shape) + 1j * rng.normal(size=shape)
     V = tuple(cx((g,)) for _ in range(n_flows + 1))
     K = tuple([complex(1.0 + abs(cx()))] + [complex(cx()) for _ in range(n_flows + 1)])
     return RiemannData(

@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diffpoly import GR_ZERO, DiffPoly, Monomial, jet
+from .hierarchy import conserved_density, default_flow_table
 
 
 class SpectralError(Exception):
@@ -226,19 +227,16 @@ def flow_plan(table, spec) -> EvalPlan:
     return _cached_plan(*(table.H[k] for k, _ in spec.entries))
 
 
-def residual(f_minus: Field, f0: Field, f_plus: Field, spec, table=None) -> float:
+def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
     """L-inf norm of psi_t - sum_k i^k alpha_k'(t) H_k(psi), with psi_t from
     the centered difference of the outer fields."""
-    from .hierarchy import default_flow_table
-
     if f_minus.grid != f0.grid or f_plus.grid != f0.grid:
         raise SpectralError("residual fields must share a grid")
     dm = f0.time - f_minus.time
     dp = f_plus.time - f0.time
     if not (dm > 0 and abs(dm - dp) <= 1e-12 * max(dm, dp)):
         raise SpectralError("residual fields must be equally spaced in time")
-    if table is None:
-        table = default_flow_table(max((k for k, _ in spec.entries), default=1))
+    table = default_flow_table(max((k for k, _ in spec.entries), default=1))
     dt = 0.5 * (dm + dp)
     psi_t = (f_plus.values - f_minus.values) / (2.0 * dt)
     rhs = eval_rhs(flow_plan(table, spec), f0, weights=spec.weights(f0.time))
@@ -247,8 +245,6 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec, table=None) -> floa
 
 def conserved_integral(f: Field, table, k: int) -> complex:
     """Grid integral of the k-th conserved density (mean times L)."""
-    from .hierarchy import conserved_density
-
     vals = eval_rhs(_cached_plan(conserved_density(table, k)), f)
     return complex(np.mean(vals) * f.grid.length)
 
@@ -303,21 +299,20 @@ def sample_onto_grid(
     sampler,
     grid: Grid,
     times,
-    center: bool = True,
     t: float | None = None,
     images: int = 0,
 ) -> Field:
     """Evaluate an analytic sampler on grid nodes.
 
-    With ``center`` the sampler's x origin is placed at L/2 so decaying
-    profiles have their tails at the period seam.  ``images`` adds that
+    The sampler's x origin is placed at L/2 so decaying profiles have
+    their tails at the period seam.  ``images`` adds that
     many periodic image copies on each side (sum over x + mL), which
     removes the derivative jump at the seam for decaying profiles; the
     images of an exact decaying solution interact only through
     exponentially small cross terms, so the periodized samples still
     solve the flow to that accuracy.
     """
-    x = grid.nodes - (grid.length / 2.0 if center else 0.0)
+    x = grid.nodes - grid.length / 2.0
     values = np.asarray(sampler(x, times), dtype=complex)
     for m in range(1, images + 1):
         values = values + sampler(x + m * grid.length, times)

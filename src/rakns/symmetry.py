@@ -75,7 +75,7 @@ def transform_solution(s: Sampler, p: SymmetryParams) -> Sampler:
         X, T = transform_arguments(p, x, times)
         return p.a * s(X, T) * phase_factor(p, x, times)
 
-    return Sampler(fn, M, f"{s.name}~({p.a},{p.b})", dict(s.params, a_sym=p.a, b_sym=p.b))
+    return Sampler(fn, M, f"{s.name}~({p.a},{p.b})")
 
 
 def scaling(n: int, q: float, s: Sampler) -> Sampler:
@@ -91,7 +91,7 @@ def scaling(n: int, q: float, s: Sampler) -> Sampler:
         scaled[n - 1] = q ** (n + 1) * t
         return q * s(q * np.asarray(x, dtype=float), tuple(scaled))
 
-    return Sampler(fn, s.max_order, f"{s.name}~scaled({q},flow{n})", dict(s.params, q=q, flow=n))
+    return Sampler(fn, s.max_order, f"{s.name}~scaled({q},flow{n})")
 
 
 def hirota_closed_form(a: float, b: float, alpha: float, beta: float, s: Sampler) -> Sampler:
@@ -110,7 +110,7 @@ def hirota_closed_form(a: float, b: float, alpha: float, beta: float, s: Sampler
         X = a * x + 4 * (alpha - 3 * b * beta) * a * b * t
         return a * s(X, tuple(args)) * np.exp(-2j * b * x - 4j * (alpha - 2 * beta * b) * b**2 * t)
 
-    return Sampler(fn, 1, f"{s.name}~hirota", dict(s.params, a=a, b=b, alpha=alpha, beta=beta))
+    return Sampler(fn, 1, f"{s.name}~hirota")
 
 
 # -- bridge to the finite-gap moduli transform -------------------------------

@@ -1,6 +1,7 @@
 """Reference implementations that tests compare the library against."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +19,64 @@ def theta_brute(z, B, radius: int = 30) -> complex:
         n = np.asarray(n, dtype=float)
         total += np.exp(2j * np.pi * (0.5 * n @ B @ n + n @ z))
     return complex(total)
+
+
+# -- flows on the sech profile ---------------------------------------------------
+#
+# Polynomials in A = sech and A' are dicts {(i, j): c} for c A^i (A')^j,
+# kept with j <= 1 by (A')^2 = A^2 - A^4; d/dx uses A'' = A - 2A^3.
+
+
+def _sech_reduce(p: dict) -> dict:
+    out: dict = {}
+    work = dict(p)
+    while work:
+        (i, j), c = work.popitem()
+        if j >= 2:
+            for di, dc in ((2, c), (4, -c)):
+                work[i + di, j - 2] = work.get((i + di, j - 2), 0) + dc
+        else:
+            out[i, j] = out.get((i, j), 0) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _sech_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
+    return _sech_reduce(out)
+
+
+def _sech_dx(p: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in p.items():
+        if i:
+            out[i - 1, j + 1] = out.get((i - 1, j + 1), 0) + c * i
+        if j:  # j is 1 in reduced form
+            for di, dc in ((1, c), (3, -2 * c)):
+                out[i + di, j - 1] = out.get((i + di, j - 1), 0) + dc
+    return _sech_reduce(out)
+
+
+def sech_reduction(h: DiffPoly) -> tuple:
+    """(c_A, c_A') with h(A) = c_A A + c_A' A' on the real profile A = sech,
+    exactly; raises AssertionError if another monomial survives."""
+    jets = [{(1, 0): Fraction(1)}]
+    for _ in range(h.max_order):
+        jets.append(_sech_dx(jets[-1]))
+    total: dict = {}
+    for m in h.terms:
+        assert m.coeff.im == 0, "sech reduction expects real coefficients"
+        term = {(0, 0): m.coeff.re}
+        for j, e in m.factors:
+            for _ in range(e):
+                term = _sech_mul(term, jets[j.order])
+        for key, c in term.items():
+            total[key] = total.get(key, 0) + c
+    total = {k: v for k, v in total.items() if v != 0}
+    assert set(total) <= {(1, 0), (0, 1)}, f"sech ansatz does not close: {total}"
+    return total.get((1, 0), 0), total.get((0, 1), 0)
 
 
 # -- Gaussian rationals as (re, im) pairs of Fractions --------------------------

@@ -450,6 +450,8 @@ def test_evolve_grid_matching_field_file_runs(tmp_path, capsys, config_grid, gri
 
 _EVOLVE = ["evolve", "--initial", "soliton"]
 _PRESET_RUN = ["--grid", "64,20", "--dt", "1e-3", "--t-end", "2e-3"]
+_TRANSFORM = ["transform", "--a", "1.2", "--b", "0.1", "--sampler", "soliton", "--probe", "64,20"]
+_IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
 
 
 @pytest.mark.parametrize(
@@ -466,11 +468,18 @@ _PRESET_RUN = ["--grid", "64,20", "--dt", "1e-3", "--t-end", "2e-3"]
         (None, ["transform", "--a", "1e200", "--b", "0", "--sampler", "soliton", "--probe", "64,10"]),
         (None, ["transform", "--a", "1", "--b", "1e200", "--sampler", "soliton", "--probe", "64,10"]),
         (None, ["identity", "check", "--a", "1", "--b", "0", "--genus", "0"]),
+        (None, ["identity", "check", "--a", "1", "--b", "0", "--genus", "-1"]),
+        (None, [*_TRANSFORM, "--tol", "nan"]),
+        (None, [*_TRANSFORM, "--tol", "0"]),
+        (("dt = 1e-3", "dt = 1e-3"), ["verify", "residual", "--snapshots", ".", "--tol", "-1"]),
+        (None, [*_IDENTITY, "--tol", "nan"]),
+        (None, [*_IDENTITY, "--tol", "inf"]),
     ],
     ids=[
         "dt_list", "dt_schedule", "length_inf", "length_nan", "n_float", "flow_nan",
         "preset_six_values", "preset_nan", "transform_a_overflow", "transform_b_overflow",
-        "genus_0",
+        "genus_0", "genus_negative", "transform_tol_nan", "transform_tol_0",
+        "verify_residual_tol_negative", "identity_tol_nan", "identity_tol_inf",
     ],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):
@@ -485,5 +494,7 @@ def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):
         code, _, err = run(argv, capsys)
     assert code == 2
     assert _one_error_line(err) and "Traceback" not in err
-    if argv[0] == "identity":
+    if "--genus" in argv:
         assert "genus must be >= 1" in err
+    if "--tol" in argv:
+        assert "--tol must be positive and finite" in err

@@ -6,6 +6,7 @@ import pytest
 
 import rakns.solutions
 from rakns.evolve import FlowSpec, Linear
+from rakns.hierarchy import build_flows
 from rakns.solutions import (
     NotPositiveDefinite,
     RiemannData,
@@ -17,29 +18,31 @@ from rakns.solutions import (
     peregrine,
     plane_wave,
     random_riemann_data,
-    sech_reduction,
     soliton,
     theta,
     _lattice_points,
+    _soliton_rate,
     _ThetaLattice,
     _upper_gamma,
 )
 from rakns.spectral import Grid, residual, sample_onto_grid
 
-from oracles import theta_brute
+from oracles import sech_reduction, theta_brute
 
 
 # -- exact sampler constants -------------------------------------------------
 
 
-def test_sech_reduction_closes(table5):
-    """H_k(sech) is A for odd k and A' for even k, exactly."""
-    for k in range(1, 6):
-        cA, cAp = sech_reduction(table5.H[k])
-        if k % 2 == 1:
-            assert (cA, cAp) == (1, 0)
-        else:
-            assert (cA, cAp) == (0, 1)
+def test_sech_reduction_matches_tail_rates():
+    """Each generated H_k closes on A = sech as c_A A + c_A' A', and at the
+    constants the soliton sampler takes from the tail: psi_{t_k} = i^k H_k
+    against psi_t = (i omega_k A - v_k A') e^{i phi} gives c_A = i^(1-k) omega_k
+    for odd k and c_A' = -i^(-k) v_k for even k, both (-1)^((k-1)//2) times
+    the unit-amplitude rate."""
+    table = build_flows(7)
+    for k in range(1, 8):
+        c = (-1) ** ((k - 1) // 2) * _soliton_rate(k, 1.0)
+        assert sech_reduction(table.H[k]) == ((c, 0) if k % 2 else (0, c))
 
 
 def test_plane_wave_rates():
@@ -60,9 +63,9 @@ def test_plane_wave_rates():
         assert complex(s(0.0, times)) == pytest.approx(base)
 
 
-def test_soliton_flow_constants():
+@pytest.mark.parametrize("a", [0.7, 1.3, 2.0])
+def test_soliton_flow_constants(a):
     """omega_1 = a^2, v_2 = a^2, omega_3 = -a^4, v_4 = -a^4, omega_5 = a^6."""
-    a = 1.3
     s = soliton(a)
     t = 0.07
     x = np.array([0.4])
