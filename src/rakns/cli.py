@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import re
@@ -254,7 +255,10 @@ def cmd_identity_check(args) -> int:
     return OK if ok else VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: a parse
+    leaves no state in it."""
     ap = argparse.ArgumentParser(prog="rakns", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffpoly import DiffPoly
 from .hierarchy import default_flow_table
-from .spectral import Field, Grid, _cached_plan, _multipliers, conserved_integral, eval_rhs, flow_plan, write_field
+from .spectral import Field, Grid, _BoundPlan, _cached_plan, _multipliers, conserved_integral, eval_rhs, flow_plan, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 
@@ -191,8 +191,12 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
     guard; ifrk4 (constant coefficients only) propagates the linear phases
     e^(mu dt) exactly and applies RK4 to the nonlinear remainder
     sum_k i^k alpha_k' (H_k - psi_{(k+1)x}).  Either way each stage is one
-    evaluation of one plan for the whole spec.  A step that leaves
-    non-finite values raises Blowup carrying the field it started from.
+    evaluation of one plan for the whole spec.  rk4, the reference
+    integrator, evaluates through eval_rhs and holds no workspace between
+    steps (a bound one raised its peak RSS for no speed).  ifrk4 binds its
+    plan to the grid once and runs each stage from psi-hat, one inverse and
+    one forward FFT per stage.  A step that leaves non-finite values raises
+    Blowup carrying the field it started from.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
@@ -221,19 +225,19 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
         plan = _cached_plan(
             *(table.H[k] - DiffPoly.var("psi", k + 1) for k, _ in spec.entries)
         )
-        w = spec.weights(0.0)
+        program = _BoundPlan(plan, grid, spec.weights(0.0))
         e = np.exp(0.5 * dt * linear_symbol(spec, 0.0, columns))
         e2 = e * e
 
-        def nhat(v):
-            return np.fft.fft(eval_rhs(plan, v, grid, w))
+        def nhat(u):
+            return np.fft.fft(program(u))
 
         def integrate(v, t):
             u = np.fft.fft(v)
-            a = nhat(v)
-            b = nhat(np.fft.ifft(e * (u + 0.5 * dt * a)))
-            c = nhat(np.fft.ifft(e * u + 0.5 * dt * b))
-            d = nhat(np.fft.ifft(e2 * u + dt * e * c))
+            a = nhat(u)
+            b = nhat(e * (u + 0.5 * dt * a))
+            c = nhat(e * u + 0.5 * dt * b)
+            d = nhat(e2 * u + dt * e * c)
             return np.fft.ifft(e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e * (b + c) + d))
 
     else:

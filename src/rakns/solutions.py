@@ -100,9 +100,16 @@ def soliton(a_amp: float, M: int = 5) -> Sampler:
                 phase += _soliton_rate(k, a) * t
             else:
                 shift += _soliton_rate(k, a) * t
-        return a / np.cosh(a * (x - shift)) * np.exp(1j * phase)
+        return a * _sech(a * (x - shift)) * np.exp(1j * phase)
 
     return Sampler(fn, M, "soliton")
+
+
+def _sech(y):
+    """sech y as 2e^(-|y|)/(1 + e^(-2|y|)): where cosh y overflows (|y| > 710)
+    this underflows quietly to 0."""
+    e = np.exp(-np.abs(y))
+    return 2.0 * e / (1.0 + e * e)
 
 
 def peregrine() -> Sampler:

@@ -192,11 +192,33 @@ def compile_plan(*polys: DiffPoly) -> EvalPlan:
     )
 
 
+def _coefficients(plan: EvalPlan, weights) -> np.ndarray:
+    """The coefficient of each row of the block for the source weights
+    (unit weights for None)."""
+    return plan.scatter.sum(axis=1) if weights is None else plan.scatter @ np.asarray(weights)
+
+
+def _weighted_sum(plan: EvalPlan, rows: list, terms: np.ndarray, coeffs) -> np.ndarray:
+    """Run the product program on the workspace ``rows``, psi and its jets
+    filled in, and return the weighted sum of the block ``terms``, which it
+    scales in place.  ``rows`` holds a view per row: a list index costs
+    less than an array index, and the program makes two to three per row."""
+    for r, src in plan.conj:
+        np.conj(rows[src], out=rows[r])
+    if plan.unit is not None:  # a reused workspace holds it scaled
+        rows[plan.unit].fill(1.0)
+    for r, a, b in plan.products:
+        np.multiply(rows[a], rows[b], out=rows[r])
+    terms *= coeffs[:, None]
+    return terms.sum(axis=0)
+
+
 def eval_rhs(
     plan: EvalPlan, f: Field | np.ndarray, grid: Grid | None = None, weights=None
 ) -> np.ndarray:
     """Evaluate sum_j weights[j] P_j pointwise over the grid (unit weights
-    by default), from a Field or from raw samples plus their grid."""
+    by default), from a Field or from raw samples plus their grid.  Each
+    call has a workspace of its own, so it keeps no memory between calls."""
     values, grid = _samples(f, grid)
     ws = np.empty((plan.rows, grid.n), dtype=complex)
     ws[0] = values
@@ -204,16 +226,31 @@ def eval_rhs(
         jets = ws[1 : 1 + len(plan.orders)]
         np.multiply(np.fft.fft(values), _multipliers(grid, plan.orders), out=jets)
         np.fft.ifft(jets, axis=-1, out=jets)
-    for r, src in plan.conj:
-        np.conj(ws[src], out=ws[r])
-    if plan.unit is not None:
-        ws[plan.unit] = 1.0
-    for r, a, b in plan.products:
-        np.multiply(ws[a], ws[b], out=ws[r])
-    coeffs = plan.scatter.sum(axis=1) if weights is None else plan.scatter @ np.asarray(weights)
-    terms = ws[plan.first : plan.first + len(coeffs)]
-    terms *= coeffs[:, None]
-    return terms.sum(axis=0)
+    terms = ws[plan.first : plan.first + len(plan.scatter)]
+    return _weighted_sum(plan, list(ws), terms, _coefficients(plan, weights))
+
+
+class _BoundPlan:
+    """An EvalPlan bound to one grid and one set of source weights, for a
+    stepper that works on psi-hat: the workspace, its row views, the
+    coefficients and the multipliers (i xi)^(0, orders) are made once.  A
+    call takes psi and its jets from psi-hat by one batched inverse FFT,
+    so it makes no forward FFT, and runs the product program of eval_rhs.
+    """
+
+    def __init__(self, plan: EvalPlan, grid: Grid, weights):
+        ws = np.empty((plan.rows, grid.n), dtype=complex)
+        self.plan = plan
+        self.rows = list(ws)
+        self.mults = _multipliers(grid, (0,) + plan.orders)  # row 0 is (i xi)^0 = 1
+        self.jets = ws[: len(self.mults)]
+        self.terms = ws[plan.first : plan.first + len(plan.scatter)]
+        self.coeffs = _coefficients(plan, weights)
+
+    def __call__(self, psi_hat: np.ndarray) -> np.ndarray:
+        np.multiply(psi_hat, self.mults, out=self.jets)
+        np.fft.ifft(self.jets, axis=-1, out=self.jets)
+        return _weighted_sum(self.plan, self.rows, self.terms, self.coeffs)
 
 
 @lru_cache(maxsize=256)
@@ -263,6 +300,9 @@ def write_field(f: Field, path) -> None:
 
 
 def read_field(path) -> Field:
+    """The Field of a field file.  The sample lines are split once and each
+    column is converted in one pass; only a file that fails those checks is
+    scanned again, line by line, to name its first bad line."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != FIELD_MAGIC:
@@ -274,25 +314,44 @@ def read_field(path) -> Field:
             grid = Grid(n, float(kv["L"]))
         except (KeyError, ValueError) as exc:
             raise FieldFormatError(f"bad field file metadata {meta!r}: need n=, L=, t= ({exc})") from None
-        values = np.zeros(n, dtype=complex)
-        seen = set()
-        for lineno, line in enumerate(fh, start=3):
-            if not line.strip():
-                continue
-            try:
-                idx_s, re_s, im_s = line.split()
-                idx, value = int(idx_s), float(re_s) + 1j * float(im_s)
-            except ValueError:
-                raise FieldFormatError(f"line {lineno}: expected 'index re im', got {line.strip()!r}") from None
-            if not 0 <= idx < n:
-                raise FieldFormatError(f"sample index {idx} out of range for n={n}")
-            if idx in seen:
-                raise FieldFormatError(f"sample index {idx} repeated")
-            seen.add(idx)
-            values[idx] = value
-        if len(seen) != n:
-            raise FieldFormatError(f"expected {n} samples, got {len(seen)}")
+        lines = fh.read().split("\n")
+    rows = [parts for parts in map(str.split, lines) if parts]
+    try:
+        idx_s, re_s, im_s = zip(*rows, strict=True) if rows else ((), (), ())
+        idx = np.array(list(map(int, idx_s)), dtype=np.int64)
+        re_ = np.fromiter(map(float, re_s), float, len(rows))
+        im = np.fromiter(map(float, im_s), float, len(rows))
+        ok = not rows or (idx.min() >= 0 and idx.max() < n and np.bincount(idx).max() == 1)
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        _raise_first_bad_line(lines, n)
+    if len(rows) != n:
+        raise FieldFormatError(f"expected {n} samples, got {len(rows)}")
+    values = np.empty(n, dtype=complex)
+    values.real[idx], values.imag[idx] = re_, im
     return Field(grid, values, t)
+
+
+def _raise_first_bad_line(lines, n: int) -> None:
+    """Raise the error of the first sample line (file line 3 on) that is not
+    'index re im', or whose index is out of range or repeated.  read_field
+    calls it only when one of its lines is such a line."""
+    seen = set()
+    for lineno, line in enumerate(lines, start=3):
+        if not line.strip():
+            continue
+        try:
+            idx_s, re_s, im_s = line.split()
+            idx = int(idx_s)
+            float(re_s), float(im_s)
+        except ValueError:
+            raise FieldFormatError(f"line {lineno}: expected 'index re im', got {line.strip()!r}") from None
+        if not 0 <= idx < n:
+            raise FieldFormatError(f"sample index {idx} out of range for n={n}")
+        if idx in seen:
+            raise FieldFormatError(f"sample index {idx} repeated")
+        seen.add(idx)
 
 
 def sample_onto_grid(

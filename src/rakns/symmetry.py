@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solutions import Sampler, _powers
+from .solutions import Sampler, _powers, moduli_transform
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,6 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
     direction.  Returns max absolute errors {'argument': ..., 'phase': ...},
     NaN if any comparison is NaN.
     """
-    from .solutions import moduli_transform
-
     td = moduli_transform(data, p.a, p.b)
     err_arg, err_phase = [], []
     basis = [(1.0, (0.0,) * M)] + [

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from rakns.diffpoly import DiffPoly, GaussianRational, JetVariable, NotExact, dp_dx
-from rakns.spectral import spectral_derivative
+from rakns.evolve import linear_symbol, symbol_columns
+from rakns.spectral import compile_plan, eval_rhs, spectral_derivative
 
 
 def theta_brute(z, B, radius: int = 30) -> complex:
@@ -178,3 +179,30 @@ def eval_rhs_reference(plan, values, grid, weights=None) -> np.ndarray:
     for term in rhs_terms(plan, values, grid, weights):
         out += term
     return out
+
+
+# -- time stepping ----------------------------------------------------------------
+
+
+def ifrk4_reference(table, spec, f, dt: float, steps: int) -> np.ndarray:
+    """Integrating-factor RK4 with every stage in sample space: each stage
+    transforms back to samples and eval_rhs transforms them again.  Returns
+    the samples after ``steps`` steps of a constant-coefficient spec."""
+    grid = f.grid
+    plan = compile_plan(*(table.H[k] - DiffPoly.var("psi", k + 1) for k, _ in spec.entries))
+    w = spec.weights(0.0)
+    e = np.exp(0.5 * dt * linear_symbol(spec, 0.0, symbol_columns(spec, grid)))
+    e2 = e * e
+
+    def nhat(v):
+        return np.fft.fft(eval_rhs(plan, v, grid, w))
+
+    v = f.values
+    for _ in range(steps):
+        u = np.fft.fft(v)
+        a = nhat(v)
+        b = nhat(np.fft.ifft(e * (u + 0.5 * dt * a)))
+        c = nhat(np.fft.ifft(e * u + 0.5 * dt * b))
+        d = nhat(np.fft.ifft(e2 * u + dt * e * c))
+        v = np.fft.ifft(e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e * (b + c) + d))
+    return v

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rakns.cli import main
+from rakns.cli import build_parser, main
 from rakns.diffpoly import from_json
 from rakns.solutions import random_riemann_data
 from rakns.spectral import Field, Grid, read_field, write_field
@@ -64,6 +64,21 @@ def test_hierarchy_verify(capsys):
     code, out, _ = run(["hierarchy", "verify", "--max-order", "3"], capsys)
     assert code == 0
     assert "flow 3: pass" in out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """The parser is built once per process, and a parse leaves nothing in
+    it that changes the next call: each subcommand returns its usual code,
+    and a repeated call with an appended option prints the same."""
+    assert build_parser() is build_parser()
+    sample = ["sample", "--solution", "soliton", "--grid", "16,10", "--param", "a=2.0"]
+    code, first, _ = run(sample, capsys)
+    assert code == 0
+    assert run(["hierarchy", "verify", "--max-order", "2"], capsys)[0] == 0
+    assert run(["evolve", "--initial", "soliton"], capsys)[0] == 2  # no flows given
+    identity = ["identity", "check", "--a", "1.6", "--b", "-0.3", "--max-flow", "2"]
+    assert run(identity + ["--tol", "1e-300"], capsys)[0] == 1  # rounding fails a 1e-300 tol
+    assert run(sample, capsys) == (0, first, "")
 
 
 def test_sample_and_evolve_roundtrip(tmp_path, capsys):

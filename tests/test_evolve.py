@@ -2,9 +2,13 @@
 conservation, reversibility, and convergence order."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import ifrk4_reference
 
 from rakns.evolve import (
     Blowup,
@@ -20,11 +24,13 @@ from rakns.evolve import (
     step,
     symbol_columns,
 )
+from rakns.hierarchy import default_flow_table
 from rakns.solutions import plane_wave, soliton
 from rakns.spectral import Field, Grid, conserved_integral, sample_onto_grid
 
 
 NLS = FlowSpec([(1, Linear(1.0))])
+HNLS5 = FlowSpec.from_coeffs((1.0, -0.4, -0.1, 0.05, 0.02))
 
 
 def _soliton_field(grid=None, a=1.0, images=1):
@@ -176,6 +182,51 @@ def test_blowup_carries_last_good():
         for _ in range(50):
             current = step(current, spec, 1e-4, method="ifrk4")
     assert exc_info.value.last_good is not None
+
+
+def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):
+    """One IF-RK4 step of the hnls5 mix at n = 256: the forward FFT of psi,
+    per stage one batched inverse FFT to psi and its jets and one forward
+    FFT of the remainder, and the inverse FFT of the result.  (Stages that
+    went back to samples made 17.)"""
+    f = _soliton_field()
+    calls = Counter()
+    for name in ("fft", "ifft"):
+
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    step(f, HNLS5, 2.5e-5, method="ifrk4")
+    assert calls == {"fft": 5, "ifft": 5}
+
+
+def _relative_gap(spec, f, dt, steps):
+    got = evolve_run(f, spec, steps * dt, dt, method="ifrk4", snapshot_stride=steps).final.values
+    table = default_flow_table(max(spec.max_order, 1))
+    ref = ifrk4_reference(table, spec, f, dt, steps)
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def test_ifrk4_hnls5_matches_sample_space_stages():
+    """Stages run from psi-hat agree with stages that go back to samples."""
+    assert _relative_gap(HNLS5, _soliton_field(), 2.5e-5, 20) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 5), st.floats(-1.0, 1.0), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_ifrk4_constant_specs_match_sample_space_stages(slopes, seed):
+    """Random constant mixes of H_1..H_5 on random smooth fields."""
+    spec = FlowSpec([(k, Linear(b)) for k, b in sorted(slopes.items())])
+    g = Grid(64, 20.0)
+    rng = np.random.default_rng(seed)
+    amps = 0.1 * ([1, 1j] @ rng.uniform(-1, 1, (2, 7)))  # modes -3..3
+    values = np.exp(2j * np.pi / g.length * np.outer(g.nodes, np.arange(-3, 4))) @ amps
+    assert _relative_gap(spec, Field(g, values), 2e-5, 20) <= 1e-13
 
 
 # -- runs --------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Analytic samplers, Riemann theta evaluation, finite-gap sampling, and
 the affine transform of spectral-curve data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,26 @@ def test_soliton_solves_each_flow(k):
             sample_onto_grid(soliton(1.0), g, tuple(times), t=sgn * d, images=2)
         )
     assert residual(*fields, spec) < 1e-6
+
+
+def test_soliton_far_tail_is_quiet():
+    """Where |a(x - s)| > 710, cosh overflows; the sample there is 0 and no
+    warning reaches the caller.  The shift reaches 2 * 3.7^4, about 375."""
+    s = soliton(3.7)
+    x = np.linspace(-12.0, 12.0, 97)
+    rng = np.random.default_rng(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times in [(2.0, -2.0, 2.0, 2.0, -2.0), (0.0, 2.0, 0.0, -2.0, 0.0)] + list(
+            rng.uniform(-2.0, 2.0, (20, 5))
+        ):
+            values = s(x, tuple(times))
+            assert np.all(np.isfinite(values))
+            assert np.all(np.abs(values) <= 3.7 * (1 + 1e-15))
+    # 1/cosh where it does not overflow, to rounding
+    y = np.linspace(-709.0, 709.0, 20001)
+    sech = np.abs(soliton(1.0)(y, ()))
+    assert np.max(np.abs(sech * np.cosh(y) - 1.0)) <= 1e-15
 
 
 def test_peregrine_solves_nls():

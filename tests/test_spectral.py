@@ -347,6 +347,39 @@ def test_field_file_repeated_index(tmp_path):
         read_field(path)
 
 
+def test_field_file_roundtrip_keeps_signed_zeros(tmp_path):
+    """Columns go into the real and imaginary parts as read: -0.0 stays."""
+    g = Grid(16, 1.0)
+    v = np.empty(16, dtype=complex)
+    v.real, v.imag = np.tile([-0.0, 0.0, 5e-324, -1.5], 4), np.repeat([0.0, -0.0, 1e300, -2.0], 4)
+    path = tmp_path / "f.txt"
+    write_field(Field(g, v), path)
+    back = read_field(path).values
+    assert np.array_equal(back.view(np.uint64), v.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ({3: "3 1 0 extra", 9: "99 1 0"}, "line 6"),  # malformed before out of range
+        ({3: "99 1 0", 9: "3 1"}, "index 99 out of range"),
+        ({3: "2 1 0", 9: "-1 1 0"}, "index 2 repeated"),
+        ({3: "-1 1 0", 9: "2 1 0", 12: "nine 1 0"}, "index -1 out of range"),
+        ({9: "1" * 30 + " 1 0"}, "out of range"),  # beyond int64
+    ],
+)
+def test_field_file_reports_first_bad_line(tmp_path, damage, message):
+    """Of several bad sample lines the first in the file is reported."""
+    path = tmp_path / "f.txt"
+    write_field(Field(Grid(16, 1.0), np.ones(16, dtype=complex)), path)
+    lines = path.read_text().splitlines()
+    for i, text in damage.items():
+        lines[2 + i] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpectralError, match=message):
+        read_field(path)
+
+
 # -- sampling ----------------------------------------------------------------
 
 

@@ -159,12 +159,12 @@ def test_identity_errors_random_data():
 
 def test_identity_errors_keep_nan(monkeypatch):
     """A NaN error is reported as NaN; max(err, nan) used to drop it."""
-    import rakns.solutions
+    import rakns.symmetry
 
     data = random_riemann_data(1, 2, rng=41)
-    transformed = rakns.solutions.moduli_transform(data, 1.0, 0.0)
+    transformed = rakns.symmetry.moduli_transform(data, 1.0, 0.0)
     object.__setattr__(transformed, "K", transformed.K[:1] + (complex("nan"),) + transformed.K[2:])
-    monkeypatch.setattr(rakns.solutions, "moduli_transform", lambda *args: transformed)
+    monkeypatch.setattr(rakns.symmetry, "moduli_transform", lambda *args: transformed)
     errs = identity_errors(data, SymmetryParams(1.0, 0.0), 2)
     assert math.isnan(errs["phase"])
     assert errs["argument"] == 0.0
