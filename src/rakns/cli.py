@@ -102,9 +102,8 @@ def cmd_hierarchy_show(args) -> int:
 def cmd_hierarchy_verify(args) -> int:
     table = hierarchy.build_flows(args.max_order)
     ok = True
-    for k in range(1, args.max_order + 1):
-        report = hierarchy.zero_curvature_check(table, k)
-        print(f"flow {k}: {'pass' if report.passed else 'FAIL'}")
+    for report in hierarchy._curvature_reports(table, args.max_order):
+        print(f"flow {report.flow_order}: {'pass' if report.passed else 'FAIL'}")
         ok = ok and report.passed
     return OK if ok else VERIFY_FAILED
 
@@ -255,11 +254,20 @@ def cmd_identity_check(args) -> int:
     return OK if ok else VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Hands a bad command line to main as a CliError, so that it prints one
+    'error:' line and exits 2 like every other usage error, without
+    argparse's usage block."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: a parse
     leaves no state in it."""
-    ap = argparse.ArgumentParser(prog="rakns", description=__doc__)
+    ap = _Parser(prog="rakns", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     h = sub.add_parser("hierarchy", help="generate and audit hierarchy flows")

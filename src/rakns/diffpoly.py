@@ -642,78 +642,6 @@ def mat_commutator(a: MatrixDP, b: MatrixDP) -> MatrixDP:
     return (a @ b) - (b @ a)
 
 
-class LambdaMatrixPoly:
-    """Polynomial in the spectral parameter with MatrixDP coefficients.
-
-    ``coeffs`` is indexed highest power first; the leading coefficient is
-    nonzero (the zero polynomial has an empty coefficient list).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[MatrixDP]):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaMatrixPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, power: int) -> MatrixDP:
-        idx = self.degree - power
-        if idx < 0 or power < 0:
-            return MatrixDP.zero()
-        return self.coeffs[idx]
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = (MatrixDP.zero(),) * (n - len(self.coeffs)) + self.coeffs
-        b = (MatrixDP.zero(),) * (n - len(other.coeffs)) + other.coeffs
-        return LambdaMatrixPoly(x + y for x, y in zip(a, b))
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = (MatrixDP.zero(),) * (n - len(self.coeffs)) + self.coeffs
-        b = (MatrixDP.zero(),) * (n - len(other.coeffs)) + other.coeffs
-        return LambdaMatrixPoly(x - y for x, y in zip(a, b))
-
-    def shift_lambda(self, powers: int = 1) -> "LambdaMatrixPoly":
-        """Multiply by lambda**powers."""
-        if not self.coeffs:
-            return self
-        return LambdaMatrixPoly(self.coeffs + (MatrixDP.zero(),) * powers)
-
-    def scale(self, c) -> "LambdaMatrixPoly":
-        return LambdaMatrixPoly(m.scale(c) for m in self.coeffs)
-
-    def dx(self) -> "LambdaMatrixPoly":
-        return LambdaMatrixPoly(m.dx() for m in self.coeffs)
-
-    def commutator(self, other: "LambdaMatrixPoly") -> "LambdaMatrixPoly":
-        # Convolution over lambda powers of the matrix commutator.
-        if not self.coeffs or not other.coeffs:
-            return LambdaMatrixPoly(())
-        deg = self.degree + other.degree
-        out = [MatrixDP.zero() for _ in range(deg + 1)]
-        for pa in range(self.degree + 1):
-            for pb in range(other.degree + 1):
-                out[deg - (pa + pb)] = out[deg - (pa + pb)] + mat_commutator(
-                    self.coeff(pa), other.coeff(pb)
-                )
-        return LambdaMatrixPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaMatrixPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"LambdaMatrixPoly(degree={self.degree})"
-
-
 # -- rendering ---------------------------------------------------------------
 
 

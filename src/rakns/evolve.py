@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffpoly import DiffPoly
 from .hierarchy import default_flow_table
-from .spectral import Field, Grid, _BoundPlan, _cached_plan, _multipliers, conserved_integral, eval_rhs, flow_plan, write_field
+from .spectral import Field, Grid, _BoundPlan, _cached_plan, _conserved_integrals, _multipliers, eval_rhs, flow_plan, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 
@@ -247,7 +247,7 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
         new = integrate(f.values, f.time)
         if not np.all(np.isfinite(new.view(float))):
             raise Blowup(f"non-finite values after the step from t={f.time:.6g}", last_good=f)
-        return Field(grid, new, t_new)
+        return Field._checked(grid, new, t_new)
 
     return advance
 
@@ -256,7 +256,9 @@ def step(f: Field, spec: FlowSpec, dt: float, method: str = "rk4") -> Field:
     """Advance one time step.  rk4 enforces the stability bound; ifrk4
     requires constant coefficients."""
     table = default_flow_table(max(spec.max_order, 1))
-    return _stepper(table, spec, f.grid, dt, method)(f, f.time + dt)
+    # Overflow before a Blowup is the Blowup, as in evolve_run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _stepper(table, spec, f.grid, dt, method)(f, f.time + dt)
 
 
 @dataclass
@@ -311,7 +313,7 @@ def evolve_run(
     traj = Trajectory()
 
     def record(f: Field):
-        traj.append(f, tuple(conserved_integral(f, table, k) for k in (1, 2, 3)))
+        traj.append(f, _conserved_integrals(f, table, (1, 2, 3)))
 
     record(f0)
     f = f0

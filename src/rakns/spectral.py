@@ -70,6 +70,17 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _checked(cls, grid: Grid, values: np.ndarray, time: float) -> "Field":
+        """A Field of complex samples of the grid's shape, already checked
+        finite, in a new array that nothing else holds: it is made read-only
+        in place, neither checked again nor copied."""
+        values.setflags(write=False)
+        f = object.__new__(cls)
+        for name, value in (("grid", grid), ("values", values), ("time", time)):
+            object.__setattr__(f, name, value)
+        return f
+
 
 @lru_cache(maxsize=64)
 def _multipliers(grid: Grid, orders: tuple) -> np.ndarray:
@@ -198,19 +209,36 @@ def _coefficients(plan: EvalPlan, weights) -> np.ndarray:
     return plan.scatter.sum(axis=1) if weights is None else plan.scatter @ np.asarray(weights)
 
 
-def _weighted_sum(plan: EvalPlan, rows: list, terms: np.ndarray, coeffs) -> np.ndarray:
+def _run_program(plan: EvalPlan, rows: list) -> None:
     """Run the product program on the workspace ``rows``, psi and its jets
-    filled in, and return the weighted sum of the block ``terms``, which it
-    scales in place.  ``rows`` holds a view per row: a list index costs
-    less than an array index, and the program makes two to three per row."""
+    filled in.  ``rows`` holds a view per row: a list index costs less than
+    an array index, and the program makes two to three per row."""
     for r, src in plan.conj:
         np.conj(rows[src], out=rows[r])
     if plan.unit is not None:  # a reused workspace holds it scaled
         rows[plan.unit].fill(1.0)
     for r, a, b in plan.products:
         np.multiply(rows[a], rows[b], out=rows[r])
+
+
+def _weighted_sum(plan: EvalPlan, rows: list, terms: np.ndarray, coeffs) -> np.ndarray:
+    """Run the product program on ``rows`` and return the weighted sum of
+    the block ``terms``, which it scales in place."""
+    _run_program(plan, rows)
     terms *= coeffs[:, None]
     return terms.sum(axis=0)
+
+
+def _workspace(plan: EvalPlan, values: np.ndarray, grid: Grid) -> np.ndarray:
+    """A new workspace for the plan with psi and its jets filled in: one
+    forward FFT and one batched inverse FFT."""
+    ws = np.empty((plan.rows, grid.n), dtype=complex)
+    ws[0] = values
+    if plan.orders:
+        jets = ws[1 : 1 + len(plan.orders)]
+        np.multiply(np.fft.fft(values), _multipliers(grid, plan.orders), out=jets)
+        np.fft.ifft(jets, axis=-1, out=jets)
+    return ws
 
 
 def eval_rhs(
@@ -220,12 +248,7 @@ def eval_rhs(
     by default), from a Field or from raw samples plus their grid.  Each
     call has a workspace of its own, so it keeps no memory between calls."""
     values, grid = _samples(f, grid)
-    ws = np.empty((plan.rows, grid.n), dtype=complex)
-    ws[0] = values
-    if plan.orders:
-        jets = ws[1 : 1 + len(plan.orders)]
-        np.multiply(np.fft.fft(values), _multipliers(grid, plan.orders), out=jets)
-        np.fft.ifft(jets, axis=-1, out=jets)
+    ws = _workspace(plan, values, grid)
     terms = ws[plan.first : plan.first + len(plan.scatter)]
     return _weighted_sum(plan, list(ws), terms, _coefficients(plan, weights))
 
@@ -284,6 +307,17 @@ def conserved_integral(f: Field, table, k: int) -> complex:
     """Grid integral of the k-th conserved density (mean times L)."""
     vals = eval_rhs(_cached_plan(conserved_density(table, k)), f)
     return complex(np.mean(vals) * f.grid.length)
+
+
+def _conserved_integrals(f: Field, table, orders) -> tuple:
+    """conserved_integral(f, table, k) for each k of orders, from one plan
+    of their densities: its workspace is filled and its program run once,
+    and each density sums its scatter column of the block's grid sums."""
+    plan = _cached_plan(*(conserved_density(table, k) for k in orders))
+    ws = _workspace(plan, f.values, f.grid)
+    _run_program(plan, list(ws))
+    sums = ws[plan.first : plan.first + len(plan.scatter)].sum(axis=1)
+    return tuple((plan.scatter.T @ sums * (f.grid.length / f.grid.n)).tolist())
 
 
 # -- field file I/O ----------------------------------------------------------

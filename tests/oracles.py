@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from rakns.diffpoly import DiffPoly, GaussianRational, JetVariable, NotExact, dp_dx
+from rakns.diffpoly import DiffPoly, GaussianRational, JetVariable, MatrixDP, NotExact, dp_dx, mat_commutator
 from rakns.evolve import linear_symbol, symbol_columns
+from rakns.hierarchy import I, J, MINUS_I, U0, flow_rhs
 from rakns.spectral import compile_plan, eval_rhs, spectral_derivative
 
 
@@ -150,6 +151,75 @@ def antidx_reference(p: DiffPoly) -> DiffPoly:
         result = result + piece
         remainder = remainder - dp_dx(piece)
     return result
+
+
+# -- zero-curvature audit ---------------------------------------------------------
+
+
+class LambdaMatrixPoly:
+    """Polynomial in the spectral parameter with MatrixDP coefficients,
+    ``coeffs`` highest power first with a nonzero leading coefficient (the
+    zero polynomial has none)."""
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[0].is_zero():
+            coeffs.pop(0)
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, power: int) -> MatrixDP:
+        idx = self.degree - power
+        return MatrixDP.zero() if idx < 0 or power < 0 else self.coeffs[idx]
+
+    def _padded(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return zip(*((MatrixDP.zero(),) * (n - len(p.coeffs)) + p.coeffs for p in (self, other)))
+
+    def __add__(self, other):
+        return LambdaMatrixPoly(x + y for x, y in self._padded(other))
+
+    def __sub__(self, other):
+        return LambdaMatrixPoly(x - y for x, y in self._padded(other))
+
+    def shift_lambda(self) -> "LambdaMatrixPoly":
+        """Multiply by lambda."""
+        return LambdaMatrixPoly(self.coeffs + (MatrixDP.zero(),) if self.coeffs else ())
+
+    def scale(self, c) -> "LambdaMatrixPoly":
+        return LambdaMatrixPoly(m.scale(c) for m in self.coeffs)
+
+    def dx(self) -> "LambdaMatrixPoly":
+        return LambdaMatrixPoly(m.dx() for m in self.coeffs)
+
+    def commutator(self, other: "LambdaMatrixPoly") -> "LambdaMatrixPoly":
+        """Convolution over lambda powers of the matrix commutator."""
+        deg = self.degree + other.degree
+        out = [MatrixDP.zero() for _ in range(deg + 1)]
+        for pa in range(self.degree + 1):
+            for pb in range(other.degree + 1):
+                out[deg - pa - pb] = out[deg - pa - pb] + mat_commutator(self.coeff(pa), other.coeff(pb))
+        return LambdaMatrixPoly(out)
+
+
+def assemble_V(table, k: int) -> LambdaMatrixPoly:
+    """V_k via V_1 = 2 lambda U + V_1^0, V_{k+1} = 2 lambda V_k + V_{k+1}^0."""
+    V = LambdaMatrixPoly([J, U0])
+    for j in range(1, k + 1):
+        V = V.shift_lambda().scale(2) + LambdaMatrixPoly([table.V0(j)])
+    return V
+
+
+def curvature_residual(table, k: int) -> LambdaMatrixPoly:
+    """U_{t_k} - d/dx V_k + [U, V_k] by the direct formula, from the whole
+    V_k of assemble_V."""
+    psi_t, phi_t = flow_rhs(table, k)
+    U_t = LambdaMatrixPoly([MatrixDP(0, psi_t.scale(I), phi_t.scale(MINUS_I), 0)])
+    V = assemble_V(table, k)
+    return U_t - V.dx() + LambdaMatrixPoly([J, U0]).commutator(V)
 
 
 # -- compiled evaluation ----------------------------------------------------------

@@ -54,6 +54,27 @@ def test_hierarchy_show_json_matches_golden_text(capsys, k):
     assert out == (GOLDEN / f"H{k}.json").read_text()
 
 
+def test_hierarchy_verify_stdout_is_pinned(capsys):
+    code, out, err = run(["hierarchy", "verify", "--max-order", "7"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        "flow 1: pass\n"
+        "flow 2: pass\n"
+        "flow 3: pass\n"
+        "flow 4: pass\n"
+        "flow 5: pass\n"
+        "flow 6: pass\n"
+        "flow 7: pass\n"
+    )
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["hierarchy", "verify", "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rakns hierarchy verify")
+
+
 def test_hierarchy_show_deterministic(capsys):
     a = run(["hierarchy", "show", "--order", "4"], capsys)
     b = run(["hierarchy", "show", "--order", "4"], capsys)
@@ -489,12 +510,15 @@ _IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
         (("dt = 1e-3", "dt = 1e-3"), ["verify", "residual", "--snapshots", ".", "--tol", "-1"]),
         (None, [*_IDENTITY, "--tol", "nan"]),
         (None, [*_IDENTITY, "--tol", "inf"]),
+        (None, ["hierarchy", "verify", "--max-order", "abc"]),
+        (None, [*_EVOLVE, "--preset", "nls", "--dt", "x"]),
     ],
     ids=[
         "dt_list", "dt_schedule", "length_inf", "length_nan", "n_float", "flow_nan",
         "preset_six_values", "preset_nan", "transform_a_overflow", "transform_b_overflow",
         "genus_0", "genus_negative", "transform_tol_nan", "transform_tol_0",
         "verify_residual_tol_negative", "identity_tol_nan", "identity_tol_inf",
+        "max_order_not_int", "dt_not_float",
     ],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):

@@ -2,6 +2,7 @@
 conservation, reversibility, and convergence order."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -182,6 +183,53 @@ def test_blowup_carries_last_good():
         for _ in range(50):
             current = step(current, spec, 1e-4, method="ifrk4")
     assert exc_info.value.last_good is not None
+
+
+def test_blowup_raises_no_runtime_warning():
+    """step() keeps the overflow that comes before a Blowup quiet, as
+    evolve_run does: the caller sees the Blowup and nothing else."""
+    g = Grid(64, 10.0)
+    current = Field(g, np.full(64, 1e8, dtype=complex))
+    spec = FlowSpec([(1, Linear(1.0))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Blowup) as exc_info:
+            for _ in range(50):
+                current = step(current, spec, 1e-4, method="ifrk4")
+    assert exc_info.value.last_good is current
+
+
+@pytest.mark.parametrize("method", ["rk4", "ifrk4"])
+def test_stepped_field_is_read_only(method):
+    """A stepped Field keeps the stepper's own array, read-only like any
+    Field's samples."""
+    f = _soliton_field()
+    out = step(f, NLS, 1e-4, method=method)
+    assert (out.grid, out.time, out.values.shape, out.values.dtype) == (f.grid, 1e-4, (256,), complex)
+    with pytest.raises(ValueError):
+        out.values[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, method",
+    [
+        (HNLS5, "ifrk4"),
+        (FlowSpec([(1, Sinusoid(1.0, 2.0)), (2, Sinusoid(0.3, 3.0)), (3, Sinusoid(0.05, 1.0))]), "rk4"),
+    ],
+    ids=["hnls5", "sinusoid"],
+)
+def test_conserved_rows_match_three_integrals(spec, method):
+    """Each recorded row (c1, c2, c3), made from one plan of the three
+    densities, is the three conserved_integral calls on that snapshot."""
+    g = Grid(128, 40.0)
+    boost = np.exp(2j * np.pi * 3 * g.nodes / g.length)  # c2 of a still soliton is 0
+    f0 = Field(g, _soliton_field(g).values * boost)
+    traj = evolve_run(f0, spec, 2e-3, 2.5e-4, method=method, snapshot_stride=2)
+    table = default_flow_table(5)
+    for f, row in zip(traj.fields, traj.conserved, strict=True):
+        direct = [conserved_integral(f, table, k) for k in (1, 2, 3)]
+        assert all(type(c) is complex for c in row)
+        assert all(abs(c - d) <= 1e-14 * abs(d) for c, d in zip(row, direct))
 
 
 def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from oracles import antidx_reference
+from oracles import antidx_reference, assemble_V, curvature_residual
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
@@ -20,7 +20,8 @@ from rakns.diffpoly import (
 from rakns.hierarchy import (
     U0,
     CurvatureReport,
-    assemble_V,
+    _curvature_reports,
+    _residuals,
     build_flows,
     conserved_density,
     flow_rhs,
@@ -155,6 +156,64 @@ def test_zero_curvature_negative_control(table5):
     )
     report = zero_curvature_check(broken, 2)
     assert not report.passed
+
+
+@pytest.fixture(scope="module")
+def table7():
+    return build_flows(7)
+
+
+@pytest.fixture(scope="module")
+def table8():
+    return build_flows(8)
+
+
+def _one_pass_against_direct(table, K: int) -> list:
+    """The reports of orders 1..K, after checking that each lambda
+    coefficient of the one-pass R_k is the exact MatrixDP of U_t - V_x
+    + [U, V] with the whole V_k of the oracle, and that each report gives
+    the direct verdict at each power up to deg V_k (or deg R_k if higher)."""
+    reports = list(_curvature_reports(table, K))
+    for k, (R, report) in enumerate(zip(_residuals(table, K), reports, strict=True), start=1):
+        direct = curvature_residual(table, k)
+        powers = range(max(direct.degree, assemble_V(table, k).degree, 0) + 1)
+        assert len(R) == k + 2 == len(powers)
+        assert [direct.coeff(p) for p in powers] == R
+        assert report.flow_order == k
+        assert report.residual_by_power == {p: direct.coeff(p).is_zero() for p in powers}
+    return reports
+
+
+def test_one_pass_residual_equals_direct_formula(table8):
+    """Orders 1..8 of build_flows(8), whose matrices through order 7 are
+    those of build_flows(7)."""
+    reports = _one_pass_against_direct(table8, 8)
+    assert all(r.passed for r in reports)
+    assert zero_curvature_check(table8, 8) == reports[-1]
+
+
+def _corrupted(table, matrices: str, k: int, extra):
+    """The table with ``extra`` added to its F or D matrix of order k."""
+    parts = {"F": dict(table.F), "D": dict(table.D)}
+    parts[matrices][k] = parts[matrices][k] + extra
+    return type(table)(table.max_order, parts["F"], parts["D"], dict(table.H), dict(table.density))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("matrices", ["F", "D"])
+def test_one_pass_negative_controls_match_direct(table7, k, matrices):
+    """F_{k+1} + F_1 or D_k + D_1 in place of the true matrix: the one pass
+    gives the direct residual, so it fails the same orders at the same
+    lambda powers."""
+    order = k + 1 if matrices == "F" else k
+    broken = _corrupted(table7, matrices, order, getattr(table7, matrices)[1])
+    assert not all(r.passed for r in _one_pass_against_direct(broken, 7))
+
+
+def test_zero_curvature_check_refuses_out_of_range_orders(table5):
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            zero_curvature_check(table5, k)
 
 
 def test_report_str_mentions_powers(table5):
