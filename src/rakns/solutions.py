@@ -293,6 +293,10 @@ class RiemannData:
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
+        if not self.V:
+            raise ValueError("V must hold at least one period vector")
+        if len(self.K) < len(self.V) + 1:
+            raise ValueError(f"K must hold K_0..K_{len(self.V)}, one more entry than V, got {len(self.K)}")
         _check_riemann_matrix(self.B)
         if self.B.shape != (g, g):
             raise ValueError("B has wrong shape for the declared genus")
@@ -391,48 +395,48 @@ def finite_gap_sampler(data: RiemannData) -> Sampler:
     return Sampler(partial(_finite_gap_values, data), data.max_flows, "finite_gap")
 
 
-def _powers(base: float, n: int) -> list:
-    """[1, base, ..., base**n] as products: a float power that overflows
-    raises OverflowError, where a product gives inf."""
-    out = [1.0]
-    for _ in range(n):
-        out.append(out[-1] * base)
-    return out
+def _affine_matrix(a: float, b: float, n: int) -> np.ndarray:
+    """P[j, m] = C(j, m) a^m (2b)^(j-m), 0 <= m <= j <= n: the matrix of
+    lambda -> a lambda + b on the monomials w_j = (2 lambda)^j, so that
+    P w(lambda) = w(a lambda + b).
+
+    Row j + 1 is row j times 2(a lambda + b), in Python floats, so an
+    overflow is inf (NaN where inf meets 0) with no OverflowError or
+    warning."""
+    a, b = float(a), float(b)
+    P = np.zeros((n + 1, n + 1))
+    row = [1.0]
+    for j in range(n + 1):
+        P[j, : j + 1] = row
+        row = [2 * b * row[0], *(a * row[m - 1] + 2 * b * row[m] for m in range(1, j + 1)), a * row[j]]
+    return P
 
 
 def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
     """Push the affine spectral-parameter map lambda -> a lambda + b through
     the period vectors and expansion constants; B, Z, Delta, rho unchanged.
 
+    With P = P(a, b) of ``_affine_matrix``, V~ = P (0, V^1, ..., V^n) and
+    K~ = P (1/2, K_1, ..., K_n), each without its row 0, and K~_0 = a K_0:
+
     V~^j = sum_{m=1}^{j} 2^(j-m) C(j,m) a^m b^(j-m) V^m
-    K~_0 = a K_0
     K~_j = sum_{m=1}^{j} 2^(j-m) C(j,m) a^m b^(j-m) K_m + 2^(j-1) b^j
 
     At a = 1 (pure boost) this reduces to
     K~_j = K_j + 2^(j-1) b^j + sum_{m<j} C(j,m) (2b)^(j-m) K_m,
     which collapses to K_j + 2^(j-1) b^j only at j = 1: the boost's
     x-shift carries K_1, and each lower time shift carries K_m, into
-    every higher order.
+    every higher order.  An overflowing entry of P makes the result
+    non-finite, which RiemannData refuses.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    g = data.genus
-    n_vec = len(data.V)
-    # RiemannData refuses the non-finite result of an overflowing power.
-    a_pow, b_pow = _powers(a, n_vec), _powers(b, n_vec)
+    n = len(data.V)
+    P = _affine_matrix(a, b, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        newV = []
-        newK = [a * data.K[0]]
-        for j in range(1, n_vec + 1):
-            v = np.zeros(g, dtype=complex)
-            kj = complex(2 ** (j - 1) * b_pow[j])
-            for m in range(1, j + 1):
-                c = 2 ** (j - m) * math.comb(j, m) * a_pow[m] * b_pow[j - m]
-                v = v + c * data.V[m - 1]
-                kj = kj + c * data.K[m]
-            newV.append(v)
-            newK.append(kj)
-    return replace(data, V=tuple(newV), K=tuple(newK))
+        V = P @ np.vstack([np.zeros(data.genus), *data.V])
+        K = P @ np.array([0.5, *data.K[1 : n + 1]])
+    return replace(data, V=tuple(V[1:]), K=(a * data.K[0], *K[1:]))
 
 
 def random_riemann_data(genus: int, n_flows: int, rng=None) -> RiemannData:
@@ -443,6 +447,8 @@ def random_riemann_data(genus: int, n_flows: int, rng=None) -> RiemannData:
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
+    if n_flows < 0:
+        raise ValueError(f"n_flows must be >= 0, got {n_flows}")
     rng = np.random.default_rng(rng)
     g = genus
     S = rng.normal(size=(g, g))

@@ -1,21 +1,27 @@
 """Scaling-Galilean symmetry transforms of hierarchy solutions.
 
-The two-parameter family (a, b) acts on joint solutions by the argument
-map (X, T_1, T_2, ...) and the unit-modulus phase factor
-exp{-2ibx - i sum_m (2b)^(m+1) t_m}; composing two transforms gives
-(a1 a2, a2 b1 + b2), mirroring the affine action lambda -> a lambda + b
-on the spectral parameter.
+The two-parameter group (a, b) acts on the spectral parameter as
+lambda -> a lambda + b, so composing two transforms gives
+(a1 a2, a2 b1 + b2).  On the monomials w_j = (2 lambda)^j the action is
+one lower triangular matrix P(a, b)[j, m] = C(j, m) a^m (2b)^(j-m), with
+P w(lambda) = w(a lambda + b) (``solutions._affine_matrix``).  A solution's
+phase Omega(lambda) = x (2 lambda) + sum_m t_m (2 lambda)^(m+1) becomes
+Omega(a lambda + b), whose coefficients are P^T (0, x, t_1..t_M): the
+constant term is the boost exponent E = 2bx + sum_m (2b)^(m+1) t_m, the
+(2 lambda) term the argument X and the (2 lambda)^(j+1) terms T_j.  The
+transformed solution is a psi(X, T) exp(-iE).  The moduli transform
+pushes the same P through the finite-gap data, and ``identity_errors``
+checks the two sides against each other and P against its definition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .solutions import Sampler, _powers, moduli_transform
+from .solutions import Sampler, _affine_matrix, moduli_transform
 
 
 @dataclass(frozen=True)
@@ -35,47 +41,40 @@ class SymmetryParams:
         return SymmetryParams(self.a * other.a, other.a * self.b + other.b)
 
 
+def _argument_map(P: np.ndarray, x, times: Sequence[float]):
+    """(E, X, T) = P^T (0, x, t_1..t_M) for P with M + 2 rows: the boost
+    exponent, the argument X and the tuple T."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.asarray(times, dtype=float) @ P[2:]
+        return P[1, 0] * x + c[0], P[1, 1] * x + c[1], tuple(c[2:])
+
+
 def transform_arguments(p: SymmetryParams, x, times: Sequence[float]):
     """X = a(x + sum_m C(m+1,1) (2b)^m t_m),
     T_j = a^(j+1) (t_j + sum_{m>j} C(m+1, j+1) (2b)^(m-j) t_m).
 
-    Powers are products, so an overflowing one is inf and the samples
-    built from it are non-finite, which a Field refuses."""
+    An overflowing entry of P is inf or NaN, so the samples built from it
+    are non-finite, which a Field refuses."""
     times = tuple(times)
-    M = len(times)
-    a_pow, b2_pow = _powers(p.a, M + 1), _powers(2 * p.b, M)
-    X = x + sum(math.comb(m + 1, 1) * b2_pow[m] * t for m, t in enumerate(times, start=1))
-    X = p.a * X
-    T = []
-    for j in range(1, M + 1):
-        tj = times[j - 1] + sum(
-            math.comb(m + 1, j + 1) * b2_pow[m - j] * times[m - 1]
-            for m in range(j + 1, M + 1)
-        )
-        T.append(a_pow[j + 1] * tj)
-    return X, tuple(T)
-
-
-def _boost_exponent(b: float, times: Sequence[float]) -> float:
-    """sum_m (2b)^(m+1) t_m, the time part of the boost phase."""
-    b2_pow = _powers(2 * b, len(times) + 1)
-    return sum(b2_pow[m + 1] * t for m, t in enumerate(times, start=1))
+    _, X, T = _argument_map(_affine_matrix(p.a, p.b, len(times) + 1), x, times)
+    return X, T
 
 
 def phase_factor(p: SymmetryParams, x, times: Sequence[float]):
     """exp{-2ibx - i sum_m (2b)^(m+1) t_m}; unit modulus for real input."""
-    return np.exp(-2j * p.b * np.asarray(x, dtype=float) - 1j * _boost_exponent(p.b, times))
+    E, _, _ = _argument_map(_affine_matrix(p.a, p.b, len(times) + 1), np.asarray(x, dtype=float), times)
+    return np.exp(-1j * E)
 
 
 def transform_solution(s: Sampler, p: SymmetryParams) -> Sampler:
     """New joint solution a * s(X, T_1..T_M) * phase; order preserved."""
-    M = s.max_order
+    P = _affine_matrix(p.a, p.b, s.max_order + 1)
 
     def fn(x, times):
-        X, T = transform_arguments(p, x, times)
-        return p.a * s(X, T) * phase_factor(p, x, times)
+        E, X, T = _argument_map(P, x, times)
+        return p.a * s(X, T) * np.exp(-1j * E)
 
-    return Sampler(fn, M, f"{s.name}~({p.a},{p.b})")
+    return Sampler(fn, s.max_order, f"{s.name}~({p.a},{p.b})")
 
 
 def scaling(n: int, q: float, s: Sampler) -> Sampler:
@@ -117,24 +116,41 @@ def hirota_closed_form(a: float, b: float, alpha: float, beta: float, s: Sampler
 
 
 def identity_errors(data, p: SymmetryParams, M: int) -> dict:
-    """Coefficient-level check that the moduli transform reproduces the
-    argument map and phase factor.
+    """Check that the moduli transform reproduces the argument map and
+    phase factor, and check P against its definition.
 
-    Both sides are linear in (x, t_1..t_M); the comparison is per basis
-    direction.  Returns max absolute errors {'argument': ..., 'phase': ...},
-    NaN if any comparison is NaN.
+    Both sides are linear in (x, t_1..t_M) and are compared per basis
+    direction: the transformed data's phases against the data's phases at
+    (X, T), less E/2.  As both sides take their coefficients from one P,
+    this holds for any P (<P V, c> = <V, P^T c>), so P is also checked
+    against P w(lambda) = w(a lambda + b), w_j = (2 lambda)^j, with
+    w(a lambda + b) formed as products, at M + 2 points 2 lambda on the
+    unit circle: its rows are polynomials of degree <= M + 1, fixed by
+    their values there.  That residual joins the argument error.
+
+    Each error is max|u - v| / max(1, max|u|, max|v|) over all directions,
+    so rounding stays relative as the phases grow with the order.
+    Returns {'argument': ..., 'phase': ...}, NaN if any comparison is NaN.
     """
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
     td = moduli_transform(data, p.a, p.b)
-    err_arg, err_phase = [], []
-    basis = [(1.0, (0.0,) * M)] + [
-        (0.0, tuple(1.0 if i == m else 0.0 for i in range(M))) for m in range(M)
-    ]
-    for x, times in basis:
-        U_t, Phi_t = td.phases(x, times)  # transformed-data side
-        U_s, Phi_s = data.phases(*transform_arguments(p, x, times))  # argument-map side
-        # half the boost phase exponent: -bx - (1/2) sum (2b)^{m+1} t_m
-        corr = -p.b * x - 0.5 * _boost_exponent(p.b, times)
-        err_arg.append(np.max(np.abs(U_t - U_s)))
-        err_phase.append(abs(Phi_t - (Phi_s + corr)))
-    # np.max keeps a NaN, where max(err, nan) would drop it
-    return {"argument": float(np.max(err_arg)), "phase": float(np.max(err_phase))}
+    P = _affine_matrix(p.a, p.b, M + 1)
+    z = np.exp(2j * np.pi * np.arange(M + 2) / (M + 2))
+    sides = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row k of P is P^T e_k, the (E, X, T) of the k-th basis direction;
+        # as Python floats, which phases multiplies faster than numpy scalars
+        for (x, *times), (E, X, *T) in zip(np.eye(M + 1).tolist(), P[1:].tolist()):
+            (U_t, Phi_t), (U_s, Phi_s) = td.phases(x, times), data.phases(X, T)
+            sides.append((U_t, U_s, Phi_t, Phi_s - E / 2))
+        U_t, U_s, Phi_t, Phi_s = map(np.array, zip(*sides))
+        definition = _relative(P @ np.vander(z, M + 2, True).T, np.vander(p.a * z + 2 * p.b, M + 2, True).T)
+        # np.max keeps a NaN, where max(err, nan) would drop it
+        argument = np.max([definition, _relative(U_t, U_s)])
+        return {"argument": float(argument), "phase": float(_relative(Phi_t, Phi_s))}
+
+
+def _relative(u, v) -> float:
+    """max|u - v| / max(1, max|u|, max|v|); NaN if u - v holds a NaN."""
+    return np.max(np.abs(u - v)) / max(1.0, np.max(np.abs(u)), np.max(np.abs(v)))

@@ -1,6 +1,7 @@
 """Reference implementations that tests compare the library against."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -276,3 +277,42 @@ def ifrk4_reference(table, spec, f, dt: float, steps: int) -> np.ndarray:
         d = nhat(np.fft.ifft(e2 * u + dt * e * c))
         v = np.fft.ifft(e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e * (b + c) + d))
     return v
+
+
+# -- the scaling-boost group, written out term by term ------------------------
+#
+# Each runs in Fraction arithmetic on Fraction input, and then is exact.
+
+
+def transform_arguments_reference(a, b, x, times) -> tuple:
+    """X = a(x + sum_m C(m+1,1) (2b)^m t_m),
+    T_j = a^(j+1) (t_j + sum_{m>j} C(m+1, j+1) (2b)^(m-j) t_m)."""
+    M = len(times)
+    X = a * (x + sum(math.comb(m + 1, 1) * (2 * b) ** m * t for m, t in enumerate(times, start=1)))
+    T = tuple(
+        a ** (j + 1)
+        * (times[j - 1] + sum(math.comb(m + 1, j + 1) * (2 * b) ** (m - j) * times[m - 1] for m in range(j + 1, M + 1)))
+        for j in range(1, M + 1)
+    )
+    return X, T
+
+
+def boost_exponent_reference(b, times):
+    """sum_m (2b)^(m+1) t_m, the time part of the boost phase."""
+    return sum((2 * b) ** (m + 1) * t for m, t in enumerate(times, start=1))
+
+
+def moduli_transform_reference(V, K, a, b) -> tuple:
+    """(V~, K~) for period vectors V^1..V^n and constants K_0..K_n:
+    V~^j = sum_{m=1}^{j} 2^(j-m) C(j,m) a^m b^(j-m) V^m, K~_0 = a K_0,
+    K~_j = sum_{m=1}^{j} 2^(j-m) C(j,m) a^m b^(j-m) K_m + 2^(j-1) b^j."""
+    newV, newK = [], [a * K[0]]
+    for j in range(1, len(V) + 1):
+        v, kj = 0 * V[0], 2 ** (j - 1) * b**j
+        for m in range(1, j + 1):
+            c = 2 ** (j - m) * math.comb(j, m) * a**m * b ** (j - m)
+            v = v + c * V[m - 1]
+            kj = kj + c * K[m]
+        newV.append(v)
+        newK.append(kj)
+    return tuple(newV), tuple(newK)

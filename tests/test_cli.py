@@ -257,6 +257,48 @@ def test_identity_check_nan_error_fails(monkeypatch, capsys):
     assert text.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize(
+    "a, b, max_flow",
+    [("1.3", "0.2", "40"), ("8e153", "0", "1")],
+    ids=["high_order", "near_overflow"],
+)
+def test_identity_check_passes_correct_transforms(a, b, max_flow, capsys):
+    """At --max-flow 40 the phases reach 1e8, and their rounding, read as
+    an absolute error of 1e-7, once failed a correct transform.  Near
+    overflow the definition check must stay finite where P is."""
+    code, text, _ = run(["identity", "check", "--a", a, "--b", b, "--max-flow", max_flow], capsys)
+    assert code == 0
+    assert text.splitlines()[-1] == "pass"
+
+
+_RIEMANN_EDITS = {"as_is": lambda d: None, "short_K": lambda d: d["K"].pop(), "empty_V": lambda d: d["V"].clear()}
+
+
+@pytest.mark.parametrize(
+    "edit, argv, message",
+    [
+        ("short_K", ["identity", "check", "--a", "1.2", "--b", "0.1"], "K must hold K_0..K_6"),
+        ("short_K", ["sample", "--solution", "finitegap", "--grid", "16,10"], "K must hold K_0..K_6"),
+        ("empty_V", ["sample", "--solution", "finitegap", "--grid", "16,10"], "V must hold"),
+        (None, ["identity", "check", "--a", "1.2", "--b", "0.1", "--max-flow", "-1"], "n_flows must be >= 0"),
+        ("as_is", ["identity", "check", "--a", "1.2", "--b", "0.1", "--max-flow", "-1"], "M must be >= 0"),
+    ],
+    ids=["identity_short_K", "sample_short_K", "sample_empty_V", "random_negative_flows", "file_negative_flows"],
+)
+def test_malformed_riemann_data_is_one_line_exit_2(tmp_path, capsys, edit, argv, message):
+    """A K too short for V once ended in an IndexError traceback, exit 1;
+    a negative flow count in a message about -1 flow vectors."""
+    if edit:
+        data = json.loads(random_riemann_data(2, 5, rng=1).to_json())
+        _RIEMANN_EDITS[edit](data)
+        path = tmp_path / "rd.json"
+        path.write_text(json.dumps(data))
+        argv = [*argv, "--riemann", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert _one_error_line(err) and message in err
+
+
 def test_sample_refuses_nan_in_riemann_matrix(tmp_path, capsys):
     """NaN in Re B once passed the symmetry check and sampled into a numpy
     RuntimeWarning and a 'field contains NaN/Inf samples' usage error."""

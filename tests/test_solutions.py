@@ -2,6 +2,7 @@
 the affine transform of spectral-curve data."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,19 @@ def test_riemann_data_validation():
             delta=np.array([0.0]),
             rho=1.0,
         )
+
+
+def test_riemann_data_refuses_too_few_vectors_or_constants():
+    """phases and moduli_transform read K_0..K_len(V); a shorter K once
+    ended in an IndexError, and a negative flow count drew empty data."""
+    good = random_riemann_data(2, 3, rng=3)
+    with pytest.raises(ValueError, match="^K must hold K_0..K_4"):
+        replace(good, K=good.K[:-1])
+    with pytest.raises(ValueError, match="^V must hold"):
+        replace(good, V=())
+    replace(good, K=good.K + (1.0,))  # a longer K is allowed
+    with pytest.raises(ValueError, match="^n_flows must be >= 0"):
+        random_riemann_data(2, -1)
 
 
 @pytest.mark.parametrize("field", ["B", "V", "K", "Z", "delta", "rho"])

@@ -3,12 +3,20 @@ transformed solutions, closed forms, and the bridge to the moduli
 transform."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rakns.solutions
+import rakns.symmetry
+import test_acceptance
+from oracles import boost_exponent_reference, moduli_transform_reference, transform_arguments_reference
+from rakns.cli import main
 from rakns.evolve import FlowSpec, Linear
-from rakns.solutions import plane_wave, random_riemann_data, soliton
+from rakns.solutions import _affine_matrix, moduli_transform, plane_wave, random_riemann_data, soliton
 from rakns.spectral import Grid, residual, sample_onto_grid
 from rakns.symmetry import (
     SymmetryParams,
@@ -44,6 +52,8 @@ def test_composition_matches_argument_maps():
     Xc, Tc = transform_arguments(p1.compose(p2), x, times)
     assert X12 == pytest.approx(Xc)
     assert np.allclose(T12, Tc)
+    P1, P2, Pc = (_affine_matrix(p.a, p.b, 6) for p in (p1, p2, p1.compose(p2)))
+    assert np.allclose(P2 @ P1, Pc, rtol=1e-14, atol=1e-14)
 
 
 def test_identity_transform_is_trivial():
@@ -168,3 +178,94 @@ def test_identity_errors_keep_nan(monkeypatch):
     errs = identity_errors(data, SymmetryParams(1.0, 0.0), 2)
     assert math.isnan(errs["phase"])
     assert errs["argument"] == 0.0
+
+
+# -- the affine matrix P(a, b) against the term-by-term oracles -----------------
+
+
+def _rows_from_arguments(a, b, n):
+    """Rows 1..n of P from the argument-map oracles: row k is (E, X, T) at
+    the basis direction of x (k = 1) or t_(k-1)."""
+    rows = []
+    for k in range(1, n + 1):
+        x, *times = (Fraction(int(i == k)) for i in range(1, n + 1))
+        X, T = transform_arguments_reference(a, b, x, times)
+        rows.append([2 * b * x + boost_exponent_reference(b, times), X, *T])
+    return rows
+
+
+def _rows_from_moduli(a, b, n):
+    """Rows 1..n of P from the moduli oracle: V^m the m-th unit vector
+    gives columns 1..n, and K = (1, 0, ..., 0) gives K~_j = P[j, 0] / 2."""
+    V = [np.array([Fraction(int(i == m)) for i in range(n)], dtype=object) for m in range(n)]
+    newV, newK = moduli_transform_reference(V, [Fraction(1)] + [Fraction(0)] * n, a, b)
+    return [[2 * k, *v] for v, k in zip(newV, newK[1:])]
+
+
+_dyadics = st.builds(Fraction, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dyadics.filter(bool), _dyadics, st.integers(0, 7))
+@example(Fraction(3, 2), Fraction(-5, 4), 7)
+def test_affine_matrix_is_exact_on_dyadics(a, b, n):
+    """At dyadic (a, b) every entry of P is exact in binary64, so P equals
+    the oracles' Fraction values entry by entry."""
+    P = _affine_matrix(float(a), float(b), n)
+    assert P.shape == (n + 1, n + 1)
+    assert list(P[0]) == [1] + [0] * n
+    for rows in (_rows_from_arguments(a, b, n), _rows_from_moduli(a, b, n)):
+        assert [[Fraction(v) for v in row] for row in P[1:]] == rows
+
+
+def test_group_maps_match_oracles():
+    """transform_arguments, phase_factor and moduli_transform against the
+    term-by-term oracles on random draws, relative to their magnitudes."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        a, b = rng.choice([-1, 1]) * rng.uniform(0.3, 2.5), rng.uniform(-1, 1)
+        M = int(rng.integers(0, 6))
+        x, times = rng.uniform(-3, 3), tuple(rng.uniform(-1, 1, size=M))
+        p = SymmetryParams(a, b)
+        got, want = transform_arguments(p, x, times), transform_arguments_reference(a, b, x, times)
+        scale = max(1.0, *np.abs([want[0], *want[1]]))
+        assert np.max(np.abs(np.subtract([got[0], *got[1]], [want[0], *want[1]]))) < 1e-14 * scale
+        E = 2 * b * x + boost_exponent_reference(b, times)
+        assert abs(phase_factor(p, x, times) - np.exp(-1j * E)) < 1e-14 * max(1.0, abs(E))
+    for genus in (1, 2, 3):
+        data = random_riemann_data(genus, 5, rng=genus)
+        a, b = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)
+        td = moduli_transform(data, a, b)
+        V, K = moduli_transform_reference(data.V, data.K, a, b)
+        for got, want in ((np.array(td.V), np.array(V)), (np.array(td.K), np.array(K))):
+            assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_affine_matrix_overflows_quietly():
+    """Tier-1 turns a RuntimeWarning into an error, so this also checks
+    that inf, and 0 inf, in P stay quiet."""
+    P = _affine_matrix(1e200, 0.0, 4)
+    assert np.isinf(P[2, 2]) and not np.isfinite(P[3:, 2]).any()
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (2, 0), (4, 4), (3, 1)])
+def test_corrupted_affine_matrix_fails_identity_check(monkeypatch, capsys, entry):
+    """Both sides of the coefficient comparison come from one P, so only
+    the definition check can see a wrong entry; it must fail test_09's
+    cases and the CLI check."""
+    build = rakns.solutions._affine_matrix
+
+    def corrupted(a, b, n):
+        P = build(a, b, n)
+        if max(entry) <= n:
+            P[entry] += 1e-6
+        return P
+
+    monkeypatch.setattr(rakns.solutions, "_affine_matrix", corrupted)
+    monkeypatch.setattr(rakns.symmetry, "_affine_matrix", corrupted)
+    for data, a, b in test_acceptance._random_cases(20):
+        assert identity_errors(data, SymmetryParams(a, b), 5)["argument"] >= 1e-12, (a, b)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_09_affine_identities()
+    assert main(["identity", "check", "--a", "1.2", "--b", "0.1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
