@@ -5,6 +5,12 @@ Values are immutable and all operations are pure, so everything here is
 safe to share across threads.  Structural equality of canonical forms is
 semantic equality: terms are fully combined and kept sorted by graded
 degree, then lexicographically on their factor lists.
+
+Canonical form is made once per result, never for intermediates: each
+operation adds its terms into one {factors: coeff} dict and sorts it once
+(``_from_dict``).  A matrix expression sum c [A, B] + sum c M + sum c M_x
+does so per entry (``_combine``), so its products and sums are not each
+made canonical on the way.
 """
 
 from __future__ import annotations
@@ -409,14 +415,20 @@ _DP_ZERO = DiffPoly((), _canonical=True)
 
 def _dx_terms(factors: Factors, coeff: GaussianRational):
     """(factors, coeff) pairs of the Leibniz expansion of d/dx of one
-    monomial; each jet in turn bumps its order."""
+    monomial; each jet in turn bumps its order.  The bumped jet (s, n+1)
+    sorts directly after (s, n), so each factor tuple is built by slicing
+    and is canonical as built."""
+    n = len(factors)
     for i, (j, e) in enumerate(factors):
-        rest = factors[:i] + factors[i + 1 :]
         up = j.bump()
-        if e == 1:
-            yield _merge_factors(rest, ((up, 1),)), coeff
+        if i + 1 < n and factors[i + 1][0] == up:
+            bumped, after = (up, factors[i + 1][1] + 1), factors[i + 2 :]
         else:
-            yield _merge_factors(rest, ((j, e - 1), (up, 1))), coeff * e
+            bumped, after = (up, 1), factors[i + 1 :]
+        if e == 1:
+            yield factors[:i] + (bumped,) + after, coeff
+        else:
+            yield factors[:i] + ((j, e - 1), bumped) + after, coeff * e
 
 
 def dp_dx(p: DiffPoly) -> DiffPoly:
@@ -638,8 +650,39 @@ def _as_dp(x) -> DiffPoly:
     raise TypeError(f"cannot interpret {x!r} as DiffPoly")
 
 
+def _add_product(acc: dict, c, p: DiffPoly, q: DiffPoly) -> None:
+    """acc += c p q, term by term."""
+    for a in p.terms:
+        ca, fa = a.coeff * c, a.factors
+        for b in q.terms:
+            f, v = _merge_factors(fa, b.factors), ca * b.coeff
+            old = acc.get(f)
+            acc[f] = v if old is None else old + v
+
+
+def _combine(commutators=(), matrices=(), derivatives=()) -> MatrixDP:
+    """sum c [A, B] + sum c M + sum c M_x over the (c, A, B) of commutators
+    and the (c, M) of matrices and derivatives; c an int or a
+    GaussianRational.  Each entry accumulates in one {factors: coeff} dict
+    and is made canonical once."""
+    entries = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        acc: dict = {}
+        for c, a, b in commutators:
+            for k in (0, 1):
+                _add_product(acc, c, a[i, k], b[k, j])
+                _add_product(acc, -c, b[i, k], a[k, j])
+        for c, m in matrices:
+            _accumulate(acc, ((t.factors, t.coeff * c) for t in m[i, j].terms))
+        for c, m in derivatives:
+            for t in m[i, j].terms:
+                _accumulate(acc, _dx_terms(t.factors, t.coeff * c))
+        entries.append(_from_dict(acc))
+    return MatrixDP(*entries)
+
+
 def mat_commutator(a: MatrixDP, b: MatrixDP) -> MatrixDP:
-    return (a @ b) - (b @ a)
+    return _combine(commutators=((1, a, b),))
 
 
 # -- rendering ---------------------------------------------------------------

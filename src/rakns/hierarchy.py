@@ -6,6 +6,10 @@ conserved densities, and an audit of U_t - V_x + [U, V] = 0 for
 U = lambda J + U0, V_k = 2 lambda V_{k-1} + V_k^0, V_0 = U.  The audit makes
 one pass over the orders: W_k = -(V_k)_x + [U, V_k] has W_0 = -U_x and
 W_k = 2 lambda W_{k-1} + lambda [J, V_k^0] + [U0, V_k^0] - (V_k^0)_x.
+By lambda power, W_k^0 = [U0, V_k^0] - (V_k^0)_x and W_k^1 = 2 W_{k-1}^0
++ [J, V_k^0] are each one fused sum (``diffpoly._combine``), as is the
+recursion's right-hand side 2 (F_k)_x + 2 [D_k, U0]; the higher powers are
+2 W_{k-1}^(p-1).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .diffpoly import (
     GaussianRational,
     MatrixDP,
     NotExact,
+    _combine,
     dp_antidx,
     dp_dx,
     dp_reduce,
@@ -75,7 +80,7 @@ class FlowTable:
 def build_flows(K: int) -> FlowTable:
     """Run the recursion [J, V_{k+1}^0] = 2 (V_k^0)_x + 2 [V_k^0, U0]."""
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise ValueError(f"order must be >= 1, got {K}")
     F: dict[int, MatrixDP] = {}
     D: dict[int, MatrixDP] = {}
     F[1] = _solve_offdiag(U0.dx().scale(2))
@@ -89,8 +94,7 @@ def build_flows(K: int) -> FlowTable:
         # antiderivative is odd: D_22 = -D_11 with no second integration.
         D[k] = MatrixDP(d11, 0, 0, -d11)
         if k <= K:
-            rhs = F[k].dx().scale(2) + mat_commutator(D[k], U0).scale(2)
-            F[k + 1] = _solve_offdiag(rhs)
+            F[k + 1] = _solve_offdiag(_combine(commutators=((2, D[k], U0),), derivatives=((2, F[k]),)))
     H = {k: _scalar_H(F, k) for k in range(1, K + 1)}
     density = {k: dp_reduce(D[k][0, 0]) for k in range(1, K + 2)}
     return FlowTable(max_order=K, F=F, D=D, H=H, density=density)
@@ -167,7 +171,11 @@ def _residuals(table: FlowTable, K: int):
     W = [-U0.dx(), -J.dx()]  # W_0 = -U_x
     for k in range(1, K + 1):
         v, (psi_t, phi_t) = table.V0(k), flow_rhs(table, k)
-        W = [mat_commutator(U0, v) - v.dx(), W[0].scale(2) + mat_commutator(J, v)] + [w.scale(2) for w in W[1:]]
+        W = [
+            _combine(commutators=((1, U0, v),), derivatives=((-1, v),)),
+            _combine(commutators=((1, J, v),), matrices=((2, W[0]),)),
+            *(w.scale(2) for w in W[1:]),
+        ]
         yield [W[0] + MatrixDP(0, psi_t.scale(I), phi_t.scale(MINUS_I), 0), *W[1:]]
 
 

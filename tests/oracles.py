@@ -6,7 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from rakns.diffpoly import DiffPoly, GaussianRational, JetVariable, MatrixDP, NotExact, dp_dx, mat_commutator
+from rakns.diffpoly import (
+    DiffPoly,
+    GaussianRational,
+    JetVariable,
+    MatrixDP,
+    Monomial,
+    NotExact,
+    dp_dx,
+    dp_reduce,
+    gr_i_power,
+)
 from rakns.evolve import linear_symbol, symbol_columns
 from rakns.hierarchy import I, J, MINUS_I, U0, flow_rhs
 from rakns.spectral import compile_plan, eval_rhs, spectral_derivative
@@ -154,6 +164,50 @@ def antidx_reference(p: DiffPoly) -> DiffPoly:
     return result
 
 
+# -- matrix algebra and the recursion ---------------------------------------------
+
+
+def commutator_reference(a: MatrixDP, b: MatrixDP) -> MatrixDP:
+    """[A, B] as two matrix products and a difference."""
+    return (a @ b) - (b @ a)
+
+
+def dx_reference(p: DiffPoly) -> DiffPoly:
+    """d/dx by the Leibniz rule: each jet in turn bumps its order, and the
+    bumped factors are merged in a dict and sorted."""
+    terms = []
+    for m in p.terms:
+        for j, e in m.factors:
+            d = dict(m.factors)
+            d[j] -= 1
+            up = JetVariable(j.sym_index, j.order + 1)
+            d[up] = d.get(up, 0) + 1
+            terms.append(Monomial(m.coeff * e, tuple(sorted((f, n) for f, n in d.items() if n))))
+    return DiffPoly(terms)
+
+
+def build_flows_reference(K: int) -> tuple:
+    """(F, D, H, density) of the recursion [J, V_{k+1}^0] = 2 (V_k^0)_x
+    + 2 [V_k^0, U0] in whole-matrix operations.  Both diagonal entries of
+    D_k are integrated, -[F_k, U0] by the reference antiderivative."""
+
+    def solve_offdiag(rhs):
+        # [J, F] = [[0, -2i b], [2i c, 0]] for F = [[0, b], [c, 0]]
+        assert rhs[0, 0].is_zero() and rhs[1, 1].is_zero()
+        half_i = GaussianRational(0, Fraction(1, 2))
+        return MatrixDP(0, rhs[0, 1].scale(half_i), rhs[1, 0].scale(-half_i), 0)
+
+    F, D = {1: solve_offdiag(U0.dx().scale(2))}, {}
+    for k in range(1, K + 2):
+        comm = commutator_reference(F[k], U0)
+        D[k] = MatrixDP(antidx_reference(-comm[0, 0]), 0, 0, antidx_reference(-comm[1, 1]))
+        if k <= K:
+            F[k + 1] = solve_offdiag(F[k].dx().scale(2) + commutator_reference(D[k], U0).scale(2))
+    H = {k: dp_reduce(-F[k + 1][0, 1]).scale(gr_i_power(-k)) for k in range(1, K + 1)}
+    density = {k: dp_reduce(D[k][0, 0]) for k in range(1, K + 2)}
+    return F, D, H, density
+
+
 # -- zero-curvature audit ---------------------------------------------------------
 
 
@@ -202,7 +256,7 @@ class LambdaMatrixPoly:
         out = [MatrixDP.zero() for _ in range(deg + 1)]
         for pa in range(self.degree + 1):
             for pb in range(other.degree + 1):
-                out[deg - pa - pb] = out[deg - pa - pb] + mat_commutator(self.coeff(pa), other.coeff(pb))
+                out[deg - pa - pb] = out[deg - pa - pb] + commutator_reference(self.coeff(pa), other.coeff(pb))
         return LambdaMatrixPoly(out)
 
 

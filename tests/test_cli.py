@@ -68,6 +68,20 @@ def test_hierarchy_verify_stdout_is_pinned(capsys):
     )
 
 
+def test_hierarchy_verify_fails_a_corrupted_table(capsys, monkeypatch):
+    """F_3 + F_1 in place of F_3: the audit of orders 2 and 3 fails, and the
+    command exits 1."""
+    import rakns.hierarchy
+
+    good = rakns.hierarchy.build_flows(3)
+    F = {**good.F, 3: good.F[3] + good.F[1]}
+    broken = type(good)(good.max_order, F, dict(good.D), dict(good.H), dict(good.density))
+    monkeypatch.setattr(rakns.hierarchy, "build_flows", lambda K: broken)
+    code, out, _ = run(["hierarchy", "verify", "--max-order", "3"], capsys)
+    assert code == 1
+    assert out == "flow 1: pass\nflow 2: FAIL\nflow 3: FAIL\n"
+
+
 def test_help_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["hierarchy", "verify", "--help"])
@@ -85,6 +99,21 @@ def test_hierarchy_verify(capsys):
     code, out, _ = run(["hierarchy", "verify", "--max-order", "3"], capsys)
     assert code == 0
     assert "flow 3: pass" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hierarchy", "verify", "--max-order", "0"],
+        ["hierarchy", "show", "--order", "0"],
+    ],
+    ids=["verify_max_order_0", "show_order_0"],
+)
+def test_hierarchy_order_below_one_is_one_line_exit_2(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "Traceback" not in err
+    assert "order must be >= 1, got 0" in err
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

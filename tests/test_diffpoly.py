@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     antidx_reference,
+    commutator_reference,
+    dx_reference,
     pair,
     pair_add,
     pair_conjugate,
@@ -21,7 +23,10 @@ from oracles import (
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
+    MatrixDP,
     NotExact,
+    _combine,
+    _dx_terms,
     dp_antidx,
     dp_conjugate,
     dp_dx,
@@ -208,6 +213,66 @@ def test_structural_equality_is_semantic():
 def test_dx_on_jet_bumps_order():
     assert dp_dx(psi) == psi_x
     assert dp_dx(psi * psi) == 2 * (psi * psi_x)
+    psi_xx = DiffPoly.var("psi", 2)
+    # the bumped jet joins its successor's power, or is inserted before it
+    x2 = psi_x * psi_x
+    assert dp_dx(psi * psi * x2 * psi_x) == 2 * (psi * x2 * x2) + 3 * (psi * psi * x2 * psi_xx)
+    assert dp_dx(psi * psi_xx) == psi_x * psi_xx + psi * DiffPoly.var("psi", 3)
+
+
+def _canonical_factors(f) -> bool:
+    """Sorted by jet, no jet twice, every exponent positive."""
+    jets = [j for j, _ in f]
+    return jets == sorted(set(jets)) and all(e > 0 for _, e in f)
+
+
+def _is_canonical(p: DiffPoly) -> bool:
+    keys = [m.sort_key() for m in p.terms]
+    return (
+        keys == sorted(set(keys))
+        and all(not m.coeff.is_zero() and _canonical_factors(m.factors) for m in p.terms)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_dx_matches_sorted_merge_reference(p):
+    """The slicing Leibniz rule gives the dict-and-sort one, and each factor
+    tuple it emits is canonical as built."""
+    assert dp_dx(p) == dx_reference(p)
+    for m in p.terms:
+        for f, _ in _dx_terms(m.factors, m.coeff):
+            assert _canonical_factors(f)
+
+
+matrices = st.builds(MatrixDP, polys(), polys(), polys(), polys())
+scalars = st.sampled_from([1, -1, 2, GaussianRational(0, 1), GaussianRational(Fraction(1, 3), -2)])
+
+
+# The explain phase re-runs a failing example under a tracer, which takes
+# minutes here; the shrunk example alone takes seconds.
+@settings(max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(matrices, matrices, scalars, scalars, scalars)
+def test_combine_equals_unfused_expression(a, b, c1, c2, c3):
+    """One accumulator per entry gives the expression built from whole
+    products, sums and scalings.  [a, b] and [b, a] cancel when c1 == c2,
+    and c3 b - c3 b always does, so zero coefficients must drop."""
+    fused = _combine(
+        commutators=((c1, a, b), (c2, b, a)),
+        matrices=((c3, b), (-c3, b), (c1, a)),
+        derivatives=((c2, b),),
+    )
+    want = (
+        commutator_reference(a, b).scale(c1)
+        + commutator_reference(b, a).scale(c2)
+        + b.scale(c3)
+        - b.scale(c3)
+        + a.scale(c1)
+        + b.dx().scale(c2)
+    )
+    assert fused == want
+    assert all(_is_canonical(fused[i, j]) for i in (0, 1) for j in (0, 1))
+    assert _combine(commutators=((c1, a, a),), matrices=((c3, b), (-c3, b))).is_zero()
 
 
 # -- antiderivative ----------------------------------------------------------

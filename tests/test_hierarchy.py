@@ -6,7 +6,13 @@ import pathlib
 
 import pytest
 
-from oracles import antidx_reference, assemble_V, curvature_residual
+from oracles import (
+    antidx_reference,
+    assemble_V,
+    build_flows_reference,
+    commutator_reference,
+    curvature_residual,
+)
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
@@ -15,7 +21,6 @@ from rakns.diffpoly import (
     from_json,
     is_exact,
     jet,
-    mat_commutator,
 )
 from rakns.hierarchy import (
     U0,
@@ -121,7 +126,7 @@ def test_lower_diagonal_matches_reference_antiderivative():
     -[F_k, U0]_22 with the reference antiderivative must give it back."""
     table = build_flows(7)
     for k in range(1, 9):
-        comm = mat_commutator(table.F[k], U0)
+        comm = commutator_reference(table.F[k], U0)
         assert antidx_reference(-comm[1, 1]) == table.D[k][1, 1]
 
 
@@ -184,6 +189,19 @@ def _one_pass_against_direct(table, K: int) -> list:
     return reports
 
 
+@pytest.mark.parametrize("K", [7, 8])
+def test_build_flows_matches_reference(K):
+    """Every matrix, flow and density of build_flows(K), whose fused
+    right-hand sides are made canonical once, equals the recursion written
+    with whole-matrix products, sums and scalings."""
+    table = build_flows(K)
+    F, D, H, density = build_flows_reference(K)
+    for got, want in ((table.F, F), (table.D, D), (table.H, H), (table.density, density)):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k] == want[k], k
+
+
 def test_one_pass_residual_equals_direct_formula(table8):
     """Orders 1..8 of build_flows(8), whose matrices through order 7 are
     those of build_flows(7)."""
@@ -222,8 +240,9 @@ def test_report_str_mentions_powers(table5):
 
 
 def test_build_flows_rejects_bad_order():
-    with pytest.raises(ValueError):
-        build_flows(0)
+    for K in (0, -3):
+        with pytest.raises(ValueError, match=f"^order must be >= 1, got {K}$"):
+            build_flows(K)
 
 
 def test_out_of_range_queries(table5):
