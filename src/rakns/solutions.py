@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,15 +253,8 @@ def theta(z, B, tol: float = 1e-12) -> complex:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if np.shape(B) != (len(z), len(z)):
         raise ValueError("z/B dimension mismatch")
-    scale, osc = _cached_lattice(np.asarray(B, dtype=complex).tobytes(), len(z), tol)(z)
+    scale, osc = _ThetaLattice(B, tol)(z)
     return complex(np.exp(scale[0]) * osc[0])
-
-
-@lru_cache(maxsize=8)
-def _cached_lattice(B: bytes, g: int, tol: float) -> _ThetaLattice:
-    """The lattice of the g x g matrix with these bytes, shared by repeated
-    theta calls; a bad matrix raises and is not cached."""
-    return _ThetaLattice(np.frombuffer(B, dtype=complex).reshape(g, g), tol)
 
 
 # -- finite-gap solutions ----------------------------------------------------

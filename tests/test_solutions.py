@@ -283,36 +283,6 @@ def test_theta_checks_shape_before_building_lattice(monkeypatch):
         theta([0.1, 0.2, 0.3], _random_B(2, 0))
 
 
-def test_theta_reuses_one_lattice_per_matrix(monkeypatch):
-    """Repeated calls with an equal (B, tol) share one lattice; the cache is
-    bounded, and a bad B is refused on every call, never cached."""
-    built = []
-
-    class Counting(_ThetaLattice):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(rakns.solutions, "_ThetaLattice", Counting)
-    cache = rakns.solutions._cached_lattice
-    cache.cache_clear()
-    B = _random_B(2, 5)
-    first = theta([0.1, 0.2], B)
-    assert theta([0.1, 0.2], B.copy()) == first
-    theta([0.3, -0.1], B.tolist())
-    assert len(built) == 1
-    theta([0.1, 0.2], B, tol=1e-9)
-    assert len(built) == 2
-    for bad in ([[1.0 - 1j, 0], [0, 1j]], [[1j, 0.5], [0.4, 1j]]):
-        for _ in range(3):
-            with pytest.raises(NotPositiveDefinite):
-                theta([0.0, 0.0], bad)
-    for seed in range(2 * cache.cache_info().maxsize):
-        theta([0.1, 0.2], _random_B(2, 100 + seed))
-    assert cache.cache_info().currsize == cache.cache_info().maxsize
-    cache.cache_clear()
-
-
 def test_theta_genus_one_series():
     """g=1 reduces to the classical one-dimensional series."""
     B = np.array([[0.3 + 1.1j]])
