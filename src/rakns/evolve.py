@@ -3,7 +3,8 @@
     psi_t = sum_k i^k alpha_k'(t) H_k(psi),
 
 with plain RK4 (guarded by the imaginary-axis stability bound) and an
-integrating-factor RK4 that propagates the stiff linear phases exactly.
+integrating-factor RK4 that propagates the stiff linear phases exactly;
+both run the spec's one flow plan and read its linear symbol off it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffpoly import DiffPoly
 from .hierarchy import default_flow_table
-from .spectral import Field, Grid, _BoundPlan, _cached_plan, _conserved_integrals, _multipliers, eval_rhs, flow_plan, write_field
+from .spectral import Field, Grid, _BoundPlan, _conserved_integrals, eval_rhs, flow_plan, linear_symbol, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 
@@ -169,48 +169,31 @@ class FlowSpec:
         return np.array([1j**k * s.derivative(t) for k, s in self.entries], dtype=complex)
 
 
-def symbol_columns(spec: FlowSpec, grid: Grid) -> np.ndarray:
-    """The columns (i xi)^(k+1), one per flow k of spec, that linear_symbol
-    weights: the multipliers eval_rhs differentiates with, so the Nyquist
-    mode of an odd order is zero here too.  A stepper forms them once and
-    the symbol at each t from them."""
-    return _multipliers(grid, tuple(k + 1 for k, _ in spec.entries))
-
-
-def linear_symbol(spec: FlowSpec, t: float, columns) -> np.ndarray:
-    """mu(xi, t) = sum_k i^k alpha_k'(t) (i xi)^(k+1) from the columns
-    symbol_columns(spec, xi); purely imaginary for real schedules since
-    i^k (i xi)^(k+1) = i^(2k+1) xi^(k+1)."""
-    return sum(w * col for w, col in zip(spec.weights(t), columns))
-
-
 def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
     """One step of size dt as ``advance(f, t_new) -> Field``.
 
-    rk4 is plain RK4 on the whole right-hand side behind the stability
-    guard; ifrk4 (constant coefficients only) propagates the linear phases
-    e^(mu dt) exactly and applies RK4 to the nonlinear remainder
-    sum_k i^k alpha_k' (H_k - psi_{(k+1)x}).  Either way each stage is one
-    evaluation of one plan for the whole spec.  rk4, the reference
-    integrator, evaluates through eval_rhs and holds no workspace between
-    steps (a bound one raised its peak RSS for no speed).  ifrk4 binds its
-    plan to the grid once and runs each stage from psi-hat, one inverse and
-    one forward FFT per stage.  A step that leaves non-finite values raises
-    Blowup carrying the field it started from.
+    Both methods run the spec's one flow plan and take the linear symbol
+    mu = sum_k i^k alpha_k' (i xi)^(k+1) off it.  rk4, the reference
+    integrator, is plain RK4 on the whole plan through eval_rhs behind the
+    guard dt max|mu| <= 2.8, and holds no workspace between steps (a bound
+    one raised its peak RSS for no speed).  ifrk4 (constant coefficients
+    only) propagates e^(mu dt) exactly and applies RK4 to the plan's
+    nonlinear part, bound to the grid once and run from psi-hat: one
+    inverse and one forward FFT per stage.  A step that leaves non-finite
+    values raises Blowup carrying the field it started from.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     if method == "auto":
         method = "ifrk4" if spec.is_constant else "rk4"
-    columns = symbol_columns(spec, grid)
+    plan = flow_plan(table, spec)
     if method == "rk4":
-        plan = flow_plan(table, spec)
 
         def rhs(v, t):
             return eval_rhs(plan, v, grid, spec.weights(t))
 
         def integrate(v, t):
-            mu_max = float(np.max(np.abs(linear_symbol(spec, t, columns))))
+            mu_max = float(np.max(np.abs(linear_symbol(plan, grid, spec.weights(t)))))
             if dt * mu_max > RK4_IMAG_STABILITY:
                 raise StabilityViolation(f"dt*max|mu| = {dt * mu_max:.3g} exceeds {RK4_IMAG_STABILITY}")
             k1 = rhs(v, t)
@@ -222,11 +205,9 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
     elif method == "ifrk4":
         if not spec.is_constant:
             raise EvolveError("ifrk4 requires Linear (constant-coefficient) schedules")
-        plan = _cached_plan(
-            *(table.H[k] - DiffPoly.var("psi", k + 1) for k, _ in spec.entries)
-        )
-        program = _BoundPlan(plan, grid, spec.weights(0.0))
-        e = np.exp(0.5 * dt * linear_symbol(spec, 0.0, columns))
+        weights = spec.weights(0.0)
+        program = _BoundPlan(plan, grid, weights)
+        e = np.exp(0.5 * dt * linear_symbol(plan, grid, weights))
         e2 = e * e
 
         def nhat(u):

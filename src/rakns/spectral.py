@@ -86,7 +86,7 @@ class Field:
 def _multipliers(grid: Grid, orders: tuple) -> np.ndarray:
     """Fourier multipliers (i xi)^order, one row per order, with the Nyquist
     mode zeroed for odd orders so that real fields keep real derivatives.
-    No orders give zero rows, the symbol columns of a spec with no flows."""
+    No orders give zero rows: the symbol of a plan with no linear monomials."""
     mults = np.array([(1j * grid.xi) ** o for o in orders]).reshape(len(orders), grid.n)
     mults[[o % 2 == 1 for o in orders], grid.n // 2] = 0.0
     mults.setflags(write=False)
@@ -130,8 +130,9 @@ class EvalPlan:
     row of ones if a monomial is constant (``unit``), the products that are
     monomials, the other products, and last the psibar jets in use
     (``conj``, one conjugation each).  ``scatter`` holds ``matrix`` for
-    the block of rows from ``first`` that carries every coefficient: just
-    the monomials when the linear ones are the top jets, as in the flows.
+    the block of rows from ``first`` that carries every coefficient.  Its
+    head rows that are jets are the linear monomials (``linear_symbol``);
+    in the flows they are the top jets, so the block is just the monomials.
     The weighted sum scales that block and adds up its rows.  It is not a
     BLAS matrix-vector product: OpenBLAS runs one of this size on two
     threads, and on a loaded 2-core host each handoff can wait 8 ms.
@@ -253,22 +254,37 @@ def eval_rhs(
     return _weighted_sum(plan, list(ws), terms, _coefficients(plan, weights))
 
 
+def linear_symbol(plan: EvalPlan, grid: Grid, weights) -> np.ndarray:
+    """mu(xi) = sum_r c_r (i xi)^(order r) over the jet rows r at the head
+    of the plan's block, its linear monomials, for the source weights: a
+    sum of rows of the multipliers eval_rhs differentiates with (Nyquist
+    mode of an odd order zeroed), not a matrix-vector product (EvalPlan)."""
+    orders = ((0,) + plan.orders)[plan.first :]  # of the block's jet rows
+    rows = zip(_multipliers(grid, orders), _coefficients(plan, weights))
+    return sum((c * m for m, c in rows), np.zeros(grid.n, dtype=complex))
+
+
 class _BoundPlan:
-    """An EvalPlan bound to one grid and one set of source weights, for a
-    stepper that works on psi-hat: the workspace, its row views, the
-    coefficients and the multipliers (i xi)^(0, orders) are made once.  A
-    call takes psi and its jets from psi-hat by one batched inverse FFT,
-    so it makes no forward FFT, and runs the product program of eval_rhs.
+    """The nonlinear part of an EvalPlan, all but its linear_symbol, bound
+    to one grid and one set of source weights for a stepper that works on
+    psi-hat: workspace, row views, coefficients and multipliers are made
+    once.  A call fills psi and its jets up to the last one the products
+    and conjugations read, by one batched inverse FFT of psi-hat (no
+    forward FFT), runs the product program of eval_rhs and sums the rows
+    of the block after the jet rows.
     """
 
     def __init__(self, plan: EvalPlan, grid: Grid, weights):
         ws = np.empty((plan.rows, grid.n), dtype=complex)
+        top = 1 + len(plan.orders)  # rows of psi and its jets
+        jets = max((r + 1 for p in plan.products + plan.conj for r in p[1:] if r < top), default=0)
+        start = max(plan.first, top)
         self.plan = plan
         self.rows = list(ws)
-        self.mults = _multipliers(grid, (0,) + plan.orders)  # row 0 is (i xi)^0 = 1
-        self.jets = ws[: len(self.mults)]
-        self.terms = ws[plan.first : plan.first + len(plan.scatter)]
-        self.coeffs = _coefficients(plan, weights)
+        self.mults = _multipliers(grid, (0,) + plan.orders)[:jets]  # row 0 is (i xi)^0 = 1
+        self.jets = ws[:jets]
+        self.terms = ws[start : plan.first + len(plan.scatter)]
+        self.coeffs = _coefficients(plan, weights)[start - plan.first :]
 
     def __call__(self, psi_hat: np.ndarray) -> np.ndarray:
         np.multiply(psi_hat, self.mults, out=self.jets)

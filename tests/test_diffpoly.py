@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -249,9 +249,7 @@ matrices = st.builds(MatrixDP, polys(), polys(), polys(), polys())
 scalars = st.sampled_from([1, -1, 2, GaussianRational(0, 1), GaussianRational(Fraction(1, 3), -2)])
 
 
-# The explain phase re-runs a failing example under a tracer, which takes
-# minutes here; the shrunk example alone takes seconds.
-@settings(max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@settings(max_examples=40, deadline=None)
 @given(matrices, matrices, scalars, scalars, scalars)
 def test_combine_equals_unfused_expression(a, b, c1, c2, c3):
     """One accumulator per entry gives the expression built from whole

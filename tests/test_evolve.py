@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ifrk4_reference
+from oracles import ifrk4_reference, linear_symbol_reference
 
+from rakns import spectral
 from rakns.evolve import (
     Blowup,
     Bump,
@@ -21,13 +22,11 @@ from rakns.evolve import (
     RK4_IMAG_STABILITY,
     StabilityViolation,
     evolve_run,
-    linear_symbol,
     step,
-    symbol_columns,
 )
-from rakns.hierarchy import default_flow_table
+from rakns.hierarchy import conserved_density, default_flow_table
 from rakns.solutions import plane_wave, soliton
-from rakns.spectral import Field, Grid, conserved_integral, sample_onto_grid
+from rakns.spectral import Field, Grid, conserved_integral, flow_plan, linear_symbol, residual, sample_onto_grid
 
 
 NLS = FlowSpec([(1, Linear(1.0))])
@@ -100,11 +99,14 @@ def test_schedules_refuse_non_finite_parameters(make):
         make()
 
 
-def test_linear_symbol_is_imaginary():
+def test_linear_symbol_is_imaginary(table5):
+    """The symbol read off the flow plan is sum_k i^k b_k (i xi)^(k+1),
+    purely imaginary since i^k (i xi)^(k+1) = i^(2k+1) xi^(k+1)."""
     spec = FlowSpec.from_coeffs([1.0, -0.5, 2.0, 0.3, -1.0])
     g = Grid(64, 10.0)
-    mu = linear_symbol(spec, 0.0, symbol_columns(spec, g))
+    mu = linear_symbol(flow_plan(table5, spec), g, spec.weights(0.0))
     assert np.max(np.abs(mu.real)) < 1e-14
+    assert np.array_equal(mu, linear_symbol_reference(spec, g, 0.0))
 
 
 # -- stepping ----------------------------------------------------------------
@@ -118,12 +120,12 @@ def test_stability_guard_triggers():
 
 
 def test_stability_guard_threshold_is_linear_symbols():
-    """The guard weights symbol columns formed once per stepper and raises
-    just above 2.8 / max|mu(xi, t)| and not just below, at a t where every
+    """The guard reads the linear symbol off the flow plan and raises just
+    above 2.8 / max|mu(xi, t)| and not just below, at a t where every
     schedule is live."""
     spec = FlowSpec([(1, Sinusoid(1.0, 2.0)), (2, Sinusoid(0.3, 3.0)), (3, Sinusoid(0.05, 1.0))])
     f = sample_onto_grid(soliton(1.0), Grid(256, 40.0), (), t=0.7)
-    dt = RK4_IMAG_STABILITY / np.max(np.abs(linear_symbol(spec, 0.7, symbol_columns(spec, f.grid))))
+    dt = RK4_IMAG_STABILITY / np.max(np.abs(linear_symbol_reference(spec, f.grid, 0.7)))
     step(f, spec, dt * (1 - 1e-12), method="rk4")
     with pytest.raises(StabilityViolation):
         step(f, spec, dt * (1 + 1e-12), method="rk4")
@@ -235,19 +237,42 @@ def test_conserved_rows_match_three_integrals(spec, method):
 def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):
     """One IF-RK4 step of the hnls5 mix at n = 256: the forward FFT of psi,
     per stage one batched inverse FFT to psi and its jets and one forward
-    FFT of the remainder, and the inverse FFT of the result.  (Stages that
-    went back to samples made 17.)"""
+    FFT of the nonlinear part, and the inverse FFT of the result.  (Stages
+    that went back to samples made 17.)  A stage transforms psi and the
+    jets of orders 1-4 that the nonlinear terms read, not the linear-only
+    jets 5 and 6 of the flow plan: shape (5, 256), not (7, 256)."""
     f = _soliton_field()
     calls = Counter()
     for name in ("fft", "ifft"):
 
-        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls[_name, np.shape(a)] += 1
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     step(f, HNLS5, 2.5e-5, method="ifrk4")
-    assert calls == {"fft": 5, "ifft": 5}
+    assert calls == {("fft", (256,)): 5, ("ifft", (5, 256)): 4, ("ifft", (256,)): 1}
+
+
+def test_ifrk4_run_and_residual_compile_one_flow_plan(monkeypatch):
+    """One plan per FlowSpec: an IF-RK4 run and the residual check of the
+    same spec compile the flow plan once; the c1-c3 densities are the one
+    other plan."""
+    compiled = []
+
+    def counted(*polys, _original=spectral.compile_plan):
+        compiled.append(polys)
+        return _original(*polys)
+
+    monkeypatch.setattr(spectral, "compile_plan", counted)
+    spectral._cached_plan.cache_clear()
+    traj = evolve_run(_soliton_field(), HNLS5, 5e-5, 2.5e-5, method="ifrk4", snapshot_stride=1)
+    residual(*traj.fields, HNLS5)
+    table = default_flow_table(5)
+    assert compiled == [
+        tuple(table.H[k] for k in range(1, 6)),
+        tuple(conserved_density(table, k) for k in (1, 2, 3)),
+    ]
 
 
 def _relative_gap(spec, f, dt, steps):

@@ -16,10 +16,13 @@ from rakns.spectral import (
     Grid,
     SpectralError,
     UnreducedInput,
+    _BoundPlan,
     _cached_plan,
     compile_plan,
     conserved_integral,
     eval_rhs,
+    flow_plan,
+    linear_symbol,
     read_field,
     residual,
     sample_onto_grid,
@@ -144,7 +147,11 @@ _gaussian_ints = st.builds(GaussianRational, st.integers(-9, 9), st.integers(-9,
 _reduced_polys = st.lists(st.tuples(_gaussian_ints, _jet_powers), max_size=6).map(
     lambda terms: sum((DiffPoly.monomial(c, facs) for c, facs in terms), DiffPoly.zero())
 )
-_weights = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+# No subnormal weights: a term scaled by 5e-324 sits below the relative
+# tolerance's own underflow, whatever order the evaluator sums in.
+_weights = st.complex_numbers(
+    max_magnitude=3, allow_nan=False, allow_infinity=False, allow_subnormal=False
+)
 
 
 @st.composite
@@ -152,6 +159,21 @@ def _sources_and_weights(draw):
     sources = draw(st.lists(_reduced_polys, min_size=1, max_size=3))
     weights = draw(st.none() | st.lists(_weights, min_size=len(sources), max_size=len(sources)))
     return sources, weights
+
+
+def _smooth_samples(seed):
+    """A grid of 32 points and random samples of modes -3..3 on it."""
+    g = Grid(32, 2 * np.pi)
+    rng = np.random.default_rng(seed)
+    amps = [1, 1j] @ rng.uniform(-1, 1, (2, 7))  # jets of order 4 stay O(100)
+    return g, np.exp(1j * np.outer(g.nodes, np.arange(-3, 4))) @ amps
+
+
+def _term_scale(plan, values, g, weights) -> float:
+    """The largest sum of |monomial| over the grid: the size that rounding
+    in a sum of the weighted monomials is relative to."""
+    terms = rhs_terms(plan, values, g, weights)
+    return np.max(sum((np.abs(t) for t in terms), np.zeros(g.n)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,24 +187,44 @@ def test_eval_rhs_matches_per_monomial_loop(sources_weights, seed):
     """The product program sums the same monomials as the per-monomial
     loop: the same values up to the order of products and sums."""
     sources, weights = sources_weights
-    g = Grid(32, 2 * np.pi)
-    rng = np.random.default_rng(seed)
-    amps = [1, 1j] @ rng.uniform(-1, 1, (2, 7))  # modes -3..3, jets of order 4 stay O(100)
-    values = np.exp(1j * np.outer(g.nodes, np.arange(-3, 4))) @ amps
+    g, values = _smooth_samples(seed)
     plan = compile_plan(*sources)
     got = eval_rhs(plan, values, g, weights)
-    terms = rhs_terms(plan, values, g, weights)
-    scale = np.max(sum((np.abs(t) for t in terms), np.zeros(g.n)))
     assert got.shape == (g.n,)
-    assert np.max(np.abs(got - eval_rhs_reference(plan, values, g, weights))) <= 1e-13 * scale
+    err = np.max(np.abs(got - eval_rhs_reference(plan, values, g, weights)))
+    assert err <= 1e-13 * _term_scale(plan, values, g, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sources_and_weights(), st.integers(0, 2**32 - 1))
+@example(([DiffPoly.var("psi") + DiffPoly.var("psi", 1) * DiffPoly.var("psibar", 2)], None), 0)
+@example(([DiffPoly.var("psi", 2), DiffPoly.monomial(1, {jet("psi", 2): 2, jet("psibar", 0): 1})], [2.0, -1j]), 1)
+@example(([DiffPoly.constant(GaussianRational(2, -1)) + DiffPoly.var("psibar", 2) + DiffPoly.var("psi", 3)], None), 2)
+@example(([DiffPoly.zero()], [1j]), 3)
+def test_linear_symbol_and_bound_plan_split_eval_rhs(sources_weights, seed):
+    """The linear monomials, as the Fourier symbol linear_symbol, and the
+    rest, as the bound program run from psi-hat, add up to eval_rhs: psi
+    as a monomial, a linear jet also used in a product, and a lone psibar
+    jet or a constant included."""
+    sources, weights = sources_weights
+    g, values = _smooth_samples(seed)
+    plan = compile_plan(*sources)
+    psi_hat = np.fft.fft(values)
+    split = _BoundPlan(plan, g, weights)(psi_hat) + np.fft.ifft(linear_symbol(plan, g, weights) * psi_hat)
+    err = np.max(np.abs(split - eval_rhs(plan, values, g, weights)))
+    assert err <= 1e-13 * _term_scale(plan, values, g, weights)
 
 
 def test_hnls5_ifrk4_program_shares_products(table5):
-    """The IF-RK4 remainder of the hnls5 mix, 28 monomials whose factor
-    loop takes 102 multiplications, shares prefixes down to 49 products and
-    conjugates each psibar jet once."""
-    plan = compile_plan(*(table5.H[k] - DiffPoly.var("psi", k + 1) for k in range(1, 6)))
-    assert len(plan.factors) == 28
+    """The flow plan that IF-RK4 runs for the hnls5 mix: 33 monomials, 5 of
+    them the linear jets psi_2x..psi_6x at the head of the block; the 28
+    nonlinear ones, whose factor loop takes 102 multiplications, share
+    prefixes down to 49 products and conjugate each psibar jet once."""
+    plan = flow_plan(table5, FlowSpec.from_coeffs((1.0, -0.4, -0.1, 0.05, 0.02)))
+    assert len(plan.factors) == 33
+    linear = range(plan.first, 1 + len(plan.orders))
+    assert [plan.orders[r - 1] for r in linear] == [2, 3, 4, 5, 6]
+    assert sum(len(facs) == 1 and facs[0][2] == 1 and not facs[0][0] for facs in plan.factors) == 5
     assert len(plan.products) <= 49
     assert len(plan.conj) == 5
     # the weighted sum touches the monomial rows only, linear jets included
