@@ -164,9 +164,9 @@ def _lattice_points(T: np.ndarray, r: float) -> np.ndarray:
         h = np.sqrt(np.maximum(rem, 0.0)) / T[i, i]
         lo = np.ceil(c - h)
         n = np.maximum(np.floor(c + h) - lo + 1, 0).astype(int)
-        row = np.repeat(np.arange(len(m)), n)
-        mi = lo[row] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        m = np.column_stack([mi, m[row]])
+        row = np.arange(len(m)).repeat(n)
+        mi = lo[row] + np.arange(n.sum()) - (n.cumsum() - n).repeat(n)
+        m = np.concatenate((mi[:, None], m[row]), axis=1)
         rem = rem[row] - (T[i, i] * (mi - c[row])) ** 2
     return m
 
@@ -190,55 +190,120 @@ class _ThetaLattice:
     first of rho/2 + sqrt(g/2) + j/16, j = 0, 1, ..., that brings this
     under tol exp(-D^2), a lower bound on the m = 0 term, so the omitted
     terms sum to at most tol times the largest kept term, for every z.
+
+    The sum over the kept points is separable.  With Q(m) = exp(i pi m.B.m)
+    on the points' bounding box [-h, h] (the ellipsoid is symmetric), zero
+    at every box point off the ellipsoid, the sum is Q contracted one axis
+    at a time with the tables exp(w_j a), |a| <= h_j: one exp per box
+    coordinate, not one per point.  Each partial sum of the contraction
+    shares its remaining factors, so its rounding is relative to whole
+    terms, which are at most the largest.  That largest term,
+    max_m Re(m.w + i pi m.B.m), is taken exactly over the points, and the
+    tables are scaled so that their scales add up to it.  The Gaussian's
+    diagonal part sigma pi Y_jj m_j^2, with sigma as large as keeps
+    |Q| <= 1, moves from Q into the tables, so a large diagonal of Im B
+    (near a soliton limit) does not underflow Q.  A matrix whose factors
+    would still leave the floating-point range (large and strongly coupled
+    Im B) raises SolutionError rather than lose terms.
     """
 
-    MAX_ENTRIES = 2**13  # complex entries per batch temporary (128 KiB)
+    MAX_ENTRIES = 2**13  # entries per batch temporary (128 KiB complex)
+    # Multiply-adds per matrix product: OpenBLAS runs larger ones on two
+    # threads, and the thread handoff can stall for milliseconds.
+    MAX_PRODUCT = 2**15
+    MAX_SPAN = 600.0  # natural log; exp leaves the double range at 709
 
     def __init__(self, B, tol: float = 1e-12):
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         self.tol = min(max(tol, 1e-300), 1e-6)
         self.B = np.asarray(B, dtype=complex)
         T = _check_riemann_matrix(self.B)
         g = len(T)
         # rho is no longer than T's shortest column; D is reached at a corner
-        v = np.linalg.norm(_lattice_points(T, np.linalg.norm(T, axis=0).min() * (1 + 1e-9)) @ T.T, axis=1)
-        rho = v[v > 0].min()
-        D = np.linalg.norm((np.indices((2,) * g).reshape(g, -1).T - 0.5) @ T.T, axis=1).max()
+        norm2 = lambda x, axis: np.sqrt((x * x).sum(axis=axis))
+        v = norm2(_lattice_points(T, norm2(T, 0).min() * (1 + 1e-9)) @ T.T, 1)
+        rho = float(v[v > 0].min())
+        D = float(norm2((np.indices((2,) * g).reshape(g, -1).T - 0.5) @ T.T, 1).max())
         tail = lambda R: g / 2 * (2 / rho) ** g * _upper_gamma(g, (R - rho / 2) ** 2)
         target = self.tol * math.exp(-D * D)
         R = rho / 2 + math.sqrt(g / 2)
-        for step in 2.0 ** np.arange(5, -5, -1):  # the largest R that misses, to 1/16
+        for step in (2.0**j for j in range(5, -5, -1)):  # the largest R that misses, to 1/16
             R += step if tail(R + step) > target else 0.0
         R += 1 / 16 if tail(R) > target else 0.0
         m = _lattice_points(T, R + D)
-        m = m[np.lexsort(m.T[::-1])]  # a canonical order, whatever the enumeration's
-        self.Y_inv = np.linalg.inv(self.B.imag)
-        self.points = m.T.astype(complex)
-        self.quad = 1j * np.pi * np.einsum("ni,ij,nj->n", m, self.B, m)
+        Y = self.B.imag
+        self.Y_inv = np.linalg.inv(Y)
+        self.points = m.T
+        quad = np.einsum("ni,ij,nj->n", m, self.B, m)
+        self.gauss = -np.pi * quad.imag  # Re(i pi m.B.m)
+        hi = m.max(axis=0).astype(int)
+        self.shape = tuple(2 * hi + 1)
+        # Axis j's coordinates -hi_j, ..., hi_j, padded with the last one to
+        # the longest axis, so that the padding never raises a maximum.
+        self.axes = np.minimum(np.arange(2 * hi.max() + 1) - hi[:, None], hi[:, None])
+        # sigma pi Y_jj with sigma <= the least eigenvalue of Y_ij / sqrt(Y_ii
+        # Y_jj) (Gershgorin), so that pi Y - sigma pi diag(Y) is semidefinite
+        root = np.sqrt(Y.diagonal())
+        diag_gauss = max(0.0, 2.0 - ((np.abs(Y) / root).sum(axis=1) / root).max()) * np.pi * root**2
+        self.axis_gauss = diag_gauss[:, None] * self.axes**2
+        self.Q = np.zeros(self.shape, dtype=complex)
+        self.Q[tuple((m + hi).T.astype(int))] = np.exp(1j * np.pi * quad + m**2 @ diag_gauss)
 
     def __call__(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(log scale, oscillatory sum) per row of z: Theta(z_i) = exp(scale_i) osc_i."""
-        z = np.asarray(z, dtype=complex).reshape(-1, len(self.B))
+        g, n = len(self.B), self.shape
+        z = np.asarray(z, dtype=complex).reshape(-1, g)
         c = z.imag @ self.Y_inv
         k = np.rint(c)
         f, xk = c - k, z.real - k @ self.B.real
         Yf = f @ self.B.imag
         # w = 2 pi i (z - B k) and s = i pi k.B.k - 2 pi i k.z - scale, formed
-        # so that Re s = -pi f.Y.f comes without cancelling large terms.
-        w = 2.0 * np.pi * (1j * xk - Yf)
-        s = -np.pi * np.sum(f * Yf, axis=1) - 1j * np.pi * np.sum(k * (z.real + xk), axis=1)
-        osc = np.empty(len(z), dtype=complex)
+        # so that Re s = -pi f.Y.f comes without cancelling large terms; the
+        # integer m lets Im w drop whole turns.
+        w_re, w_im = -2.0 * np.pi * Yf, 2.0 * np.pi * (xk - np.rint(xk))
+        s_re = -np.pi * np.sum(f * Yf, axis=1)
+        s_im = -np.pi * np.sum(k * (z.real + xk), axis=1)
+        # With the largest term at modulus 1, |osc| <= tol means theta
+        # vanishes, however small every term is (large Im B).  Rows of z
+        # run along the last axis of every temporary.
         peak = np.empty(len(z))
         rows = max(1, self.MAX_ENTRIES // self.points.shape[1])
         for lo in range(0, len(z), rows):
-            e = w[lo : lo + rows] @ self.points
-            e += self.quad
-            e += s[lo : lo + rows, None]
-            # With the largest term at modulus 1, |osc| <= tol means theta
-            # vanishes, however small every term is (large Im B).
-            peak[lo : lo + rows] = e.real.max(axis=1)
-            e -= peak[lo : lo + rows, None]
-            osc[lo : lo + rows] = np.exp(e, out=e).sum(axis=1)
-        return np.pi * np.sum(c * z.imag, axis=1) + peak, osc
+            e = self.points.T @ w_re[lo : lo + rows].T
+            e += self.gauss[:, None]
+            e.max(axis=0, out=peak[lo : lo + rows])
+        osc = np.empty(len(z), dtype=complex)
+        Q = self.Q.reshape(-1, n[-1])
+        rows = max(1, min(self.MAX_ENTRIES // max(len(Q), self.axes.size), self.MAX_PRODUCT // self.Q.size))
+        for lo in range(0, len(z), rows):
+            sl = slice(lo, lo + rows)
+            mag = self.axes[:, :, None] * w_re[sl].T[:, None, :]
+            mag -= self.axis_gauss[:, :, None]
+            top = mag.max(axis=1)
+            # Scaled, a table entry is at most exp(lift / g) and |Q| <= 1, so
+            # every product of Q and tables is at most exp(lift), and every
+            # factor of a term is at least exp(-lift) times that term.
+            lift = top.sum(axis=0) - peak[sl]
+            if lift.max() > self.MAX_SPAN:
+                raise SolutionError("Im B is too large and coupled for the separable theta sum")
+            top -= lift / g
+            mag -= top[:, None, :]
+            phase = self.axes[:, :1] * w_im[sl].T
+            phase[0] += s_im[sl]
+            table = np.empty(mag.shape, dtype=complex)
+            table[:, 0] = np.exp(1j * phase)
+            turn = np.exp(1j * w_im[sl].T)
+            for r in range(1, mag.shape[1]):
+                np.multiply(table[:, r - 1], turn, out=table[:, r])
+            table *= np.exp(mag, out=mag)
+            t = Q @ table[-1, : n[-1]]
+            for j in reversed(range(g - 1)):
+                t = t.reshape(-1, n[j], t.shape[-1])
+                t *= table[j, : n[j]]
+                t = t.sum(axis=1)
+            osc[sl] = t[0]
+        return np.pi * np.sum(c * z.imag, axis=1) + peak + s_re, osc
 
 
 def theta(z, B, tol: float = 1e-12) -> complex:
@@ -246,9 +311,10 @@ def theta(z, B, tol: float = 1e-12) -> complex:
 
     The lattice sum is truncated to an ellipsoid sized by the uniform tail
     bound of Deconinck et al. (see ``_ThetaLattice``): the omitted terms
-    sum to at most ``tol`` times the largest term kept.  The value is
-    exp(scale) times an O(1) oscillatory sum; only this final product can
-    overflow.
+    sum to at most ``tol`` times the largest term kept, and ``tol`` must be
+    positive and finite.  The kept terms are summed as a separable
+    contraction over their bounding box.  The value is exp(scale) times an
+    O(1) oscillatory sum; only this final product can overflow.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     if np.shape(B) != (len(z), len(z)):

@@ -1,6 +1,5 @@
 """Reference implementations that tests compare the library against."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -22,15 +21,39 @@ from rakns.spectral import compile_plan, eval_rhs, spectral_derivative
 
 
 def theta_brute(z, B, radius: int = 30) -> complex:
-    """Box-sum oracle over |n_i| <= radius (exponential cost in g)."""
+    """Box-sum oracle over |n_i| <= radius (exponential cost in g), summed
+    with numpy in chunks of 2**16 points."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     B = np.asarray(B, dtype=complex)
-    g = len(z)
+    side = (2 * radius + 1,) * len(z)
     total = 0j
-    for n in itertools.product(range(-radius, radius + 1), repeat=g):
-        n = np.asarray(n, dtype=float)
-        total += np.exp(2j * np.pi * (0.5 * n @ B @ n + n @ z))
+    for start in range(0, math.prod(side), 2**16):
+        index = np.arange(start, min(start + 2**16, math.prod(side)))
+        n = np.stack(np.unravel_index(index, side), axis=1) - radius
+        total += np.exp(2j * np.pi * (0.5 * np.einsum("ni,ij,nj->n", n, B, n) + n @ z)).sum()
     return complex(total)
+
+
+def theta_terms_reference(lattice, z, dtype=complex) -> tuple:
+    """(log scale, oscillatory sum) of Theta over ``lattice.points``, one
+    exp per point and argument: the sum the lattice made before it was
+    separable.  Theta(z_i) = exp(scale_i) osc_i, and the largest term of
+    osc_i has modulus 1.  ``dtype=np.clongdouble`` sums in extended
+    precision (Y^{-1} stays double, which only moves the shift)."""
+    pi = np.zeros(1, dtype).real.dtype.type("3.14159265358979323846264338327950288")
+    B = lattice.B.astype(dtype)
+    m = np.real(lattice.points)
+    z = np.asarray(z).astype(dtype).reshape(-1, len(B))
+    c = z.imag @ np.linalg.inv(lattice.B.imag)
+    k = np.rint(c)
+    f, xk = c - k, z.real - k @ B.real
+    Yf = f @ B.imag
+    w = 2.0 * pi * (1j * xk - Yf)
+    s = -pi * np.sum(f * Yf, axis=1) - 1j * pi * np.sum(k * (z.real + xk), axis=1)
+    e = w @ m + 1j * pi * np.einsum("in,ij,jn->n", m, B, m) + s[:, None]
+    peak = e.real.max(axis=1)
+    osc = np.exp(e - peak[:, None]).sum(axis=1)
+    return pi * np.sum(c * z.imag, axis=1) + peak, osc
 
 
 # -- flows on the sech profile ---------------------------------------------------

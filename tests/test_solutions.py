@@ -30,7 +30,7 @@ from rakns.solutions import (
 )
 from rakns.spectral import Grid, residual, sample_onto_grid
 
-from oracles import sech_reduction, theta_brute
+from oracles import sech_reduction, theta_brute, theta_terms_reference
 
 
 # -- exact sampler constants -------------------------------------------------
@@ -238,6 +238,58 @@ def test_theta_truncation_within_tol_of_largest_term(lams):
             assert abs(osc[0] - brute * np.exp(-scale[0])) <= lattice.tol
 
 
+def _corner_arguments(B, rng, cells=3, rows_per_corner=4):
+    """Arguments whose Gaussian centre Y^{-1} Im z sits on a half-cell
+    corner up to ``cells`` cells out, with Re z up to 40 in modulus."""
+    g = len(B)
+    corners = np.repeat(np.indices((2,) * g).reshape(g, -1).T - 0.5, rows_per_corner, axis=0)
+    centre = rng.integers(-cells, cells + 1, size=corners.shape) + corners
+    real = rng.uniform(-40.0, 40.0, size=corners.shape)
+    real[:, 0] = rng.choice([-40.0, 40.0], size=len(real))
+    return real + 1j * (centre @ B.imag)
+
+
+def _check_against_reference(lattice, z):
+    scale, osc = lattice(z)
+    ref_scale, ref_osc = theta_terms_reference(lattice, z)
+    assert np.abs(scale - ref_scale).max() <= 1e-12 * max(1.0, np.abs(ref_scale).max())
+    # both sums are relative to the largest term, which has modulus 1
+    assert np.abs(osc * np.exp(scale - ref_scale) - ref_osc).max() <= 1e-12
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_separable_sum_matches_per_point_reference(g):
+    """The box contraction gives the scale and the oscillatory sum of one
+    exp per kept point, to 1e-12 of the largest term."""
+    lams = {1: (0.4,), 2: (0.4, 4.5), 3: (0.4, 1.5, 4.5), 4: (0.4, 1.0, 2.0, 4.5)}[g]
+    rng = np.random.default_rng(40 + g)
+    for B in (_random_B(g, 10 + g), _anisotropic_B(lams, seed=g)):
+        lattice = _ThetaLattice(B)
+        _check_against_reference(lattice, _corner_arguments(B, rng, rows_per_corner=8 if g < 4 else 2))
+
+
+@pytest.mark.parametrize(
+    "B",
+    [[[0.3 + 1000j]], np.diag([0.2 + 300j, 0.1 + 250j]), 0.1 + 30j * np.array([[1.0, 0.5], [0.5, 1.0]])],
+    ids=["tau_1000", "diagonal_300", "coupled_30"],
+)
+def test_separable_sum_near_soliton_limit(B):
+    """A large diagonal of Im B moves into the axis tables, so Q does not
+    underflow where every term of the per-point sum is representable."""
+    B = np.asarray(B, dtype=complex)
+    _check_against_reference(_ThetaLattice(B), _corner_arguments(B, np.random.default_rng(5)))
+
+
+def test_separable_sum_refuses_what_it_cannot_represent():
+    """Large and strongly coupled Im B: the factors of one term span more
+    than the double range, so the sum raises instead of dropping terms."""
+    B = 0.1 + 300j * np.array([[1.0, 0.9], [0.9, 1.0]])
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-40.0, 40.0, size=(64, 2)) + 1j * (rng.uniform(-3.5, 3.5, size=(64, 2)) @ B.imag)
+    with pytest.raises(SolutionError, match="separable theta sum"):
+        _ThetaLattice(B)(z)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_lattice_points_match_filtered_box(g):
     """The Fincke-Pohst recursion finds exactly the box points in the ellipsoid."""
@@ -272,6 +324,17 @@ def test_theta_lattice_size_genus_three(lams):
     half cell, needs over 1,000."""
     lattice = _ThetaLattice(_anisotropic_B(lams, seed=0), 1e-12)
     assert lattice.points.shape[1] <= 300
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-12])
+def test_theta_refuses_tol_that_is_not_positive_and_finite(tol):
+    """A NaN tol used to keep 9 of the 37 points of this genus-2 lattice and
+    to disable the zero test; 0 or less silently became 1e-300."""
+    B = _random_B(2, 0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        theta([0.1, 0.2], B, tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        _ThetaLattice(B, tol)
 
 
 def test_theta_checks_shape_before_building_lattice(monkeypatch):
