@@ -202,9 +202,12 @@ class _ThetaLattice:
     tables are scaled so that their scales add up to it.  The Gaussian's
     diagonal part sigma pi Y_jj m_j^2, with sigma as large as keeps
     |Q| <= 1, moves from Q into the tables, so a large diagonal of Im B
-    (near a soliton limit) does not underflow Q.  A matrix whose factors
-    would still leave the floating-point range (large and strongly coupled
-    Im B) raises SolutionError rather than lose terms.
+    (near a soliton limit) does not underflow Q.  Two cases take one exp
+    per kept point instead, the same points summed the same way as before
+    the sum was separable: a chunk of arguments whose table factors would
+    leave the floating-point range (large, strongly coupled Im B), and
+    every argument when the box holds more than BOX_RATIO box points per
+    kept point or Q more than MAX_ENTRIES rows (a thin ellipsoid).
     """
 
     MAX_ENTRIES = 2**13  # entries per batch temporary (128 KiB complex)
@@ -212,6 +215,7 @@ class _ThetaLattice:
     # threads, and the thread handoff can stall for milliseconds.
     MAX_PRODUCT = 2**15
     MAX_SPAN = 600.0  # natural log; exp leaves the double range at 709
+    BOX_RATIO = 10  # box points per kept point beyond which one exp per point is cheaper
 
     def __init__(self, B, tol: float = 1e-12):
         if not (math.isfinite(tol) and tol > 0):
@@ -235,10 +239,13 @@ class _ThetaLattice:
         Y = self.B.imag
         self.Y_inv = np.linalg.inv(Y)
         self.points = m.T
-        quad = np.einsum("ni,ij,nj->n", m, self.B, m)
-        self.gauss = -np.pi * quad.imag  # Re(i pi m.B.m)
+        self.quad = 1j * np.pi * np.einsum("ni,ij,nj->n", m, self.B, m)
         hi = m.max(axis=0).astype(int)
         self.shape = tuple(2 * hi + 1)
+        self.Q = None
+        box = math.prod(self.shape)
+        if box > self.BOX_RATIO * len(m) or box // self.shape[-1] > self.MAX_ENTRIES:
+            return
         # Axis j's coordinates -hi_j, ..., hi_j, padded with the last one to
         # the longest axis, so that the padding never raises a maximum.
         self.axes = np.minimum(np.arange(2 * hi.max() + 1) - hi[:, None], hi[:, None])
@@ -248,12 +255,11 @@ class _ThetaLattice:
         diag_gauss = max(0.0, 2.0 - ((np.abs(Y) / root).sum(axis=1) / root).max()) * np.pi * root**2
         self.axis_gauss = diag_gauss[:, None] * self.axes**2
         self.Q = np.zeros(self.shape, dtype=complex)
-        self.Q[tuple((m + hi).T.astype(int))] = np.exp(1j * np.pi * quad + m**2 @ diag_gauss)
+        self.Q[tuple((m + hi).T.astype(int))] = np.exp(self.quad + m**2 @ diag_gauss)
 
     def __call__(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(log scale, oscillatory sum) per row of z: Theta(z_i) = exp(scale_i) osc_i."""
-        g, n = len(self.B), self.shape
-        z = np.asarray(z, dtype=complex).reshape(-1, g)
+        z = np.asarray(z, dtype=complex).reshape(-1, len(self.B))
         c = z.imag @ self.Y_inv
         k = np.rint(c)
         f, xk = c - k, z.real - k @ self.B.real
@@ -261,7 +267,7 @@ class _ThetaLattice:
         # w = 2 pi i (z - B k) and s = i pi k.B.k - 2 pi i k.z - scale, formed
         # so that Re s = -pi f.Y.f comes without cancelling large terms; the
         # integer m lets Im w drop whole turns.
-        w_re, w_im = -2.0 * np.pi * Yf, 2.0 * np.pi * (xk - np.rint(xk))
+        w = 2.0 * np.pi * (1j * (xk - np.rint(xk)) - Yf)
         s_re = -np.pi * np.sum(f * Yf, axis=1)
         s_im = -np.pi * np.sum(k * (z.real + xk), axis=1)
         # With the largest term at modulus 1, |osc| <= tol means theta
@@ -270,30 +276,43 @@ class _ThetaLattice:
         peak = np.empty(len(z))
         rows = max(1, self.MAX_ENTRIES // self.points.shape[1])
         for lo in range(0, len(z), rows):
-            e = self.points.T @ w_re[lo : lo + rows].T
-            e += self.gauss[:, None]
+            e = self.points.T @ w[lo : lo + rows].real.T
+            e += self.quad.real[:, None]
             e.max(axis=0, out=peak[lo : lo + rows])
-        osc = np.empty(len(z), dtype=complex)
+        # Im s, less the largest term's log modulus; Re s goes to the scale
+        s = 1j * s_im - peak
+        osc = self._pointwise(w, s) if self.Q is None else self._contract(w, s)
+        return np.pi * np.sum(c * z.imag, axis=1) + peak + s_re, osc
+
+    def _contract(self, w, s):
+        """The sum over the box: Q contracted one axis at a time with the
+        tables exp(w_j a - sigma pi Y_jj a^2), a chunk of rows at a time."""
+        g, n = len(self.B), self.shape
+        osc = np.empty(len(w), dtype=complex)
         Q = self.Q.reshape(-1, n[-1])
         rows = max(1, min(self.MAX_ENTRIES // max(len(Q), self.axes.size), self.MAX_PRODUCT // self.Q.size))
-        for lo in range(0, len(z), rows):
+        for lo in range(0, len(w), rows):
             sl = slice(lo, lo + rows)
-            mag = self.axes[:, :, None] * w_re[sl].T[:, None, :]
+            mag = self.axes[:, :, None] * w[sl].real.T[:, None, :]
             mag -= self.axis_gauss[:, :, None]
             top = mag.max(axis=1)
             # Scaled, a table entry is at most exp(lift / g) and |Q| <= 1, so
             # every product of Q and tables is at most exp(lift), and every
-            # factor of a term is at least exp(-lift) times that term.
-            lift = top.sum(axis=0) - peak[sl]
+            # factor of a term is at least exp(-lift) times that term.  Where
+            # that leaves the double range (large, strongly coupled Im B),
+            # the chunk takes one exp per point instead.
+            lift = top.sum(axis=0) + s[sl].real
             if lift.max() > self.MAX_SPAN:
-                raise SolutionError("Im B is too large and coupled for the separable theta sum")
+                osc[sl] = self._pointwise(w[sl], s[sl])
+                continue
             top -= lift / g
             mag -= top[:, None, :]
-            phase = self.axes[:, :1] * w_im[sl].T
-            phase[0] += s_im[sl]
+            # exp(i (a Im w_j + Im s / g)) by one turn per box coordinate: at
+            # this width a complex multiply is several times cheaper than a
+            # complex exp.
             table = np.empty(mag.shape, dtype=complex)
-            table[:, 0] = np.exp(1j * phase)
-            turn = np.exp(1j * w_im[sl].T)
+            table[:, 0] = np.exp(1j * (self.axes[:, :1] * w[sl].imag.T + s[sl].imag / g))
+            turn = np.exp(1j * w[sl].imag.T)
             for r in range(1, mag.shape[1]):
                 np.multiply(table[:, r - 1], turn, out=table[:, r])
             table *= np.exp(mag, out=mag)
@@ -303,7 +322,18 @@ class _ThetaLattice:
                 t *= table[j, : n[j]]
                 t = t.sum(axis=1)
             osc[sl] = t[0]
-        return np.pi * np.sum(c * z.imag, axis=1) + peak + s_re, osc
+        return osc
+
+    def _pointwise(self, w, s):
+        """The sum over the kept points, one exp per point and row."""
+        osc = np.empty(len(w), dtype=complex)
+        rows = max(1, self.MAX_ENTRIES // len(self.quad))
+        for lo in range(0, len(w), rows):
+            e = w[lo : lo + rows] @ self.points
+            e += self.quad
+            e += s[lo : lo + rows, None]
+            osc[lo : lo + rows] = np.exp(e, out=e).sum(axis=1)
+        return osc
 
 
 def theta(z, B, tol: float = 1e-12) -> complex:

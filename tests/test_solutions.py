@@ -280,14 +280,42 @@ def test_separable_sum_near_soliton_limit(B):
     _check_against_reference(_ThetaLattice(B), _corner_arguments(B, np.random.default_rng(5)))
 
 
-def test_separable_sum_refuses_what_it_cannot_represent():
-    """Large and strongly coupled Im B: the factors of one term span more
-    than the double range, so the sum raises instead of dropping terms."""
-    B = 0.1 + 300j * np.array([[1.0, 0.9], [0.9, 1.0]])
-    rng = np.random.default_rng(6)
-    z = rng.uniform(-40.0, 40.0, size=(64, 2)) + 1j * (rng.uniform(-3.5, 3.5, size=(64, 2)) @ B.imag)
-    with pytest.raises(SolutionError, match="separable theta sum"):
-        _ThetaLattice(B)(z)
+def _coupled(scale, r, g=2):
+    return 0.1 + 1j * scale * ((1 - r) * np.eye(g) + r * np.ones((g, g)))
+
+
+@pytest.mark.parametrize(
+    "B, lifted",
+    [(_coupled(30, 0.9), True), (_coupled(300, 0.9), True), (_coupled(30, 0.9, g=3), True),
+     (_coupled(1, 0.999), False)],
+    ids=["coupled_30", "coupled_300", "coupled_30_genus_3", "box_28_times_the_points"],
+)
+def test_separable_sum_falls_back_to_per_point_sum(B, lifted, monkeypatch):
+    """Large, strongly coupled Im B lifts the axis tables past the double
+    range for arguments off the lattice's cells, and a thin ellipsoid has a
+    box far larger than its points.  Those arguments take one exp per point
+    instead, and are as accurate as the per-point sum itself: both against
+    the sum in extended precision, since at |scale| up to 4e4 rounding the
+    log scale alone moves the value by 1e-11."""
+    per_point = []
+    pointwise = _ThetaLattice._pointwise
+
+    def counted(self, w, s):
+        per_point.append(len(w))
+        return pointwise(self, w, s)
+
+    monkeypatch.setattr(_ThetaLattice, "_pointwise", counted)
+    g, n = len(B), 500
+    rng = np.random.default_rng(8)
+    cells = rng.integers(-3, 4, size=(2 * n, g)).astype(float)
+    cells[n:] += rng.uniform(-0.5, 0.5, size=(n, g))  # centres on the lattice, then off it
+    z = rng.uniform(-40.0, 40.0, size=(2 * n, g)) + 1j * (cells @ B.imag)
+    lattice = _ThetaLattice(B)
+    scale, osc = lattice(z)
+    assert 0 < sum(per_point) and (sum(per_point) < len(z)) == lifted
+    exact_scale, exact_osc = theta_terms_reference(lattice, z, dtype=np.clongdouble)
+    err = lambda s, o: float(np.max(np.abs(o * np.exp(s - exact_scale) - exact_osc)))
+    assert err(scale, osc) <= 2 * err(*theta_terms_reference(lattice, z)) + 1e-12
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
