@@ -7,32 +7,51 @@
 
 ``pairs`` runs ``perfbench/run.py --seconds 24`` of each checkout once per
 seed, alternating which side runs first, and keeps the JSON line of every
-run in RUNS.  ``write`` times the analytic layer of both checkouts (each in
-fresh processes, alternating), summarises every workload found in RUNS
-(medians, quartiles, pairs won) and appends one entry to the newest
-BENCH_*.json at the root of this checkout, or starts BENCH_<today>.json.
+run in RUNS.  ``write`` times the analytic layer and the imports of both
+checkouts (each in fresh processes, alternating), summarises every workload
+found in RUNS (medians, quartiles, pairs won) and appends one entry to the
+newest BENCH_*.json at the root of this checkout, or starts
+BENCH_<today>.json.
 
 The analytic rows: building the theta lattice, sampling 256 points of
 finite-gap data at genus 1-3, and the theta evaluator on an ill-conditioned
 genus-4 matrix.  Next to each time is an accuracy: the largest pointwise
 relative error of psi, or of the oscillatory sum relative to its largest
-term, against the one-exp-per-point sum of tests/oracles.py.  Needs only
-numpy and the standard library.
+term, against the one-exp-per-point sum of tests/oracles.py.
+
+The import rows: ``import rakns``, ``import rakns.cli``, and a whole
+``rakns hierarchy verify --max-order 7`` run in-process (import plus
+``cli.main``), each timed in fresh processes with numpy already imported,
+as the benchmark's workers have it.  Cold is a copy of ``src/`` with no
+bytecode cache under ``PYTHONDONTWRITEBYTECODE=1``, so every module is
+compiled; warm is the same copy after ``compileall``.  Needs only numpy and
+the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import datetime
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 5  # fresh processes per checkout for the analytic rows
+IMPORT_ROUNDS = 11  # fresh processes per checkout, cold and warm, for the import rows
+IMPORTS = {
+    "import rakns": "import rakns",
+    "import rakns.cli": "import rakns.cli",
+    "rakns hierarchy verify --max-order 7 (import and cli.main)":
+        "import rakns.cli; rakns.cli.main(['hierarchy', 'verify', '--max-order', '7'])",
+}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -148,6 +167,42 @@ def measure(checkout: Path) -> dict:
     return json.loads(out)
 
 
+def time_fresh(src: Path, code: str) -> float:
+    """Seconds that ``code`` takes in a fresh interpreter with numpy already
+    imported and ``src`` first on its path; no bytecode is written."""
+    script = (f"import sys, time, numpy; sys.path.insert(0, {str(src)!r})\n"
+              f"t0 = time.perf_counter()\n{code}\nprint(time.perf_counter() - t0)")
+    out = subprocess.run(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout
+    return float(out.splitlines()[-1])
+
+
+def import_rows(checkouts: dict) -> dict:
+    """Median ms of each IMPORTS case per side, cold then warm, alternating
+    which side runs first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = {}
+        for side, checkout in checkouts.items():
+            srcs[side] = Path(tmp) / side
+            shutil.copytree(Path(checkout) / "src", srcs[side],
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        rows: dict = {name: {side: {} for side in checkouts} for name in IMPORTS}
+        for state in ("cold", "warm"):
+            if state == "warm":
+                for src in srcs.values():
+                    compileall.compile_dir(src, quiet=1)
+            samples = {(name, side): [] for name in IMPORTS for side in checkouts}
+            for r in range(IMPORT_ROUNDS):
+                order = list(checkouts) if r % 2 == 0 else list(checkouts)[::-1]
+                for side in order:
+                    for name, code in IMPORTS.items():
+                        samples[name, side].append(time_fresh(srcs[side], code))
+            for (name, side), values in samples.items():
+                rows[name][side][f"{state}_ms"] = statistics.median(values) * 1e3
+    return rows
+
+
 def cmd_write(args) -> None:
     samples: dict = {"parent": [], "change": []}
     for r in range(ROUNDS):
@@ -170,6 +225,8 @@ def cmd_write(args) -> None:
         "change": args.change_label,
         "host": "2-core shared host, numpy only; times are medians, ms",
         "analytic": analytic,
+        "import": {"processes": IMPORT_ROUNDS,
+                   **import_rows({"parent": args.parent, "change": args.change})},
         "end_to_end": summarise(Path(args.runs)) if args.runs else {},
     })
     path.write_text(json.dumps(entries, indent=1) + "\n")

@@ -14,31 +14,11 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import hierarchy
-from .config import ConfigError, parse_config, parse_preset
 from .diffpoly import render
-from .evolve import Blowup, EvolveError, FlowSpec, Linear, StabilityViolation, evolve_run
-from .solutions import (
-    RiemannData,
-    SolutionError,
-    finite_gap_sampler,
-    peregrine,
-    plane_wave,
-    random_riemann_data,
-    soliton,
-)
-from .spectral import (
-    FieldFormatError,
-    Grid,
-    SpectralError,
-    read_field,
-    residual,
-    sample_onto_grid,
-    write_field,
-)
-from .symmetry import SymmetryParams, identity_errors, transform_solution
+
+# Each command imports the layers it uses when it runs, so that the exact
+# layer's commands load neither numpy nor the numerical modules.
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
 
@@ -51,6 +31,8 @@ class CliError(Exception):
 
 def _parse_sampler(text: str, params: dict):
     """Sampler literal: planewave, soliton, peregrine, finitegap."""
+    from .solutions import RiemannData, finite_gap_sampler, peregrine, plane_wave, soliton
+
     name = text.lower()
     if name in ("planewave", "plane_wave"):
         return plane_wave(float(params.get("q", 1.0)), int(params.get("order", 5)))
@@ -83,6 +65,8 @@ def _check_tol(tol: float) -> None:
 
 
 def _parse_grid(text: str) -> Grid:
+    from .spectral import Grid
+
     m = re.fullmatch(r"(\d+),([0-9.eE+-]+)", text.strip())
     if not m:
         raise CliError(f"grid must be 'N,L', got {text!r}")
@@ -109,6 +93,12 @@ def cmd_hierarchy_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    import numpy as np
+
+    from .config import parse_config, parse_preset
+    from .evolve import Blowup, evolve_run
+    from .spectral import Grid, read_field, sample_onto_grid, write_field
+
     cfg = None
     if args.config:
         with open(args.config) as fh:
@@ -159,6 +149,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .evolve import FlowSpec, Linear
+    from .spectral import residual, sample_onto_grid
+    from .symmetry import SymmetryParams, transform_solution
+
     _check_tol(args.tol)
     sampler = _parse_sampler(args.sampler, _parse_params(args.param))
     p = SymmetryParams(args.a, args.b)
@@ -197,6 +191,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify_residual(args) -> int:
+    from .config import parse_config
+    from .spectral import read_field, residual
+
     _check_tol(args.tol)
     with open(args.config) as fh:
         spec = parse_config(fh.read()).flow_spec()
@@ -224,6 +221,8 @@ def cmd_verify_residual(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .spectral import sample_onto_grid, write_field
+
     params = _parse_params(args.param)
     if args.riemann:
         params["riemann"] = args.riemann
@@ -240,6 +239,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    from .solutions import RiemannData, random_riemann_data
+    from .symmetry import SymmetryParams, identity_errors
+
     _check_tol(args.tol)
     if args.riemann:
         with open(args.riemann) as fh:
@@ -252,6 +254,29 @@ def cmd_identity_check(args) -> int:
     ok = all(e < args.tol for e in errors.values())  # NaN fails
     print("pass" if ok else "FAIL")
     return OK if ok else VERIFY_FAILED
+
+
+# Errors that a command reports in one line: (home module, class, exit code),
+# the first match deciding; StabilityViolation is an EvolveError.
+_ERRORS = (
+    ("spectral", "FieldFormatError", USAGE),
+    ("spectral", "SpectralError", VERIFY_FAILED),
+    ("evolve", "StabilityViolation", VERIFY_FAILED),
+    ("config", "ConfigError", USAGE),
+    ("solutions", "SolutionError", USAGE),
+    ("evolve", "EvolveError", USAGE),
+)
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code of an error in ``_ERRORS`` or a bad-input builtin, None
+    for any other.  A class is looked up only in a module already loaded,
+    because one that the run never imported cannot have raised it."""
+    for module, name, code in _ERRORS:
+        home = sys.modules.get(f"{__package__}.{module}")
+        if home is not None and isinstance(exc, getattr(home, name)):
+            return code
+    return USAGE if isinstance(exc, (FileNotFoundError, ValueError)) else None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -347,12 +372,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (SpectralError, StabilityViolation) as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE if isinstance(exc, FieldFormatError) else VERIFY_FAILED
-    except (ConfigError, SolutionError, FileNotFoundError, ValueError, EvolveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, file round-trips."""
 
+import importlib
 import json
 import pathlib
 import warnings
@@ -182,11 +183,11 @@ def test_verify_residual_fails_wrong_equation(tmp_path, capsys):
 
 
 def test_evolve_parses_config_once(tmp_path, capsys, monkeypatch):
-    import rakns.cli
+    import rakns.config
 
     calls = []
-    parse = rakns.cli.parse_config
-    monkeypatch.setattr(rakns.cli, "parse_config", lambda text: calls.append(text) or parse(text))
+    parse = rakns.config.parse_config
+    monkeypatch.setattr(rakns.config, "parse_config", lambda text: calls.append(text) or parse(text))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
     code, _, _ = run(["evolve", "--config", str(cfg), "--initial", "soliton"], capsys)
@@ -275,11 +276,48 @@ def test_identity_check_refuses_overflowing_transform(a, b, max_flow, capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "module, name, expected",
+    [
+        ("solutions", "SolutionError", 2),
+        ("solutions", "ThetaZeroDivision", 2),
+        ("spectral", "UnreducedInput", 1),
+        ("config", "UnknownKey", 2),
+        ("evolve", "Blowup", 2),
+    ],
+)
+def test_error_class_exit_code(monkeypatch, capsys, module, name, expected):
+    """Error classes that no command test drives through main: each exits
+    with its code and one 'error:' line."""
+    import rakns.hierarchy
+
+    error = getattr(importlib.import_module(f"rakns.{module}"), name)
+
+    def failing(K):
+        raise error("injected")
+
+    monkeypatch.setattr(rakns.hierarchy, "build_flows", failing)
+    code, text, err = run(["hierarchy", "show", "--order", "1"], capsys)
+    assert code == expected
+    assert text == "" and err == "error: injected\n"
+
+
+def test_unexpected_error_propagates(monkeypatch):
+    import rakns.hierarchy
+
+    def failing(K):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(rakns.hierarchy, "build_flows", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["hierarchy", "show", "--order", "1"])
+
+
 def test_identity_check_nan_error_fails(monkeypatch, capsys):
-    import rakns.cli
+    import rakns.symmetry
 
     monkeypatch.setattr(
-        rakns.cli, "identity_errors", lambda *args: {"argument": 0.0, "phase": float("nan")}
+        rakns.symmetry, "identity_errors", lambda *args: {"argument": 0.0, "phase": float("nan")}
     )
     code, text, _ = run(["identity", "check", "--a", "1.4", "--b", "0.3"], capsys)
     assert code == 1
