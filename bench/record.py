@@ -11,13 +11,18 @@ run in RUNS.  ``write`` times the analytic layer and the imports of both
 checkouts (each in fresh processes, alternating), summarises every workload
 found in RUNS (medians, quartiles, pairs won) and appends one entry to the
 newest BENCH_*.json at the root of this checkout, or starts
-BENCH_<today>.json.
+BENCH_<today>.json.  The entry also records the line count of
+``src/rakns`` on each side.
 
 The analytic rows: building the theta lattice, sampling 256 points of
 finite-gap data at genus 1-3, and the theta evaluator on an ill-conditioned
 genus-4 matrix.  Next to each time is an accuracy: the largest pointwise
 relative error of psi, or of the oscillatory sum relative to its largest
-term, against the one-exp-per-point sum of tests/oracles.py.
+term, against the one-exp-per-point sum of tests/oracles.py.  Each round
+runs one fresh process per checkout, back to back, alternating which goes
+first; a row keeps each side's median over the rounds and the ratio
+change/parent of every round, with its median and quartiles, in which a
+drift of the host's speed from one round to the next cancels.
 
 The import rows: ``import rakns``, ``import rakns.cli``, and a whole
 ``rakns hierarchy verify --max-order 7`` run in-process (import plus
@@ -44,7 +49,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ROUNDS = 5  # fresh processes per checkout for the analytic rows
+ROUNDS = 9  # rounds of one fresh process per checkout for the analytic rows
 IMPORT_ROUNDS = 11  # fresh processes per checkout, cold and warm, for the import rows
 IMPORTS = {
     "import rakns": "import rakns",
@@ -203,6 +208,11 @@ def import_rows(checkouts: dict) -> dict:
     return rows
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files of src/rakns, as ``wc -l`` counts them."""
+    return sum(path.read_text().count("\n") for path in (checkout / "src" / "rakns").glob("*.py"))
+
+
 def cmd_write(args) -> None:
     samples: dict = {"parent": [], "change": []}
     for r in range(ROUNDS):
@@ -215,6 +225,9 @@ def cmd_write(args) -> None:
         for side in ("parent", "change"):
             runs = [s[name] for s in samples[side]]
             row[side] = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
+        ratios = [c[name]["ms"] / p[name]["ms"] for p, c in zip(samples["parent"], samples["change"])]
+        q1, q2, q3 = quartiles(ratios)
+        row["change_over_parent"] = {"rounds": ratios, "q1": q1, "median": q2, "q3": q3}
         analytic[name] = row
     existing = sorted(ROOT.glob("BENCH_*.json"))
     path = existing[-1] if existing else ROOT / f"BENCH_{datetime.date.today().isoformat()}.json"
@@ -224,6 +237,9 @@ def cmd_write(args) -> None:
         "parent": args.parent_label,
         "change": args.change_label,
         "host": "2-core shared host, numpy only; times are medians, ms",
+        "src_lines": {side: src_lines(Path(checkout)) for side, checkout in
+                      (("parent", args.parent), ("change", args.change))},
+        "analytic_rounds": ROUNDS,
         "analytic": analytic,
         "import": {"processes": IMPORT_ROUNDS,
                    **import_rows({"parent": args.parent, "change": args.change})},

@@ -233,9 +233,10 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
     return advance
 
 
-def step(f: Field, spec: FlowSpec, dt: float, method: str = "rk4") -> Field:
-    """Advance one time step.  rk4 enforces the stability bound; ifrk4
-    requires constant coefficients."""
+def step(f: Field, spec: FlowSpec, dt: float, method: str = "auto") -> Field:
+    """Advance one time step; the method defaults to evolve_run's (auto:
+    ifrk4 for constant coefficients, else rk4).  rk4 enforces the stability
+    bound; ifrk4 requires constant coefficients."""
     table = default_flow_table(max(spec.max_order, 1))
     # Overflow before a Blowup is the Blowup, as in evolve_run.
     with np.errstate(over="ignore", invalid="ignore"):

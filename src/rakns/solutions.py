@@ -50,8 +50,8 @@ class Sampler:
 def plane_wave(q: float, M: int = 5) -> Sampler:
     """Constant-modulus background q exp(i sum_odd omega_k t_k); the phase
     rates come from evaluating each flow on the constant field."""
-    if not q > 0:
-        raise ValueError("q must be positive")
+    if not (q > 0 and math.isfinite(q)):
+        raise ValueError(f"q must be positive and finite, got {q}")
     if not 1 <= M <= 5:
         raise ValueError("M must be in 1..5")
     table = default_flow_table(M)
@@ -86,8 +86,8 @@ def _soliton_rate(k: int, a: float) -> float:
 def soliton(a_amp: float, M: int = 5) -> Sampler:
     """Bright soliton a sech(a(x - drift)) exp(i phase) extended to the
     hierarchy times; even flows translate, odd flows rotate the phase."""
-    if not a_amp > 0:
-        raise ValueError("amplitude must be positive")
+    if not (a_amp > 0 and math.isfinite(a_amp)):
+        raise ValueError(f"amplitude a must be positive and finite, got {a_amp}")
     if not 1 <= M <= 5:
         raise ValueError("M must be in 1..5")
     a = a_amp
@@ -125,6 +125,13 @@ def peregrine() -> Sampler:
 
 
 # -- Riemann theta -----------------------------------------------------------
+
+
+def _check_finite(name: str, value) -> None:
+    """Refuse a non-finite argument, naming it and its first bad entry."""
+    bad = np.asarray(value)[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
 
 
 def _check_riemann_matrix(B: np.ndarray) -> np.ndarray:
@@ -349,6 +356,7 @@ def theta(z, B, tol: float = 1e-12) -> complex:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if np.shape(B) != (len(z), len(z)):
         raise ValueError("z/B dimension mismatch")
+    _check_finite("z", z)
     scale, osc = _ThetaLattice(B, tol)(z)
     return complex(np.exp(scale[0]) * osc[0])
 
@@ -462,6 +470,8 @@ def _finite_gap_values(data: RiemannData, x, times: tuple) -> np.ndarray:
     (log scale, oscillatory part) and their scales are combined with 2i Phi
     before the one exp, so a finite ratio never overflows on the way."""
     shape, x = np.shape(x), np.reshape(x, -1).astype(float)
+    _check_finite("x", x)
+    _check_finite("times", times)
     U, Phi = data.phases(x, times)
     Z, ZD = data.Z, data.Z - data.delta
     lattice = data._theta_lattice

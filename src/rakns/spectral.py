@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diffpoly import GR_ZERO, DiffPoly, Monomial, jet
+from .diffpoly import DiffPoly
 from .hierarchy import conserved_density, default_flow_table
 
 
@@ -113,49 +113,37 @@ def spectral_derivative(f: Field | np.ndarray, order: int, grid: Grid | None = N
 @dataclass(frozen=True, eq=False)
 class EvalPlan:
     """Compiled evaluator for a weighted sum w_1 P_1 + ... + w_m P_m of
-    reduced differential polynomials.
+    reduced differential polynomials: the program only, not the sources.
 
     The monomials of all P_j are merged, each keeping one coefficient per
     P_j, so every jet and monomial is computed once however many polynomials
     share it; the weights (i^k alpha_k'(t) for a flow spec) are supplied at
-    evaluation time.  psibar jets are obtained by conjugating the
-    corresponding psi jets (conjugation commutes with d/dx for the real
-    variable x).
+    evaluation time.  psibar jets are the conjugated psi jets (conjugation
+    commutes with d/dx for the real variable x).
 
-    The monomials compile into a product program over one workspace of
-    ``rows`` grid rows.  Each monomial is its sorted sequence of factors,
-    and every prefix of two or more factors is one product row, made once
-    from the row of the prefix one shorter, so monomials that begin alike
-    share their products.  The rows are psi and its jets at ``orders``, a
-    row of ones if a monomial is constant (``unit``), the products that are
-    monomials, the other products, and last the psibar jets in use
-    (``conj``, one conjugation each).  ``scatter`` holds ``matrix`` for
-    the block of rows from ``first`` that carries every coefficient.  Its
-    head rows that are jets are the linear monomials (``linear_symbol``);
-    in the flows they are the top jets, so the block is just the monomials.
-    The weighted sum scales that block and adds up its rows.  It is not a
-    BLAS matrix-vector product: OpenBLAS runs one of this size on two
-    threads, and on a loaded 2-core host each handoff can wait 8 ms.
+    The program runs over one workspace of ``rows`` grid rows.  Each
+    monomial is its sorted sequence of factors, and every prefix of two or
+    more factors is one product row, made once from the row of the prefix
+    one shorter, so monomials that begin alike share their products.  The
+    rows are psi and its jets at ``orders``, a row of ones if a monomial is
+    constant (``unit``), the products that are monomials, the other
+    products, and last the psibar jets in use (``conj``).  ``scatter`` puts
+    each monomial's coefficients, one per source, at its row of the block
+    from ``first``.  The block's head rows that are jets are the linear
+    monomials (``linear_symbol``).  ``eval_rhs`` and ``_BoundPlan`` scale
+    the block and add up its rows, not by a BLAS matrix-vector product
+    (OpenBLAS threads one of this size, and on a loaded 2-core host each
+    handoff can wait 8 ms); ``_conserved_integrals``, the one route of the
+    conserved integrals, sums each column over the block's grid sums.
     """
 
     orders: tuple  # distinct positive jet orders, ascending
-    coeffs: tuple  # per monomial: exact coefficients, one per source
-    matrix: np.ndarray  # the same coefficients as complex, (monomials, m)
-    factors: tuple  # per monomial: ((conjugated, order, exponent), ...)
     rows: int  # workspace rows
     unit: int | None  # row of ones for a constant monomial, if any
     conj: tuple  # (row, psi jet row) per psibar jet in use
     products: tuple  # (row, a, b): row = a * b, each after its operands
     first: int  # scatter row i is workspace row first + i
-    scatter: np.ndarray  # (block rows, m): matrix placed at each monomial's row
-
-    def decompile(self) -> DiffPoly:
-        """P_1 + ... + P_m, rebuilt from the compiled monomials."""
-        terms = []
-        for cs, facs in zip(self.coeffs, self.factors):
-            d = {jet("psibar" if conj else "psi", o): e for conj, o, e in facs}
-            terms.append(Monomial(sum(cs[1:], cs[0]), tuple(sorted(d.items()))))
-        return DiffPoly(terms)
+    scatter: np.ndarray  # (block rows, m): each monomial's coefficients at its row
 
 
 def compile_plan(*polys: DiffPoly) -> EvalPlan:
@@ -168,19 +156,13 @@ def compile_plan(*polys: DiffPoly) -> EvalPlan:
     merged: dict = {}
     for j, h in enumerate(polys):
         for m in h.terms:
-            merged.setdefault(m.factors, [GR_ZERO] * len(polys))[j] = m.coeff
-    factors = tuple(
-        tuple((v.symbol == "psibar", v.order, e) for v, e in facs) for facs in merged
-    )
-    coeffs = tuple(tuple(cs) for cs in merged.values())
-    matrix = np.array([[complex(c) for c in cs] for cs in coeffs], dtype=complex)
-    matrix = matrix.reshape(len(coeffs), len(polys))
-    orders = tuple(sorted({o for facs in factors for _, o, _ in facs} - {0}))
-
-    seqs = [tuple(sorted((c, o) for c, o, e in facs for _ in range(e))) for facs in factors]
+            merged.setdefault(m.factors, [0j] * len(polys))[j] = complex(m.coeff)
+    # A monomial's factor sequence: (conjugated, order) once per power.
+    seqs = [tuple(sorted((v.symbol == "psibar", v.order) for v, e in facs for _ in range(e))) for facs in merged]
+    orders = tuple(sorted({o for s in seqs for _, o in s} - {0}))
     prefixes = sorted({s[:k] for s in seqs for k in range(2, len(s) + 1)})
     inner = set(prefixes) - set(seqs)
-    conj = sorted({o for facs in factors for c, o, _ in facs if c})
+    conj = sorted({o for s in seqs for c, o in s if c})
     # A row per factor sequence; sorted order runs every prefix before its
     # extensions, and putting inner prefixes last keeps the monomials together.
     order = [((False, o),) for o in (0,) + orders] + ([()] if () in seqs else [])
@@ -189,12 +171,10 @@ def compile_plan(*polys: DiffPoly) -> EvalPlan:
     mono = [at[s] for s in seqs]
     first, last = min(mono, default=0), max(mono, default=-1)
     scatter = np.zeros((last + 1 - first, len(polys)), dtype=complex)
-    scatter[[r - first for r in mono]] = matrix
+    for r, cs in zip(mono, merged.values()):
+        scatter[r - first] = cs
     return EvalPlan(
         orders=orders,
-        coeffs=coeffs,
-        matrix=matrix,
-        factors=factors,
         rows=len(order),
         unit=at.get(()),
         conj=tuple((at[(True, o),], at[(False, o),]) for o in conj),
@@ -320,15 +300,15 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
 
 
 def conserved_integral(f: Field, table, k: int) -> complex:
-    """Grid integral of the k-th conserved density (mean times L)."""
-    vals = eval_rhs(_cached_plan(conserved_density(table, k)), f)
-    return complex(np.mean(vals) * f.grid.length)
+    """Grid integral of the k-th conserved density: the one-density case of
+    the route the run records take."""
+    return _conserved_integrals(f, table, (k,))[0]
 
 
 def _conserved_integrals(f: Field, table, orders) -> tuple:
-    """conserved_integral(f, table, k) for each k of orders, from one plan
-    of their densities: its workspace is filled and its program run once,
-    and each density sums its scatter column of the block's grid sums."""
+    """Grid integrals of the conserved densities of the given orders, from
+    one plan of them: its workspace is filled and its program run once, and
+    each density sums its scatter column of the block's grid sums."""
     plan = _cached_plan(*(conserved_density(table, k) for k in orders))
     ws = _workspace(plan, f.values, f.grid)
     _run_program(plan, list(ws))

@@ -16,6 +16,7 @@ checks the two sides against each other and P against its definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +34,9 @@ class SymmetryParams:
     b: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.a == 0:
             raise ValueError("a must be nonzero")
 

@@ -302,30 +302,43 @@ def curvature_residual(table, k: int) -> LambdaMatrixPoly:
 # -- compiled evaluation ----------------------------------------------------------
 
 
-def rhs_terms(plan, values, grid, weights=None) -> list:
-    """The weighted monomials of an EvalPlan on the grid, one per monomial,
-    by the per-monomial loop: each jet by its own spectral derivative, each
-    psibar factor conjugated where it is used, powers by repeated products.
-    A constant monomial gives a scalar."""
-    jets = {o: spectral_derivative(values, o, grid) for o in (0,) + plan.orders}
-    coeffs = plan.matrix.sum(axis=1) if weights is None else plan.matrix @ np.asarray(weights)
+def rhs_terms(sources, values, grid, weights=None) -> list:
+    """The weighted monomials of sum_j weights[j] P_j on the grid, one per
+    monomial of each source P_j (unit weights for None), read off the
+    DiffPolys themselves, not off a compiled plan: each jet by its own
+    spectral derivative, each psibar factor conjugated where it is used,
+    powers by repeated products.  A constant monomial gives a scalar."""
+    jets: dict = {}
+
+    def jet_values(order):
+        if order not in jets:
+            jets[order] = spectral_derivative(values, order, grid)
+        return jets[order]
+
     terms = []
-    for c, facs in zip(coeffs, plan.factors):
-        term = c
-        for conj, o, e in facs:
-            base = np.conj(jets[o]) if conj else jets[o]
-            for _ in range(e):
-                term = term * base
-        terms.append(term)
+    for w, p in zip([1.0] * len(sources) if weights is None else weights, sources, strict=True):
+        for m in p.terms:
+            term = w * complex(m.coeff)
+            for v, e in m.factors:
+                base = np.conj(jet_values(v.order)) if v.symbol == "psibar" else jet_values(v.order)
+                for _ in range(e):
+                    term = term * base
+            terms.append(term)
     return terms
 
 
-def eval_rhs_reference(plan, values, grid, weights=None) -> np.ndarray:
+def eval_rhs_reference(sources, values, grid, weights=None) -> np.ndarray:
     """sum_j weights[j] P_j on the grid, summed monomial by monomial."""
     out = np.zeros(grid.n, dtype=complex)
-    for term in rhs_terms(plan, values, grid, weights):
+    for term in rhs_terms(sources, values, grid, weights):
         out += term
     return out
+
+
+def conserved_integral_reference(density, f) -> complex:
+    """Grid integral (mean times L) of one density, summed monomial by
+    monomial."""
+    return complex(np.mean(eval_rhs_reference([density], f.values, f.grid)) * f.grid.length)
 
 
 # -- time stepping ----------------------------------------------------------------

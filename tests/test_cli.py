@@ -383,6 +383,42 @@ def test_sample_refuses_nan_in_riemann_matrix(tmp_path, capsys):
     assert err.count("\n") == 1 and "B must be finite" in err
 
 
+@pytest.mark.parametrize("times", [["nan"], ["0.1", "inf"]])
+def test_sample_refuses_non_finite_times(tmp_path, capsys, times):
+    """A NaN time once printed numpy's 'invalid value encountered in divide'
+    and then a 'field contains NaN/Inf samples' usage error."""
+    path = tmp_path / "rd.json"
+    path.write_text(random_riemann_data(2, 3, rng=0).to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            ["sample", "--solution", "finitegap", "--riemann", str(path), "--grid", "64,10", "--times", *times],
+            capsys,
+        )
+    assert code == 2
+    assert _one_error_line(err) and "times must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identity", "check", "--a", "1", "--b", "nan"], "b must be finite"),
+        (["identity", "check", "--a", "inf", "--b", "0"], "a must be finite"),
+        (["sample", "--solution", "soliton", "--grid", "64,10", "--param", "a=inf"], "amplitude a must be positive and finite"),
+        (["sample", "--solution", "planewave", "--grid", "64,10", "--param", "q=inf"], "q must be positive and finite"),
+    ],
+)
+def test_non_finite_parameters_are_refused_by_name(capsys, argv, message):
+    """A NaN b was reported as 'V must be finite', an infinite amplitude as
+    'field contains NaN/Inf samples'."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run(argv, capsys)
+    assert code == 2
+    assert "pass" not in text
+    assert _one_error_line(err) and message in err
+
+
 def test_sample_finitegap(tmp_path, capsys):
     data = random_riemann_data(1, 2, rng=8)
     path = tmp_path / "rd.json"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ifrk4_reference, linear_symbol_reference
+from oracles import conserved_integral_reference, ifrk4_reference, linear_symbol_reference, rhs_terms
 
 from rakns import spectral
 from rakns.evolve import (
@@ -26,7 +26,7 @@ from rakns.evolve import (
 )
 from rakns.hierarchy import conserved_density, default_flow_table
 from rakns.solutions import plane_wave, soliton
-from rakns.spectral import Field, Grid, conserved_integral, flow_plan, linear_symbol, residual, sample_onto_grid
+from rakns.spectral import Field, Grid, flow_plan, linear_symbol, residual, sample_onto_grid
 
 
 NLS = FlowSpec([(1, Linear(1.0))])
@@ -131,6 +131,18 @@ def test_stability_guard_threshold_is_linear_symbols():
         step(f, spec, dt * (1 + 1e-12), method="rk4")
 
 
+def test_step_defaults_to_the_method_of_evolve_run():
+    """step() once defaulted to rk4, so the hnls5 step that evolve_run
+    takes raised StabilityViolation (dt max|mu| = 35); both now default to
+    auto: ifrk4 for constant coefficients, rk4 otherwise."""
+    f = _soliton_field()
+    out = step(f, HNLS5, 2.5e-5)
+    assert np.array_equal(out.values, step(f, HNLS5, 2.5e-5, method="ifrk4").values)
+    assert np.array_equal(out.values, evolve_run(f, HNLS5, 2.5e-5, 2.5e-5).final.values)
+    spec = FlowSpec([(1, Sinusoid(1.0, 2.0))])
+    assert np.array_equal(step(f, spec, 1e-4).values, step(f, spec, 1e-4, method="rk4").values)
+
+
 def test_rk4_and_ifrk4_agree_small_dt():
     f = _soliton_field()
     a = step(f, NLS, 1e-4, method="rk4")
@@ -222,16 +234,19 @@ def test_stepped_field_is_read_only(method):
 )
 def test_conserved_rows_match_three_integrals(spec, method):
     """Each recorded row (c1, c2, c3), made from one plan of the three
-    densities, is the three conserved_integral calls on that snapshot."""
+    densities, is the grid integral of each density on that snapshot,
+    summed monomial by monomial from the density itself."""
     g = Grid(128, 40.0)
     boost = np.exp(2j * np.pi * 3 * g.nodes / g.length)  # c2 of a still soliton is 0
     f0 = Field(g, _soliton_field(g).values * boost)
     traj = evolve_run(f0, spec, 2e-3, 2.5e-4, method=method, snapshot_stride=2)
     table = default_flow_table(5)
     for f, row in zip(traj.fields, traj.conserved, strict=True):
-        direct = [conserved_integral(f, table, k) for k in (1, 2, 3)]
         assert all(type(c) is complex for c in row)
-        assert all(abs(c - d) <= 1e-14 * abs(d) for c, d in zip(row, direct))
+        for c, k in zip(row, (1, 2, 3), strict=True):
+            density = conserved_density(table, k)
+            scale = sum(np.sum(np.abs(t)) for t in rhs_terms([density], f.values, g)) * g.dx
+            assert abs(c - conserved_integral_reference(density, f)) <= 1e-14 * scale
 
 
 def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):

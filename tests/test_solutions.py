@@ -150,6 +150,15 @@ def test_sampler_rejects_too_many_times():
         soliton(1.0)(0.0, (1.0,) * 6)
 
 
+@pytest.mark.parametrize("make, message", [(soliton, "amplitude a must be"), (plane_wave, "q must be")])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_samplers_refuse_non_finite_amplitude(make, message, value):
+    """An infinite amplitude passed the check 'q > 0' and sampled into a
+    'field contains NaN/Inf samples' error."""
+    with pytest.raises(ValueError, match=f"{message} positive and finite"):
+        make(value)
+
+
 # -- theta -------------------------------------------------------------------
 
 
@@ -365,6 +374,15 @@ def test_theta_refuses_tol_that_is_not_positive_and_finite(tol):
         _ThetaLattice(B, tol)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.1, -np.inf)])
+def test_theta_refuses_non_finite_argument(bad):
+    """A non-finite z once returned nan+nanj after numpy RuntimeWarnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="z must be finite"):
+            theta(np.array([bad, 0.0]), _random_B(2, 0))
+
+
 def test_theta_checks_shape_before_building_lattice(monkeypatch):
     def no_lattice(*args):
         raise AssertionError("lattice built for a mismatched argument")
@@ -465,6 +483,20 @@ def test_finite_gap_rejects_excess_times():
     data = random_riemann_data(1, 2, rng=5)
     with pytest.raises(ValueError):
         finite_gap_sample(data, 0.0, (0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize(
+    "x, times, name",
+    [(np.array([0.0, np.nan]), (0.1,), "x"), (0.5, (np.inf,), "times"), (np.zeros(4), (0.1, np.nan), "times")],
+)
+def test_finite_gap_refuses_non_finite_arguments(x, times, name):
+    """A NaN time once sampled into numpy's 'invalid value encountered in
+    divide' and a 'field contains NaN/Inf samples' error."""
+    sampler = finite_gap_sampler(random_riemann_data(2, 3, rng=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sampler(x, times)
 
 
 def test_finite_gap_finite_where_each_theta_overflows():

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import eval_rhs_reference, rhs_terms
 
+from rakns import spectral
 from rakns.diffpoly import DiffPoly, GaussianRational, dp_reduce, jet
 from rakns.evolve import FlowSpec, Linear
+from rakns.hierarchy import conserved_density
 from rakns.solutions import plane_wave, soliton
 from rakns.spectral import (
     EvalPlan,
@@ -18,6 +20,7 @@ from rakns.spectral import (
     UnreducedInput,
     _BoundPlan,
     _cached_plan,
+    _conserved_integrals,
     compile_plan,
     conserved_integral,
     eval_rhs,
@@ -104,10 +107,30 @@ def test_compile_rejects_unreduced():
         compile_plan(p)
 
 
-def test_plan_decompile_roundtrip(table5):
-    for k in range(1, 6):
-        plan = compile_plan(table5.H[k])
-        assert plan.decompile() == table5.H[k]
+def _two_sources_sharing_psi_x_psibar():
+    """Two sources that share the monomial psi_x psibar, each also with a
+    monomial of its own."""
+    shared = {jet("psi", 1): 1, jet("psibar"): 1}
+    return [
+        DiffPoly.monomial(GaussianRational(2, 1), shared) + DiffPoly.var("psi", 2),
+        DiffPoly.monomial(GaussianRational(-1, 3), shared) + DiffPoly.monomial(1, {jet("psi"): 2, jet("psibar"): 1}),
+    ]
+
+
+def test_plans_match_their_sources(table5):
+    """A compiled plan evaluates the polynomials it was compiled from: H_1..H_5
+    alone, flows 1-3 and densities 1-3 together, and two sources sharing a
+    monomial, whose coefficients the plan must merge into one row, checked
+    against the per-monomial sum of the sources themselves."""
+    g, values = _smooth_samples(7)
+    densities = [conserved_density(table5, k) for k in (1, 2, 3)]
+    cases = [[table5.H[k]] for k in range(1, 6)]
+    cases += [[table5.H[1], table5.H[2], table5.H[3]], densities, _two_sources_sharing_psi_x_psibar()]
+    for sources in cases:
+        plan = compile_plan(*sources)
+        for weights in (None, [0.5 - 2j, 1.5, -1j][: len(sources)]):
+            err = np.max(np.abs(eval_rhs(plan, values, g, weights) - eval_rhs_reference(sources, values, g, weights)))
+            assert err <= 1e-13 * _term_scale(sources, values, g, weights)
 
 
 def test_plan_cache_returns_same_object(table5):
@@ -169,10 +192,10 @@ def _smooth_samples(seed):
     return g, np.exp(1j * np.outer(g.nodes, np.arange(-3, 4))) @ amps
 
 
-def _term_scale(plan, values, g, weights) -> float:
+def _term_scale(sources, values, g, weights) -> float:
     """The largest sum of |monomial| over the grid: the size that rounding
     in a sum of the weighted monomials is relative to."""
-    terms = rhs_terms(plan, values, g, weights)
+    terms = rhs_terms(sources, values, g, weights)
     return np.max(sum((np.abs(t) for t in terms), np.zeros(g.n)))
 
 
@@ -183,6 +206,7 @@ def _term_scale(plan, values, g, weights) -> float:
 @example(([DiffPoly.constant(GaussianRational(2, -1)) + DiffPoly.var("psibar", 2)], None), 2)
 @example(([DiffPoly.monomial(3, {jet("psi", 1): 3, jet("psibar", 4): 2})], [0.5j]), 3)
 @example(([DiffPoly.var("psi", 3), DiffPoly.constant(1)], None), 4)
+@example((_two_sources_sharing_psi_x_psibar(), [1.0, 2j]), 5)
 def test_eval_rhs_matches_per_monomial_loop(sources_weights, seed):
     """The product program sums the same monomials as the per-monomial
     loop: the same values up to the order of products and sums."""
@@ -191,8 +215,8 @@ def test_eval_rhs_matches_per_monomial_loop(sources_weights, seed):
     plan = compile_plan(*sources)
     got = eval_rhs(plan, values, g, weights)
     assert got.shape == (g.n,)
-    err = np.max(np.abs(got - eval_rhs_reference(plan, values, g, weights)))
-    assert err <= 1e-13 * _term_scale(plan, values, g, weights)
+    err = np.max(np.abs(got - eval_rhs_reference(sources, values, g, weights)))
+    assert err <= 1e-13 * _term_scale(sources, values, g, weights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,24 +236,24 @@ def test_linear_symbol_and_bound_plan_split_eval_rhs(sources_weights, seed):
     psi_hat = np.fft.fft(values)
     split = _BoundPlan(plan, g, weights)(psi_hat) + np.fft.ifft(linear_symbol(plan, g, weights) * psi_hat)
     err = np.max(np.abs(split - eval_rhs(plan, values, g, weights)))
-    assert err <= 1e-13 * _term_scale(plan, values, g, weights)
+    assert err <= 1e-13 * _term_scale(sources, values, g, weights)
 
 
 def test_hnls5_ifrk4_program_shares_products(table5):
-    """The flow plan that IF-RK4 runs for the hnls5 mix: 33 monomials, 5 of
-    them the linear jets psi_2x..psi_6x at the head of the block; the 28
-    nonlinear ones, whose factor loop takes 102 multiplications, share
+    """The flow plan that IF-RK4 runs for the hnls5 mix: a block of 33 rows,
+    one per monomial, headed by the 5 linear jets psi_2x..psi_6x; the 28
+    nonlinear monomials, whose factor loop takes 102 multiplications, share
     prefixes down to 49 products and conjugate each psibar jet once."""
     plan = flow_plan(table5, FlowSpec.from_coeffs((1.0, -0.4, -0.1, 0.05, 0.02)))
-    assert len(plan.factors) == 33
+    assert plan.scatter.shape == (33, 5)
     linear = range(plan.first, 1 + len(plan.orders))
     assert [plan.orders[r - 1] for r in linear] == [2, 3, 4, 5, 6]
-    assert sum(len(facs) == 1 and facs[0][2] == 1 and not facs[0][0] for facs in plan.factors) == 5
     assert len(plan.products) <= 49
     assert len(plan.conj) == 5
     # the weighted sum touches the monomial rows only, linear jets included
-    for p in (plan, compile_plan(table5.H[1], table5.H[2], table5.H[3])):
-        assert p.scatter.shape == (len(p.factors), len(p.matrix[0]))
+    for sources in ([table5.H[k] for k in range(1, 6)], [table5.H[1], table5.H[2], table5.H[3]]):
+        monomials = {m.factors for h in sources for m in h.terms}
+        assert compile_plan(*sources).scatter.shape == (len(monomials), len(sources))
 
 
 # -- residual ----------------------------------------------------------------
@@ -292,6 +316,23 @@ def test_mass_integral_of_soliton(table5):
     f2 = sample_onto_grid(soliton(2.0), g, ())
     c2 = conserved_integral(f2, table5, 1)
     assert c2 / (np.sum(np.abs(f2.values) ** 2) * g.dx) == pytest.approx(ratio)
+
+
+def test_conserved_integral_is_the_one_density_route(table5, monkeypatch):
+    """conserved_integral(f, table, k) is the route of the run records with
+    the one density k: the same value exactly, and no eval_rhs call."""
+    g = Grid(256, 40.0)
+    boost = np.exp(2j * np.pi * 3 * g.nodes / g.length)  # c2 of a still soliton is 0
+    f = Field(g, sample_onto_grid(soliton(1.0), g, ()).values * boost)
+
+    def no_eval_rhs(*args, **kwargs):
+        raise AssertionError("conserved_integral called eval_rhs")
+
+    monkeypatch.setattr(spectral, "eval_rhs", no_eval_rhs)
+    for k in (1, 2, 3):
+        c = conserved_integral(f, table5, k)
+        assert type(c) is complex and c != 0
+        assert c == _conserved_integrals(f, table5, (k,))[0]
 
 
 def test_quadrature_matches_trapezoid():

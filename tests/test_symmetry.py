@@ -34,6 +34,13 @@ def test_params_reject_zero_a():
         SymmetryParams(0.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b, name", [(math.nan, 0.0, "a"), (-math.inf, 0.0, "a"), (1.0, math.nan, "b"), (1.0, math.inf, "b")])
+def test_params_refuse_non_finite(a, b, name):
+    """A NaN b was accepted and surfaced later as 'V must be finite'."""
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SymmetryParams(a, b)
+
+
 def test_composition_law():
     p1 = SymmetryParams(1.5, 0.3)
     p2 = SymmetryParams(0.8, -0.2)
