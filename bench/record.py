@@ -24,6 +24,14 @@ first; a row keeps each side's median over the rounds and the ratio
 change/parent of every round, with its median and quartiles, in which a
 drift of the host's speed from one round to the next cancels.
 
+The stepping rows: one ``evolve_run`` of the benchmark's ``deformed_rk4``
+spec (Sinusoid schedules on flows 1-3, n = 2048, L = 320, T = 0.02) from
+a soliton with ``method="auto"``, at the benchmark's dt = 1.25e-4 and at
+2.5e-4, the median of five runs in each round; next to each time is the
+largest error against the multi-time soliton sampler.  A side whose
+stepper refuses a dt (rk4's stability guard raises StabilityViolation)
+records the refusal in place of a time.
+
 The import rows: ``import rakns``, ``import rakns.cli``, and a whole
 ``rakns hierarchy verify --max-order 7`` run in-process (import plus
 ``cli.main``), each timed in fresh processes with numpy already imported,
@@ -163,9 +171,44 @@ def analytic_rows() -> dict:
     return rows
 
 
+def stepping_rows() -> dict:
+    """Time and check the deformed_rk4 spec's run at two steps with the
+    rakns on sys.path."""
+    import math
+
+    import numpy as np
+
+    from rakns.evolve import EvolveError, FlowSpec, Sinusoid, evolve_run
+    from rakns.solutions import soliton
+    from rakns.spectral import Grid, sample_onto_grid
+
+    schedules = ((1, 1.0, 2.0), (2, 0.3, 3.0), (3, 0.05, 1.0))  # (k, amplitude, frequency)
+    spec = FlowSpec([(k, Sinusoid(amp, freq)) for k, amp, freq in schedules])
+    grid, t_end = Grid(2048, 320.0), 0.02
+    f0 = sample_onto_grid(soliton(1.0), grid, ())
+    times = tuple(amp * math.sin(freq * t_end) for _, amp, freq in schedules)
+    exact = sample_onto_grid(soliton(1.0), grid, times, t=t_end).values
+    rows = {}
+    for dt in (1.25e-4, 2.5e-4):
+        name = f"evolve_run, deformed_rk4 spec, auto, n = 2048, T = 0.02, dt = {dt:g}"
+        try:
+            evolve_run(f0, spec, 2 * dt, dt, method="auto")  # compile the plans
+        except EvolveError as exc:
+            rows[name] = {"refused": f"{type(exc).__name__}: {exc}"}
+            continue
+        samples = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            final = evolve_run(f0, spec, t_end, dt, method="auto").final
+            samples.append(time.perf_counter() - t0)
+        err = float(np.max(np.abs(final.values - exact)))
+        rows[name] = {"ms": statistics.median(samples) * 1e3, "err_vs_sampler": err}
+    return rows
+
+
 def measure(checkout: Path) -> dict:
     code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2], sys.argv[3]]; "
-            "import record; print(json.dumps(record.analytic_rows()))")
+            "import record; print(json.dumps({**record.analytic_rows(), **record.stepping_rows()}))")
     out = subprocess.run(
         [sys.executable, "-c", code, str(checkout / "src"), str(ROOT / "tests"), str(ROOT / "bench")],
         stdout=subprocess.PIPE, text=True, check=True).stdout
@@ -224,10 +267,12 @@ def cmd_write(args) -> None:
         row = {}
         for side in ("parent", "change"):
             runs = [s[name] for s in samples[side]]
-            row[side] = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
-        ratios = [c[name]["ms"] / p[name]["ms"] for p, c in zip(samples["parent"], samples["change"])]
-        q1, q2, q3 = quartiles(ratios)
-        row["change_over_parent"] = {"rounds": ratios, "q1": q1, "median": q2, "q3": q3}
+            row[side] = runs[0] if "refused" in runs[0] else {
+                key: statistics.median(run[key] for run in runs) for key in runs[0]}
+        if all("ms" in row[side] for side in ("parent", "change")):
+            ratios = [c[name]["ms"] / p[name]["ms"] for p, c in zip(samples["parent"], samples["change"])]
+            q1, q2, q3 = quartiles(ratios)
+            row["change_over_parent"] = {"rounds": ratios, "q1": q1, "median": q2, "q3": q3}
         analytic[name] = row
     existing = sorted(ROOT.glob("BENCH_*.json"))
     path = existing[-1] if existing else ROOT / f"BENCH_{datetime.date.today().isoformat()}.json"

@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--grid", help="N,L of a sampler initial; must match a field file's")
     ev.add_argument("--dt", type=float)
     ev.add_argument("--t-end", type=float, dest="t_end")
-    ev.add_argument("--method", choices=("auto", "rk4", "ifrk4"))
+    ev.add_argument("--method", choices=("auto", "rk4", "ifrk4"),
+                    help="auto (the default) and ifrk4 run Lawson IF-RK4 for every schedule; rk4 is the guarded oracle")
     ev.add_argument("--out", help="output directory for snapshots")
     ev.set_defaults(func=cmd_evolve)
 

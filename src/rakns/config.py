@@ -80,6 +80,12 @@ def _finite(text: str) -> float:
     return value
 
 
+def _method(text: str) -> str:
+    if text not in ("auto", "rk4", "ifrk4"):
+        raise ValueError(f"expected auto, rk4 or ifrk4, got {text!r}")
+    return text
+
+
 # The only keys a config may hold, each with the one parser for its value.
 _KEYS = {
     **{("flows", f"flow{k}"): _schedule for k in range(1, 10)},
@@ -87,7 +93,7 @@ _KEYS = {
     ("grid", "length"): _finite,
     ("time", "dt"): _finite,
     ("time", "t_end"): _finite,
-    ("time", "method"): str,
+    ("time", "method"): _method,
     ("time", "snapshot_stride"): int,
 }
 _SECTIONS = {section for section, _ in _KEYS}

@@ -2,9 +2,10 @@
 
     psi_t = sum_k i^k alpha_k'(t) H_k(psi),
 
-with plain RK4 (guarded by the imaginary-axis stability bound) and an
-integrating-factor RK4 that propagates the stiff linear phases exactly;
-both run the spec's one flow plan and read its linear symbol off it.
+with one stepper for every schedule, Lawson's integrating-factor RK4,
+which propagates the stiff linear phases exactly by exp(int mu dt); plain
+RK4, guarded by the imaginary-axis stability bound, stays as the oracle.
+Both run the spec's one flow plan and read its linear symbol off it.
 """
 
 from __future__ import annotations
@@ -124,11 +125,11 @@ class Bump(_FiniteParams):
         return self.height * math.exp(4.0 - 1.0 / (s * (1.0 - s)))
 
     def derivative(self, t: float) -> float:
-        s = self._s(t)
-        if s <= 0.0 or s >= 1.0:
+        s, value = self._s(t), self.value(t)
+        if value == 0.0:  # outside the support, or exp underflowed at its edge
             return 0.0
         # d/ds of -1/(s(1-s)) is (1-2s)/(s(1-s))^2
-        return self.value(t) * (1.0 - 2.0 * s) / (s * (1.0 - s)) ** 2 / (self.t1 - self.t0)
+        return value * (1.0 - 2.0 * s) / (s * (1.0 - s)) ** 2 / (self.t1 - self.t0)
 
 
 Schedule = Linear | Poly | Sinusoid | Bump
@@ -173,19 +174,20 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
     """One step of size dt as ``advance(f, t_new) -> Field``.
 
     Both methods run the spec's one flow plan and take the linear symbol
-    mu = sum_k i^k alpha_k' (i xi)^(k+1) off it.  rk4, the reference
-    integrator, is plain RK4 on the whole plan through eval_rhs behind the
-    guard dt max|mu| <= 2.8, and holds no workspace between steps (a bound
-    one raised its peak RSS for no speed).  ifrk4 (constant coefficients
-    only) propagates e^(mu dt) exactly and applies RK4 to the plan's
-    nonlinear part, bound to the grid once and run from psi-hat: one
-    inverse and one forward FFT per stage.  A step that leaves non-finite
-    values raises Blowup carrying the field it started from.
+    mu = sum_k i^k alpha_k' (i xi)^(k+1) off it.  ifrk4 (auto too) is
+    Lawson's integrating-factor RK4 for any schedules: exp(int mu dt) over
+    a half step is exp of the symbol at the increments
+    i^k (alpha_k(t1) - alpha_k(t0)), and RK4 runs the plan's nonlinear part
+    at the stage weights, bound to the grid once and run from psi-hat: one
+    inverse and one forward FFT per stage.  For Linear schedules the
+    factors and weights are made once.  rk4, the oracle, is plain RK4 on
+    the whole plan through eval_rhs behind the guard dt max|mu| <= 2.8, and
+    holds no workspace between steps (a bound one raised its peak RSS for
+    no speed).  A step that leaves non-finite values raises Blowup carrying
+    the field it started from.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
-    if method == "auto":
-        method = "ifrk4" if spec.is_constant else "rk4"
     plan = flow_plan(table, spec)
     if method == "rk4":
 
@@ -202,24 +204,30 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
             k4 = rhs(v + dt * k3, t + dt)
             return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    elif method == "ifrk4":
-        if not spec.is_constant:
-            raise EvolveError("ifrk4 requires Linear (constant-coefficient) schedules")
-        weights = spec.weights(0.0)
-        program = _BoundPlan(plan, grid, weights)
-        e = np.exp(0.5 * dt * linear_symbol(plan, grid, weights))
-        e2 = e * e
+    elif method in ("auto", "ifrk4"):
+        program = _BoundPlan(plan, grid)
 
-        def nhat(u):
-            return np.fft.fft(program(u))
+        def factors(t):
+            """e1 and e2 over the half steps from t, e = e1 e2, and the
+            weights at t, t + dt/2 and t + dt."""
+            ts = (t, t + 0.5 * dt, t + dt)
+            alpha = [np.array([1j**k * s.value(r) for k, s in spec.entries], dtype=complex) for r in ts]
+            e1, e2 = (np.exp(linear_symbol(plan, grid, w1 - w0)) for w0, w1 in zip(alpha, alpha[1:]))
+            return e1, e2, e1 * e2, *map(spec.weights, ts)
+
+        fixed = factors(0.0) if spec.is_constant else None
+
+        def nhat(u, w):
+            return np.fft.fft(program(u, w))
 
         def integrate(v, t):
+            e1, e2, e, w0, wh, w1 = fixed or factors(t)
             u = np.fft.fft(v)
-            a = nhat(u)
-            b = nhat(e * (u + 0.5 * dt * a))
-            c = nhat(e * u + 0.5 * dt * b)
-            d = nhat(e2 * u + dt * e * c)
-            return np.fft.ifft(e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e * (b + c) + d))
+            a = nhat(u, w0)
+            b = nhat(e1 * (u + 0.5 * dt * a), wh)
+            c = nhat(e1 * u + 0.5 * dt * b, wh)
+            d = nhat(e * u + dt * e2 * c, w1)
+            return np.fft.ifft(e * u + (dt / 6.0) * (e * a + 2.0 * e2 * (b + c) + d))
 
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -234,9 +242,9 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
 
 
 def step(f: Field, spec: FlowSpec, dt: float, method: str = "auto") -> Field:
-    """Advance one time step; the method defaults to evolve_run's (auto:
-    ifrk4 for constant coefficients, else rk4).  rk4 enforces the stability
-    bound; ifrk4 requires constant coefficients."""
+    """Advance one time step; the method defaults to evolve_run's auto, which
+    is ifrk4 for every schedule.  rk4, the oracle, enforces the stability
+    bound."""
     table = default_flow_table(max(spec.max_order, 1))
     # Overflow before a Blowup is the Blowup, as in evolve_run.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -535,6 +535,9 @@ def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
     every higher order.  An overflowing entry of P makes the result
     non-finite, which RiemannData refuses.
     """
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if a == 0:
         raise ValueError("a must be nonzero")
     n = len(data.V)

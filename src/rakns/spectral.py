@@ -246,15 +246,15 @@ def linear_symbol(plan: EvalPlan, grid: Grid, weights) -> np.ndarray:
 
 class _BoundPlan:
     """The nonlinear part of an EvalPlan, all but its linear_symbol, bound
-    to one grid and one set of source weights for a stepper that works on
-    psi-hat: workspace, row views, coefficients and multipliers are made
-    once.  A call fills psi and its jets up to the last one the products
-    and conjugations read, by one batched inverse FFT of psi-hat (no
-    forward FFT), runs the product program of eval_rhs and sums the rows
-    of the block after the jet rows.
+    to one grid for a stepper that works on psi-hat: workspace, row views
+    and multipliers are made once, and a call takes its source weights.  A
+    call fills psi and its jets up to the last one the products and
+    conjugations read, by one batched inverse FFT of psi-hat (no forward
+    FFT), runs the product program of eval_rhs and sums the rows of the
+    block after the jet rows.
     """
 
-    def __init__(self, plan: EvalPlan, grid: Grid, weights):
+    def __init__(self, plan: EvalPlan, grid: Grid):
         ws = np.empty((plan.rows, grid.n), dtype=complex)
         top = 1 + len(plan.orders)  # rows of psi and its jets
         jets = max((r + 1 for p in plan.products + plan.conj for r in p[1:] if r < top), default=0)
@@ -264,12 +264,12 @@ class _BoundPlan:
         self.mults = _multipliers(grid, (0,) + plan.orders)[:jets]  # row 0 is (i xi)^0 = 1
         self.jets = ws[:jets]
         self.terms = ws[start : plan.first + len(plan.scatter)]
-        self.coeffs = _coefficients(plan, weights)[start - plan.first :]
+        self.skip = start - plan.first  # block rows that are linear jets
 
-    def __call__(self, psi_hat: np.ndarray) -> np.ndarray:
+    def __call__(self, psi_hat: np.ndarray, weights) -> np.ndarray:
         np.multiply(psi_hat, self.mults, out=self.jets)
         np.fft.ifft(self.jets, axis=-1, out=self.jets)
-        return _weighted_sum(self.plan, self.rows, self.terms, self.coeffs)
+        return _weighted_sum(self.plan, self.rows, self.terms, _coefficients(self.plan, weights)[self.skip :])
 
 
 @lru_cache(maxsize=256)

@@ -344,11 +344,11 @@ def conserved_integral_reference(density, f) -> complex:
 # -- time stepping ----------------------------------------------------------------
 
 
-def linear_symbol_reference(spec, grid, t: float) -> np.ndarray:
-    """mu(xi, t) = sum_k i^k alpha_k'(t) (i xi)^(k+1), written out flow by
-    flow; the Nyquist mode of an odd order is zero, as in eval_rhs."""
+def symbol_reference(spec, grid, weights) -> np.ndarray:
+    """sum_k weights[k] (i xi)^(k+1), written out flow by flow; the Nyquist
+    mode of an odd order is zero, as in eval_rhs."""
     mu = np.zeros(grid.n, dtype=complex)
-    for w, (k, _) in zip(spec.weights(t), spec.entries):
+    for w, (k, _) in zip(weights, spec.entries):
         col = (1j * grid.xi) ** (k + 1)
         if k % 2 == 0:
             col[grid.n // 2] = 0.0
@@ -356,27 +356,39 @@ def linear_symbol_reference(spec, grid, t: float) -> np.ndarray:
     return mu
 
 
+def linear_symbol_reference(spec, grid, t: float) -> np.ndarray:
+    """mu(xi, t) = sum_k i^k alpha_k'(t) (i xi)^(k+1)."""
+    return symbol_reference(spec, grid, [1j**k * s.derivative(t) for k, s in spec.entries])
+
+
 def ifrk4_reference(table, spec, f, dt: float, steps: int) -> np.ndarray:
-    """Integrating-factor RK4 with every stage in sample space: each stage
-    transforms back to samples and eval_rhs transforms them again.  Returns
-    the samples after ``steps`` steps of a constant-coefficient spec."""
+    """Lawson's integrating-factor RK4 with every stage in sample space: each
+    stage transforms back to samples and eval_rhs transforms them again.
+    The factor from t0 to t1 is exp(int mu dt), the symbol at the
+    increments i^k (alpha_k(t1) - alpha_k(t0)) of the schedules' values;
+    the nonlinear part takes the weights at each stage's time.  Returns
+    the samples after ``steps`` steps from f.time, for any schedules."""
     grid = f.grid
     plan = compile_plan(*(table.H[k] - DiffPoly.var("psi", k + 1) for k, _ in spec.entries))
-    w = spec.weights(0.0)
-    e = np.exp(0.5 * dt * linear_symbol_reference(spec, grid, 0.0))
-    e2 = e * e
 
-    def nhat(v):
-        return np.fft.fft(eval_rhs(plan, v, grid, w))
+    def factor(t0, t1):
+        return np.exp(symbol_reference(spec, grid, [1j**k * (s.value(t1) - s.value(t0)) for k, s in spec.entries]))
+
+    def nhat(v, t):
+        weights = [1j**k * s.derivative(t) for k, s in spec.entries]
+        return np.fft.fft(eval_rhs(plan, v, grid, weights))
 
     v = f.values
-    for _ in range(steps):
+    for i in range(steps):
+        t = f.time + i * dt
+        th, t1 = t + 0.5 * dt, t + dt
+        e1, e2, e = factor(t, th), factor(th, t1), factor(t, t1)
         u = np.fft.fft(v)
-        a = nhat(v)
-        b = nhat(np.fft.ifft(e * (u + 0.5 * dt * a)))
-        c = nhat(np.fft.ifft(e * u + 0.5 * dt * b))
-        d = nhat(np.fft.ifft(e2 * u + dt * e * c))
-        v = np.fft.ifft(e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e * (b + c) + d))
+        a = nhat(v, t)
+        b = nhat(np.fft.ifft(e1 * (u + 0.5 * dt * a)), th)
+        c = nhat(np.fft.ifft(e1 * u + 0.5 * dt * b), th)
+        d = nhat(np.fft.ifft(e * u + dt * e2 * c), t1)
+        v = np.fft.ifft(e * u + (dt / 6.0) * (e * a + 2.0 * e2 * (b + c) + d))
     return v
 
 

@@ -511,12 +511,28 @@ def test_evolve_stability_violation_exits_1(capsys):
     assert _one_error_line(err)
 
 
-def test_evolve_ifrk4_on_deformed_spec_is_usage_error(tmp_path, capsys):
+def test_evolve_ifrk4_on_deformed_spec_matches_rk4(tmp_path, capsys):
+    """ifrk4 runs a deformed schedule (it once exited 2 as "requires
+    Linear"), and its last snapshot is where the rk4 oracle's is."""
     cfg = tmp_path / "sin.cfg"
     cfg.write_text(CONFIG.replace("linear(1.0)", "sin(1.0, 1.0)"))
+    finals = []
+    for method in ("ifrk4", "rk4"):
+        out = tmp_path / method
+        argv = ["evolve", "--config", str(cfg), "--initial", "soliton", "--method", method, "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        finals.append(read_field(out / "snap_50.txt").values)  # t = 0.05, the last of 51
+    assert np.max(np.abs(finals[0] - finals[1])) < 1e-10
+
+
+def test_evolve_unknown_config_method_names_its_line(tmp_path, capsys):
+    """A method outside auto|rk4|ifrk4 fails when the config is parsed, on
+    its line, not later as an unknown method with no line."""
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text(CONFIG.replace("method = ifrk4", "method = bogus"))
     code, _, err = run(["evolve", "--config", str(cfg), "--initial", "soliton"], capsys)
     assert code == 2
-    assert _one_error_line(err)
+    assert _one_error_line(err) and "line 11: method:" in err
 
 
 def test_evolve_config_snapshot_stride(tmp_path, capsys):

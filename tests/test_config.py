@@ -161,6 +161,8 @@ def test_preset_rejects_stray_params():
         ("time", "snapshot_stride", "2.5"),
         ("time", "snapshot_stride", "1e1"),
         ("time", "snapshot_stride", "nan"),
+        ("time", "method", "bogus"),
+        ("time", "method", "RK4"),
     ],
 )
 def test_bad_value_names_its_line(section, key, value):

@@ -1,4 +1,4 @@
-"""Time integration: schedules, stability guard, integrating-factor RK4,
+"""Time integration: schedules, stability guard, Lawson integrating-factor RK4,
 conservation, reversibility, and convergence order."""
 
 import math
@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import conserved_integral_reference, ifrk4_reference, linear_symbol_reference, rhs_terms
 
@@ -64,6 +64,14 @@ def test_bump_compact_support():
         assert b.value(t) == 0.0
         assert b.derivative(t) == 0.0
     assert b.value(1.5) == pytest.approx(3.0)  # exp(4 - 4) at the center
+
+
+def test_bump_derivative_where_its_value_underflows():
+    """Just inside the support, (s(1-s))^2 underflows to 0 while alpha is
+    already 0; alpha' is 0 there, not a ZeroDivisionError."""
+    b = Bump(-1e-300, 1.0, 1.0)
+    assert (b.value(0.0), b.derivative(0.0)) == (0.0, 0.0)
+    assert b.derivative(0.5) == 0.0 and b.derivative(0.25) > 0.0
 
 
 def test_bump_requires_ordered_support():
@@ -134,13 +142,13 @@ def test_stability_guard_threshold_is_linear_symbols():
 def test_step_defaults_to_the_method_of_evolve_run():
     """step() once defaulted to rk4, so the hnls5 step that evolve_run
     takes raised StabilityViolation (dt max|mu| = 35); both now default to
-    auto: ifrk4 for constant coefficients, rk4 otherwise."""
+    auto, which is ifrk4 for every schedule, deformed ones included."""
     f = _soliton_field()
     out = step(f, HNLS5, 2.5e-5)
     assert np.array_equal(out.values, step(f, HNLS5, 2.5e-5, method="ifrk4").values)
     assert np.array_equal(out.values, evolve_run(f, HNLS5, 2.5e-5, 2.5e-5).final.values)
     spec = FlowSpec([(1, Sinusoid(1.0, 2.0))])
-    assert np.array_equal(step(f, spec, 1e-4).values, step(f, spec, 1e-4, method="rk4").values)
+    assert np.array_equal(step(f, spec, 1e-4).values, step(f, spec, 1e-4, method="ifrk4").values)
 
 
 def test_rk4_and_ifrk4_agree_small_dt():
@@ -170,11 +178,16 @@ def test_all_zero_mix_leaves_the_field(method):
     assert np.max(np.abs(out.values - f.values)) < 1e-15
 
 
-def test_ifrk4_requires_constant_coefficients():
+def test_ifrk4_agrees_with_rk4_on_deformed_schedules():
+    """Lawson's factor exp(int mu dt) makes ifrk4 run any schedule: on
+    flow 1 with Poly, Sinusoid and Bump schedules it lands where rk4 does
+    after 500 steps of dt = 1e-4, the bump at its peak."""
     f = _soliton_field()
-    spec = FlowSpec([(1, Sinusoid(1.0, 1.0))])
-    with pytest.raises(Exception):
-        step(f, spec, 1e-3, method="ifrk4")
+    for sched in (Poly([0.1, -0.3, 0.05, 1.2]), Sinusoid(1.0, 2.0), Bump(0.0, 0.1, 0.3)):
+        spec = FlowSpec([(1, sched)])
+        a = evolve_run(f, spec, 0.05, 1e-4, method="rk4").final
+        b = evolve_run(f, spec, 0.05, 1e-4, method="ifrk4").final
+        assert np.max(np.abs(a.values - b.values)) < 5e-12, sched
 
 
 def test_plane_wave_phase_rotation():
@@ -302,14 +315,33 @@ def test_ifrk4_hnls5_matches_sample_space_stages():
     assert _relative_gap(HNLS5, _soliton_field(), 2.5e-5, 20) <= 1e-13
 
 
+_UNIT = st.floats(-1.0, 1.0)
+_SPAN = 4e-4  # the 20 steps of 2e-5 the property runs
+# Schedules whose alpha' changes over the span, with |alpha'| <= 1 as in
+# the constant mixes (a bump's up to 4.3): the nonlinear part of H_5 stays
+# in RK4's stability region, and rounding is not amplified past 1e-13.
+_SCHEDULES = st.one_of(
+    st.builds(Linear, _UNIT, _UNIT),
+    st.lists(_UNIT, min_size=1, max_size=4).map(
+        lambda u: Poly([c / (3 * max(m, 1) * _SPAN ** max(m - 1, 0)) for m, c in enumerate(u)])),
+    st.builds(lambda u, freq, phase: Sinusoid(u / max(freq, 1.0), freq, phase),
+              _UNIT, st.floats(0.0, 1e4), st.floats(-math.pi, math.pi)),
+    st.builds(lambda t0, width, u: Bump(t0, t0 + width, u * width),
+              st.floats(-2 * _SPAN, _SPAN), st.floats(_SPAN / 4, 1.0), _UNIT),
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    st.dictionaries(st.integers(1, 5), st.floats(-1.0, 1.0), min_size=1, max_size=5),
+    st.dictionaries(st.integers(1, 5), _SCHEDULES, min_size=1, max_size=5),
     st.integers(0, 2**32 - 1),
 )
-def test_ifrk4_constant_specs_match_sample_space_stages(slopes, seed):
-    """Random constant mixes of H_1..H_5 on random smooth fields."""
-    spec = FlowSpec([(k, Linear(b)) for k, b in sorted(slopes.items())])
+@example({k: Linear(b) for k, b in zip(range(1, 6), (1.0, -0.4, -0.1, 0.05, 0.02))}, 0)
+def test_ifrk4_constant_specs_match_sample_space_stages(schedules, seed):
+    """Random mixes of H_1..H_5 on random smooth fields, each flow's
+    schedule drawn from Linear (the constant mixes), Poly, Sinusoid and
+    Bump."""
+    spec = FlowSpec(sorted(schedules.items()))
     g = Grid(64, 20.0)
     rng = np.random.default_rng(seed)
     amps = 0.1 * ([1, 1j] @ rng.uniform(-1, 1, (2, 7)))  # modes -3..3
@@ -346,14 +378,17 @@ def test_time_reversal():
 
 
 def test_fourth_order_convergence():
+    """Halving dt divides the error by about 16: rk4 on NLS, and Lawson's
+    ifrk4 on a Sinusoid schedule."""
     f0 = _soliton_field(Grid(128, 40.0))
-    ref = evolve_run(f0, NLS, 0.1, 1e-4, method="rk4").final.values
-    errs = []
-    for dt in (4e-3, 2e-3):
-        out = evolve_run(f0, NLS, 0.1, dt, method="rk4").final.values
-        errs.append(np.max(np.abs(out - ref)))
-    ratio = errs[0] / errs[1]
-    assert 13.0 < ratio < 19.0
+    for spec, method in ((NLS, "rk4"), (FlowSpec([(1, Sinusoid(1.0, 2.0))]), "ifrk4")):
+        ref = evolve_run(f0, spec, 0.1, 1e-4, method=method).final.values
+        errs = []
+        for dt in (4e-3, 2e-3):
+            out = evolve_run(f0, spec, 0.1, dt, method=method).final.values
+            errs.append(np.max(np.abs(out - ref)))
+        ratio = errs[0] / errs[1]
+        assert 13.0 < ratio < 19.0, method
 
 
 def test_t_end_must_divide():
@@ -408,20 +443,22 @@ def test_deformed_nls_matches_argument_substitution():
 def test_disjoint_bumps_compose_sequentially():
     """Two bumps with disjoint supports on flows 1 and 2: the mixed run must
     equal the piecewise pure-flow runs, and since each alpha returns to zero
-    the final state must coincide with the initial data."""
+    the final state must coincide with the initial data.  Both steppers:
+    flow-2 dispersion needs the smaller step for rk4 stability, and
+    Lawson's ifrk4 propagates it exactly at the larger one."""
     b1 = Bump(0.1, 0.9, 0.3)
     b2 = Bump(1.1, 1.9, 0.2)
     spec = FlowSpec([(1, b1), (2, b2)])
     f0 = _soliton_field()
-    dt = 2.5e-4  # flow-2 dispersion needs the smaller step for rk4 stability
-    mixed = evolve_run(f0, spec, 2.0, dt, method="rk4").final
+    for method, dt in (("rk4", 2.5e-4), ("ifrk4", 1e-3)):
+        mixed = evolve_run(f0, spec, 2.0, dt, method=method).final
 
-    first = evolve_run(f0, FlowSpec([(1, b1)]), 1.0, dt, method="rk4").final
-    second = evolve_run(first, FlowSpec([(2, b2)]), 1.0, dt, method="rk4").final
+        first = evolve_run(f0, FlowSpec([(1, b1)]), 1.0, dt, method=method).final
+        second = evolve_run(first, FlowSpec([(2, b2)]), 1.0, dt, method=method).final
 
-    assert np.max(np.abs(mixed.values - second.values)) < 1e-6
-    # alpha_1(2) = alpha_2(2) = 0: the deformation closes back on itself
-    assert np.max(np.abs(mixed.values - f0.values)) < 1e-5
+        assert np.max(np.abs(mixed.values - second.values)) < 1e-6, method
+        # alpha_1(2) = alpha_2(2) = 0: the deformation closes back on itself
+        assert np.max(np.abs(mixed.values - f0.values)) < 1e-5, method
 
 
 def test_bump_mid_support_matches_sampler():

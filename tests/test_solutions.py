@@ -1,6 +1,7 @@
 """Analytic samplers, Riemann theta evaluation, finite-gap sampling, and
 the affine transform of spectral-curve data."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -609,3 +610,14 @@ def test_moduli_transform_rejects_zero_a():
     data = random_riemann_data(1, 1, rng=35)
     with pytest.raises(ValueError):
         moduli_transform(data, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b, name", [(math.nan, 0.5, "a"), (-math.inf, 0.5, "a"), (1.0, math.nan, "b"),
+                                        (1.0, math.inf, "b")])
+def test_moduli_transform_names_a_non_finite_parameter(a, b, name):
+    """A NaN or infinite a or b was reported as 'V must be finite'."""
+    data = random_riemann_data(1, 2, rng=35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            moduli_transform(data, a, b)

@@ -234,7 +234,7 @@ def test_linear_symbol_and_bound_plan_split_eval_rhs(sources_weights, seed):
     g, values = _smooth_samples(seed)
     plan = compile_plan(*sources)
     psi_hat = np.fft.fft(values)
-    split = _BoundPlan(plan, g, weights)(psi_hat) + np.fft.ifft(linear_symbol(plan, g, weights) * psi_hat)
+    split = _BoundPlan(plan, g)(psi_hat, weights) + np.fft.ifft(linear_symbol(plan, g, weights) * psi_hat)
     err = np.max(np.abs(split - eval_rhs(plan, values, g, weights)))
     assert err <= 1e-13 * _term_scale(sources, values, g, weights)
 
