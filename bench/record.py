@@ -28,9 +28,11 @@ The stepping rows: one ``evolve_run`` of the benchmark's ``deformed_rk4``
 spec (Sinusoid schedules on flows 1-3, n = 2048, L = 320, T = 0.02) from
 a soliton with ``method="auto"``, at the benchmark's dt = 1.25e-4 and at
 2.5e-4, the median of five runs in each round; next to each time is the
-largest error against the multi-time soliton sampler.  A side whose
-stepper refuses a dt (rk4's stability guard raises StabilityViolation)
-records the refusal in place of a time.
+largest error against the multi-time soliton sampler and the number of
+``numpy.fft.fft`` and ``ifft`` calls of one run, counted in the recorder
+process by wrapping numpy's functions (rakns itself is not changed).  A
+side whose stepper refuses a dt (rk4's stability guard raises
+StabilityViolation) records the refusal in place of a time.
 
 The import rows: ``import rakns``, ``import rakns.cli``, and a whole
 ``rakns hierarchy verify --max-order 7`` run in-process (import plus
@@ -171,6 +173,32 @@ def analytic_rows() -> dict:
     return rows
 
 
+def fft_calls(run) -> int:
+    """The numpy.fft.fft and ifft calls that ``run()`` makes, counted by
+    rebinding numpy's functions for the call."""
+    import numpy as np
+
+    count = 0
+    originals = {name: getattr(np.fft, name) for name in ("fft", "ifft")}
+
+    def counting(original):
+        def counted(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    try:
+        for name, original in originals.items():
+            setattr(np.fft, name, counting(original))
+        run()
+    finally:
+        for name, original in originals.items():
+            setattr(np.fft, name, original)
+    return count
+
+
 def stepping_rows() -> dict:
     """Time and check the deformed_rk4 spec's run at two steps with the
     rakns on sys.path."""
@@ -202,7 +230,8 @@ def stepping_rows() -> dict:
             final = evolve_run(f0, spec, t_end, dt, method="auto").final
             samples.append(time.perf_counter() - t0)
         err = float(np.max(np.abs(final.values - exact)))
-        rows[name] = {"ms": statistics.median(samples) * 1e3, "err_vs_sampler": err}
+        calls = fft_calls(lambda: evolve_run(f0, spec, t_end, dt, method="auto"))
+        rows[name] = {"ms": statistics.median(samples) * 1e3, "err_vs_sampler": err, "fft_calls": calls}
     return rows
 
 

@@ -80,6 +80,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _bounded(parse, ok, need: str):
+    """``parse``, refusing a value that is not ``ok`` as not ``need``."""
+
+    def parser(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {need}, got {text!r}")
+        return value
+
+    return parser
+
+
 def _method(text: str) -> str:
     if text not in ("auto", "rk4", "ifrk4"):
         raise ValueError(f"expected auto, rk4 or ifrk4, got {text!r}")
@@ -91,10 +103,10 @@ _KEYS = {
     **{("flows", f"flow{k}"): _schedule for k in range(1, 10)},
     ("grid", "n"): int,
     ("grid", "length"): _finite,
-    ("time", "dt"): _finite,
-    ("time", "t_end"): _finite,
+    ("time", "dt"): _bounded(_finite, lambda v: v > 0, "positive"),
+    ("time", "t_end"): _bounded(_finite, lambda v: v >= 0, "non-negative"),
     ("time", "method"): _method,
-    ("time", "snapshot_stride"): int,
+    ("time", "snapshot_stride"): _bounded(int, lambda v: v >= 1, "positive"),
 }
 _SECTIONS = {section for section, _ in _KEYS}
 

@@ -170,21 +170,36 @@ class FlowSpec:
         return np.array([1j**k * s.derivative(t) for k, s in self.entries], dtype=complex)
 
 
+def _unit_phases(plan, spec: FlowSpec, grid: Grid) -> list:
+    """phi_k(xi) per flow, real: the flow plan's linear symbol at the unit
+    increment i^k of flow k alone is i phi_k.  Every hierarchy flow's
+    linear part psi_(k+1)x has coefficient 1, so that symbol is purely
+    imaginary; one that is not is refused, not rounded to its phase."""
+    mus = [linear_symbol(plan, grid, unit) for unit in np.diag([1j**k for k, _ in spec.entries])]
+    for (k, _), mu in zip(spec.entries, mus):
+        if np.any(mu.real):
+            raise EvolveError(f"the linear symbol of flow {k} is not imaginary")
+    return [np.ascontiguousarray(mu.imag) for mu in mus]
+
+
 def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
-    """One step of size dt as ``advance(f, t_new) -> Field``.
+    """One step of size dt as ``(fourier, integrate)``: integrate(state, t)
+    is the state one step on from t, where the state is psi-hat if
+    ``fourier`` and the samples otherwise; ``_advanced`` checks it.
 
     Both methods run the spec's one flow plan and take the linear symbol
     mu = sum_k i^k alpha_k' (i xi)^(k+1) off it.  ifrk4 (auto too) is
-    Lawson's integrating-factor RK4 for any schedules: exp(int mu dt) over
-    a half step is exp of the symbol at the increments
-    i^k (alpha_k(t1) - alpha_k(t0)), and RK4 runs the plan's nonlinear part
-    at the stage weights, bound to the grid once and run from psi-hat: one
-    inverse and one forward FFT per stage.  For Linear schedules the
-    factors and weights are made once.  rk4, the oracle, is plain RK4 on
-    the whole plan through eval_rhs behind the guard dt max|mu| <= 2.8, and
-    holds no workspace between steps (a bound one raised its peak RSS for
-    no speed).  A step that leaves non-finite values raises Blowup carrying
-    the field it started from.
+    Lawson's integrating-factor RK4 for any schedules, on psi-hat.
+    exp(int mu dt) over a half step is exp of the symbol at the increments
+    i^k (alpha_k(t1) - alpha_k(t0)), that is cos(phi) + i sin(phi) with
+    phi = sum_k (alpha_k(t1) - alpha_k(t0)) phi_k and the real rows phi_k
+    of ``_unit_phases``, made once per run: no complex exp.  RK4 runs the
+    plan's nonlinear part at the stage weights, bound to the grid once and
+    run from psi-hat: one inverse and one forward FFT per stage, 8 per
+    step.  For Linear schedules the factors and weights are made once.
+    rk4, the oracle, is plain RK4 on the samples through eval_rhs behind
+    the guard dt max|mu| <= 2.8, and holds no workspace between steps (a
+    bound one raised its peak RSS for no speed).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
@@ -204,51 +219,68 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
             k4 = rhs(v + dt * k3, t + dt)
             return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    elif method in ("auto", "ifrk4"):
-        program = _BoundPlan(plan, grid)
+        return False, integrate
 
-        def factors(t):
-            """e1 and e2 over the half steps from t, e = e1 e2, and the
-            weights at t, t + dt/2 and t + dt."""
-            ts = (t, t + 0.5 * dt, t + dt)
-            alpha = [np.array([1j**k * s.value(r) for k, s in spec.entries], dtype=complex) for r in ts]
-            e1, e2 = (np.exp(linear_symbol(plan, grid, w1 - w0)) for w0, w1 in zip(alpha, alpha[1:]))
-            return e1, e2, e1 * e2, *map(spec.weights, ts)
-
-        fixed = factors(0.0) if spec.is_constant else None
-
-        def nhat(u, w):
-            return np.fft.fft(program(u, w))
-
-        def integrate(v, t):
-            e1, e2, e, w0, wh, w1 = fixed or factors(t)
-            u = np.fft.fft(v)
-            a = nhat(u, w0)
-            b = nhat(e1 * (u + 0.5 * dt * a), wh)
-            c = nhat(e1 * u + 0.5 * dt * b, wh)
-            d = nhat(e * u + dt * e2 * c, w1)
-            return np.fft.ifft(e * u + (dt / 6.0) * (e * a + 2.0 * e2 * (b + c) + d))
-
-    else:
+    if method not in ("auto", "ifrk4"):
         raise ValueError(f"unknown method {method!r}")
+    program = _BoundPlan(plan, grid)
+    phases = _unit_phases(plan, spec, grid)
 
-    def advance(f: Field, t_new: float) -> Field:
-        new = integrate(f.values, f.time)
-        if not np.all(np.isfinite(new.view(float))):
-            raise Blowup(f"non-finite values after the step from t={f.time:.6g}", last_good=f)
-        return Field._checked(grid, new, t_new)
+    def factor(alpha0, alpha1):
+        phi = sum(((a1 - a0) * row for a0, a1, row in zip(alpha0, alpha1, phases)), np.zeros(grid.n))
+        e = np.empty(grid.n, dtype=complex)
+        np.cos(phi, out=e.real)
+        np.sin(phi, out=e.imag)
+        return e
 
-    return advance
+    def factors(t):
+        """e1 and e2 over the half steps from t, e = e1 e2, and the
+        weights at t, t + dt/2 and t + dt."""
+        ts = (t, t + 0.5 * dt, t + dt)
+        alpha = [[s.value(r) for _, s in spec.entries] for r in ts]
+        e1, e2 = (factor(a0, a1) for a0, a1 in zip(alpha, alpha[1:]))
+        return e1, e2, e1 * e2, *map(spec.weights, ts)
+
+    fixed = factors(0.0) if spec.is_constant else None
+
+    def nhat(u, w):
+        return np.fft.fft(program(u, w))
+
+    def integrate(u, t):
+        e1, e2, e, w0, wh, w1 = fixed or factors(t)
+        a = nhat(u, w0)
+        b = nhat(e1 * (u + 0.5 * dt * a), wh)
+        c = nhat(e1 * u + 0.5 * dt * b, wh)
+        eu = e * u
+        d = nhat(eu + dt * e2 * c, w1)
+        return eu + (dt / 6.0) * (e * a + 2.0 * e2 * (b + c) + d)
+
+    return True, integrate
+
+
+def _advanced(integrate, state, t: float, last_good):
+    """integrate(state, t), the one blow-up check: a step that leaves
+    non-finite values raises Blowup carrying last_good(), the Field the
+    step started from."""
+    new = integrate(state, t)
+    if not np.all(np.isfinite(new.view(float))):
+        raise Blowup(f"non-finite values after the step from t={t:.6g}", last_good=last_good())
+    return new
 
 
 def step(f: Field, spec: FlowSpec, dt: float, method: str = "auto") -> Field:
     """Advance one time step; the method defaults to evolve_run's auto, which
     is ifrk4 for every schedule.  rk4, the oracle, enforces the stability
-    bound."""
+    bound.  An ifrk4 step goes to psi-hat and back: 10 FFTs for hnls5."""
     table = default_flow_table(max(spec.max_order, 1))
+    fourier, integrate = _stepper(table, spec, f.grid, dt, method)
     # Overflow before a Blowup is the Blowup, as in evolve_run.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _stepper(table, spec, f.grid, dt, method)(f, f.time + dt)
+        if fourier:
+            new = np.fft.ifft(_advanced(integrate, np.fft.fft(f.values), f.time, lambda: f))
+        else:
+            new = _advanced(integrate, f.values, f.time, lambda: f)
+    return Field(f.grid, new, f.time + dt)
 
 
 @dataclass
@@ -287,11 +319,17 @@ def evolve_run(
     snapshot_stride: int | None = None,
 ) -> Trajectory:
     """Integrate from f0.time to f0.time + t_end, recording snapshots and a
-    conserved-quantity log (orders 1..3) at each snapshot."""
+    conserved-quantity log (orders 1..3) at each snapshot.
+
+    ifrk4 holds psi-hat from one forward FFT of f0 to the end: samples are
+    made only at a snapshot, where one batched inverse FFT gives them with
+    the jets of the c1-c3 densities, and for the last good Field of a
+    Blowup.  rk4 holds the samples and transforms each snapshot forward
+    for its record."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and non-negative")
     table = default_flow_table(max(spec.max_order, 2))
-    advance = _stepper(table, spec, f0.grid, dt, method)
+    fourier, integrate = _stepper(table, spec, f0.grid, dt, method)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -300,18 +338,23 @@ def evolve_run(
     elif not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
         raise ValueError("snapshot_stride must be a positive integer")
 
-    traj = Trajectory()
+    grid, traj = f0.grid, Trajectory()
 
-    def record(f: Field):
-        traj.append(f, _conserved_integrals(f, table, (1, 2, 3)))
+    def record(state, t, f=None):
+        samples, row = _conserved_integrals(state if fourier else np.fft.fft(state), grid, table, (1, 2, 3))
+        traj.append(f or Field(grid, samples if fourier else state, t), row)
 
-    record(f0)
-    f = f0
-    # A growing field overflows before it turns non-finite; advance reports
+    def last_good():  # called before state and t move on
+        return f0 if i == 1 else Field(grid, np.fft.ifft(state) if fourier else state, t)
+
+    state, t = (np.fft.fft(f0.values) if fourier else f0.values), f0.time
+    record(state, t, f0)
+    # A growing field overflows before it turns non-finite; _advanced reports
     # that as Blowup, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            f = advance(f, f0.time + (i + 1) * dt)
-            if (i + 1) % snapshot_stride == 0 or i + 1 == n_steps:
-                record(f)
+        for i in range(1, n_steps + 1):
+            state = _advanced(integrate, state, t, last_good)
+            t = f0.time + i * dt
+            if i % snapshot_stride == 0 or i == n_steps:
+                record(state, t)
     return traj

@@ -66,20 +66,11 @@ class Field:
             raise ValueError(f"expected {self.grid.n} samples, got {v.shape}")
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("field contains NaN/Inf samples")
+        if not math.isfinite(self.time):
+            raise ValueError(f"field time must be finite, got {self.time}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _checked(cls, grid: Grid, values: np.ndarray, time: float) -> "Field":
-        """A Field of complex samples of the grid's shape, already checked
-        finite, in a new array that nothing else holds: it is made read-only
-        in place, neither checked again nor copied."""
-        values.setflags(write=False)
-        f = object.__new__(cls)
-        for name, value in (("grid", grid), ("values", values), ("time", time)):
-            object.__setattr__(f, name, value)
-        return f
 
 
 @lru_cache(maxsize=64)
@@ -210,16 +201,11 @@ def _weighted_sum(plan: EvalPlan, rows: list, terms: np.ndarray, coeffs) -> np.n
     return terms.sum(axis=0)
 
 
-def _workspace(plan: EvalPlan, values: np.ndarray, grid: Grid) -> np.ndarray:
-    """A new workspace for the plan with psi and its jets filled in: one
-    forward FFT and one batched inverse FFT."""
-    ws = np.empty((plan.rows, grid.n), dtype=complex)
-    ws[0] = values
-    if plan.orders:
-        jets = ws[1 : 1 + len(plan.orders)]
-        np.multiply(np.fft.fft(values), _multipliers(grid, plan.orders), out=jets)
-        np.fft.ifft(jets, axis=-1, out=jets)
-    return ws
+def _inverse_jets(psi_hat: np.ndarray, mults: np.ndarray, out: np.ndarray) -> None:
+    """The rows ifft(psi_hat * mults) into ``out``: one batched inverse FFT,
+    written in place."""
+    np.multiply(psi_hat, mults, out=out)
+    np.fft.ifft(out, axis=-1, out=out)
 
 
 def eval_rhs(
@@ -227,9 +213,13 @@ def eval_rhs(
 ) -> np.ndarray:
     """Evaluate sum_j weights[j] P_j pointwise over the grid (unit weights
     by default), from a Field or from raw samples plus their grid.  Each
-    call has a workspace of its own, so it keeps no memory between calls."""
+    call has a workspace of its own, so it keeps no memory between calls:
+    psi, and its jets by one forward and one batched inverse FFT."""
     values, grid = _samples(f, grid)
-    ws = _workspace(plan, values, grid)
+    ws = np.empty((plan.rows, grid.n), dtype=complex)
+    ws[0] = values
+    if plan.orders:
+        _inverse_jets(np.fft.fft(values), _multipliers(grid, plan.orders), ws[1 : 1 + len(plan.orders)])
     terms = ws[plan.first : plan.first + len(plan.scatter)]
     return _weighted_sum(plan, list(ws), terms, _coefficients(plan, weights))
 
@@ -267,8 +257,7 @@ class _BoundPlan:
         self.skip = start - plan.first  # block rows that are linear jets
 
     def __call__(self, psi_hat: np.ndarray, weights) -> np.ndarray:
-        np.multiply(psi_hat, self.mults, out=self.jets)
-        np.fft.ifft(self.jets, axis=-1, out=self.jets)
+        _inverse_jets(psi_hat, self.mults, self.jets)
         return _weighted_sum(self.plan, self.rows, self.terms, _coefficients(self.plan, weights)[self.skip :])
 
 
@@ -301,19 +290,23 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
 
 def conserved_integral(f: Field, table, k: int) -> complex:
     """Grid integral of the k-th conserved density: the one-density case of
-    the route the run records take."""
-    return _conserved_integrals(f, table, (k,))[0]
+    the route the run records take, from the FFT of the field."""
+    return _conserved_integrals(np.fft.fft(f.values), f.grid, table, (k,))[1][0]
 
 
-def _conserved_integrals(f: Field, table, orders) -> tuple:
-    """Grid integrals of the conserved densities of the given orders, from
-    one plan of them: its workspace is filled and its program run once, and
-    each density sums its scatter column of the block's grid sums."""
+def _conserved_integrals(psi_hat: np.ndarray, grid: Grid, table, orders) -> tuple:
+    """The samples of psi and the grid integrals of the conserved densities
+    of the given orders, from psi-hat and one plan of the densities.  One
+    batched inverse FFT of psi-hat (i xi)^{0, orders} fills psi (row 0) and
+    its jets, the program runs once, and each density sums its scatter
+    column of the block's grid sums.  The samples are a view of the
+    workspace: a caller that keeps them copies them."""
     plan = _cached_plan(*(conserved_density(table, k) for k in orders))
-    ws = _workspace(plan, f.values, f.grid)
+    ws = np.empty((plan.rows, grid.n), dtype=complex)
+    _inverse_jets(psi_hat, _multipliers(grid, (0,) + plan.orders), ws[: 1 + len(plan.orders)])
     _run_program(plan, list(ws))
     sums = ws[plan.first : plan.first + len(plan.scatter)].sum(axis=1)
-    return tuple((plan.scatter.T @ sums * (f.grid.length / f.grid.n)).tolist())
+    return ws[0], tuple((plan.scatter.T @ sums * grid.dx).tolist())
 
 
 # -- field file I/O ----------------------------------------------------------
@@ -342,6 +335,8 @@ def read_field(path) -> Field:
             kv = dict(item.split("=", 1) for item in meta.split())
             n, t = int(kv["n"]), float(kv["t"])
             grid = Grid(n, float(kv["L"]))
+            if not math.isfinite(t):
+                raise ValueError(f"t={kv['t']} is not finite")
         except (KeyError, ValueError) as exc:
             raise FieldFormatError(f"bad field file metadata {meta!r}: need n=, L=, t= ({exc})") from None
         lines = fh.read().split("\n")

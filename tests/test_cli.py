@@ -581,6 +581,24 @@ def test_evolve_malformed_field_file_is_usage_error(tmp_path, capsys, damage):
     assert _one_error_line(err)
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+@pytest.mark.parametrize("flow", ["linear(1.0)", "sin(1.0, 2.0)"])
+def test_evolve_non_finite_field_time_is_usage_error(tmp_path, capsys, t, flow):
+    """A field file stamped t=nan or t=inf is bad input: exit 2 with one
+    line naming t=, not snapshots stamped t=nan or a math domain error."""
+    path = tmp_path / "init.txt"
+    lines = _field_file(path, n=128, length=40.0)
+    lines[1] = lines[1].replace("t=0", f"t={t}")
+    path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.replace("linear(1.0)", flow))
+    out = tmp_path / "run"
+    code, _, err = run(["evolve", "--config", str(cfg), "--initial", str(path), "--out", str(out)], capsys)
+    assert code == 2
+    assert _one_error_line(err) and f"t={t}" in err
+    assert not out.exists()
+
+
 def test_verify_residual_mixed_grids_still_fails_check(tmp_path, capsys):
     """Well-formed snapshots on different grids fail the check (exit 1)."""
     cfg = tmp_path / "run.cfg"

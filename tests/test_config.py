@@ -156,8 +156,13 @@ def test_preset_rejects_stray_params():
         ("time", "dt", "-inf"),
         ("time", "dt", "nan"),
         ("time", "dt", ""),
+        ("time", "dt", "0"),
+        ("time", "dt", "-1e-3"),
         ("time", "t_end", "inf"),
         ("time", "t_end", "one"),
+        ("time", "t_end", "-1"),
+        ("time", "snapshot_stride", "0"),
+        ("time", "snapshot_stride", "-2"),
         ("time", "snapshot_stride", "2.5"),
         ("time", "snapshot_stride", "1e1"),
         ("time", "snapshot_stride", "nan"),
@@ -171,6 +176,21 @@ def test_bad_value_names_its_line(section, key, value):
     assert type(e.value) is (BadScheduleLiteral if section == "flows" else ParseError)
     assert e.value.line == 3
     assert str(e.value).startswith(f"line 3: {key}:")
+
+
+def test_bad_time_value_message():
+    """dt must be positive, t_end non-negative and snapshot_stride a
+    positive integer; each refusal names its line and value."""
+    text = "[flows]\nflow1 = linear(1)\n\n[grid]\nn = 64\n\n[time]\n{}\n"
+    for line, message in [
+        ("dt = 0", "line 8: dt: must be positive, got '0'"),
+        ("t_end = -1", "line 8: t_end: must be non-negative, got '-1'"),
+        ("snapshot_stride = 0", "line 8: snapshot_stride: must be positive, got '0'"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_config(text.format(line))
+        assert str(e.value) == message
+    assert parse_config(text.format("t_end = 0")).get("time", "t_end") == 0.0
 
 
 def test_values_have_their_key_type():

@@ -4,6 +4,7 @@ conservation, reversibility, and convergence order."""
 import math
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from rakns import spectral
 from rakns.evolve import (
     Blowup,
     Bump,
+    EvolveError,
     FlowSpec,
     Linear,
     Poly,
     Sinusoid,
     RK4_IMAG_STABILITY,
     StabilityViolation,
+    _stepper,
     evolve_run,
     step,
 )
@@ -227,9 +230,28 @@ def test_blowup_raises_no_runtime_warning():
 
 
 @pytest.mark.parametrize("method", ["rk4", "ifrk4"])
+def test_run_blowup_keeps_last_good_state(method):
+    """A run that blows up mid-run, between snapshots, hands back the
+    finite field of its last completed step, stamped with that step's
+    time: the final field of the same run stopped one step earlier."""
+    g = Grid(64, 10.0)
+    f0 = Field(g, 24.0 * (1.0 + 0.1 * np.cos(2 * np.pi * g.nodes / g.length)) + 0j, 0.5)
+    dt = 1e-3
+    with pytest.raises(Blowup) as exc_info:
+        evolve_run(f0, NLS, 40 * dt, dt, method=method, snapshot_stride=3)
+    good = exc_info.value.last_good
+    assert isinstance(good, Field) and good.grid == g
+    assert np.all(np.isfinite(good.values.view(float)))
+    steps = round((good.time - f0.time) / dt)
+    assert 1 < steps < 40 and steps % 3 and good.time == f0.time + steps * dt
+    ref = evolve_run(f0, NLS, steps * dt, dt, method=method, snapshot_stride=3).final
+    assert ref.time == good.time
+    assert np.max(np.abs(good.values - ref.values)) <= 1e-15 * np.max(np.abs(ref.values))
+
+
+@pytest.mark.parametrize("method", ["rk4", "ifrk4"])
 def test_stepped_field_is_read_only(method):
-    """A stepped Field keeps the stepper's own array, read-only like any
-    Field's samples."""
+    """A stepped Field's samples are read-only, like any Field's."""
     f = _soliton_field()
     out = step(f, NLS, 1e-4, method=method)
     assert (out.grid, out.time, out.values.shape, out.values.dtype) == (f.grid, 1e-4, (256,), complex)
@@ -280,6 +302,36 @@ def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     step(f, HNLS5, 2.5e-5, method="ifrk4")
     assert calls == {("fft", (256,)): 5, ("ifft", (5, 256)): 4, ("ifft", (256,)): 1}
+
+
+def test_ifrk4_hnls5_run_stays_in_fourier_space(monkeypatch):
+    """A 6-step hnls5 IF-RK4 run at stride 3 holds psi-hat between
+    snapshots: one forward FFT of f0 at entry, per step 4 forward FFTs of
+    the nonlinear part and 4 batched inverse FFTs to psi and its jets, and
+    per snapshot (3 of them) one batched inverse FFT that gives both the
+    samples and the jets of orders 1-2 that the c1-c3 densities read.  No
+    step returns to samples."""
+    f = _soliton_field()
+    calls = Counter()
+    for name in ("fft", "ifft"):
+
+        def counted(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls[_name, np.shape(a)] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    traj = evolve_run(f, HNLS5, 6 * 2.5e-5, 2.5e-5, method="ifrk4", snapshot_stride=3)
+    assert len(traj.fields) == 3
+    assert calls == {("fft", (256,)): 1 + 4 * 6, ("ifft", (5, 256)): 4 * 6, ("ifft", (3, 256)): 3}
+
+
+def test_ifrk4_refuses_a_symbol_with_a_real_part(table5):
+    """IF-RK4's factors are cos + i sin of the unit phases, which holds
+    only for an imaginary linear symbol; a flow whose linear monomial has a
+    complex coefficient is refused, not stepped by its phase alone."""
+    tilted = SimpleNamespace(H={1: table5.H[1] * (1 + 1j)})
+    with pytest.raises(EvolveError, match="flow 1"):
+        _stepper(tilted, NLS, Grid(64, 10.0), 1e-3, "ifrk4")
 
 
 def test_ifrk4_run_and_residual_compile_one_flow_plan(monkeypatch):

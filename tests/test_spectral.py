@@ -15,6 +15,7 @@ from rakns.solutions import plane_wave, soliton
 from rakns.spectral import (
     EvalPlan,
     Field,
+    FieldFormatError,
     Grid,
     SpectralError,
     UnreducedInput,
@@ -59,6 +60,12 @@ def test_field_rejects_nan():
     v[3] = np.nan
     with pytest.raises(ValueError):
         Field(g, v)
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+def test_field_rejects_non_finite_time(time):
+    with pytest.raises(ValueError, match="time"):
+        Field(Grid(16, 1.0), np.zeros(16, dtype=complex), time)
 
 
 def test_field_values_are_frozen():
@@ -319,8 +326,9 @@ def test_mass_integral_of_soliton(table5):
 
 
 def test_conserved_integral_is_the_one_density_route(table5, monkeypatch):
-    """conserved_integral(f, table, k) is the route of the run records with
-    the one density k: the same value exactly, and no eval_rhs call."""
+    """conserved_integral(f, table, k) is the route of the run records, from
+    the FFT of f, with the one density k: the same value exactly, and no
+    eval_rhs call.  The route's samples are f's, back from psi-hat."""
     g = Grid(256, 40.0)
     boost = np.exp(2j * np.pi * 3 * g.nodes / g.length)  # c2 of a still soliton is 0
     f = Field(g, sample_onto_grid(soliton(1.0), g, ()).values * boost)
@@ -332,7 +340,9 @@ def test_conserved_integral_is_the_one_density_route(table5, monkeypatch):
     for k in (1, 2, 3):
         c = conserved_integral(f, table5, k)
         assert type(c) is complex and c != 0
-        assert c == _conserved_integrals(f, table5, (k,))[0]
+        samples, row = _conserved_integrals(np.fft.fft(f.values), g, table5, (k,))
+        assert c == row[0]
+        assert np.max(np.abs(samples - f.values)) <= 1e-15 * np.max(np.abs(f.values))
 
 
 def test_quadrature_matches_trapezoid():
@@ -392,6 +402,16 @@ def test_field_file_bad_metadata(tmp_path, meta):
     lines[1] = meta
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SpectralError, match="metadata"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_field_file_non_finite_time(tmp_path, t):
+    """A file stamped t=nan or t=inf is a format error that names t=."""
+    path = tmp_path / "f.txt"
+    write_field(Field(Grid(16, 1.0), np.ones(16, dtype=complex)), path)
+    path.write_text(path.read_text().replace("t=0\n", f"t={t}\n", 1))
+    with pytest.raises(FieldFormatError, match=f"t={t}"):
         read_field(path)
 
 
