@@ -34,6 +34,19 @@ process by wrapping numpy's functions (rakns itself is not changed).  A
 side whose stepper refuses a dt (rk4's stability guard raises
 StabilityViolation) records the refusal in place of a time.
 
+The field-file rows: one ``write_field`` and one ``read_field`` of a file
+of random samples at n = 256 and 2048, the median of IO_REPS calls in each
+round, with the file's bytes and the number of doubles whose bits differ
+after the round trip (0 when every sample reads back to itself).
+
+The whole-run row: one in-process repetition of the benchmark's
+``cli_hnls5`` workload, set up by ``perfbench/workloads.py`` at seed 1 (its
+config, initial field and warm-up): ``cli.main`` of ``evolve`` (200
+IF-RK4 steps at n = 256, 68 snapshot files) and of ``verify residual``,
+output captured, the median of RUN_REPS in each round.  Next to the time
+are the last snapshot's error against the workload's exact soliton and the
+worst residual that ``verify`` prints.
+
 The import rows: ``import rakns``, ``import rakns.cli``, and a whole
 ``rakns hierarchy verify --max-order 7`` run in-process (import plus
 ``cli.main``), each timed in fresh processes with numpy already imported,
@@ -60,6 +73,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 9  # rounds of one fresh process per checkout for the analytic rows
+IO_REPS = 200  # write_field and read_field calls per field-file row and round
+RUN_REPS = 7  # cli_hnls5 repetitions per whole-run row and round
 IMPORT_ROUNDS = 11  # fresh processes per checkout, cold and warm, for the import rows
 IMPORTS = {
     "import rakns": "import rakns",
@@ -125,6 +140,16 @@ def summarise(runs: Path) -> dict:
     return summary
 
 
+def median_seconds(fn, reps: int) -> float:
+    """The median seconds of ``reps`` calls of ``fn``."""
+    samples = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
+
+
 def analytic_rows() -> dict:
     """Time and check the analytic layer of the rakns on sys.path."""
     import numpy as np
@@ -133,12 +158,7 @@ def analytic_rows() -> dict:
     from rakns.solutions import _ThetaLattice, finite_gap_sampler, random_riemann_data
 
     def median_ms(fn, reps):
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - t0)
-        return statistics.median(samples) * 1e3
+        return median_seconds(fn, reps) * 1e3
 
     rows = {}
     x, times = np.linspace(-20.0, 20.0, 256, endpoint=False), (0.1, -0.05)
@@ -235,12 +255,75 @@ def stepping_rows() -> dict:
     return rows
 
 
+def io_rows() -> dict:
+    """Time one field file's write and read with the rakns on sys.path."""
+    import numpy as np
+
+    from rakns.spectral import Field, Grid, read_field, write_field
+
+    rng = np.random.default_rng(0)
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.txt"
+        for n in (256, 2048):
+            f = Field(Grid(n, 40.0), rng.normal(size=n) + 1j * rng.normal(size=n), 0.125)
+            write_us = median_seconds(lambda: write_field(f, path), IO_REPS) * 1e6
+            read_us = median_seconds(lambda: read_field(path), IO_REPS) * 1e6
+            size = path.stat().st_size
+            differing = np.count_nonzero(read_field(path).values.view(np.uint64) != f.values.view(np.uint64))
+            rows[f"write_field, one file, n = {n}"] = {"us": write_us, "bytes": size}
+            rows[f"read_field, one file, n = {n}"] = {
+                "us": read_us, "bytes": size, "roundtrip_doubles_differing": int(differing)}
+    return rows
+
+
+def run_rows() -> dict:
+    """Time the cli_hnls5 workload's evolve and verify residual in-process
+    with the rakns on sys.path."""
+    import contextlib
+    import io
+    import re
+
+    import numpy as np
+
+    import rakns.cli
+    from rakns.spectral import read_field
+    from workloads import CliHnls5
+
+    def cli(argv: list) -> tuple:
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rakns.cli.main(argv)
+        return time.perf_counter() - t0, out.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = CliHnls5(rakns, 1, Path(tmp), ROOT)
+        evolve = ["evolve", "--config", str(work.config), "--initial", str(work.init), "--out", str(work.out)]
+        verify = ["verify", "residual", "--snapshots", str(work.out), "--config", str(work.config)]
+        evolve_s, verify_s = [], []
+        for _ in range(RUN_REPS):
+            shutil.rmtree(work.out, ignore_errors=True)
+            evolve_s.append(cli(evolve)[0])
+            seconds, text = cli(verify)
+            verify_s.append(seconds)
+        last = max(work.out.glob("snap_*.txt"), key=lambda p: int(p.stem[5:]))
+        err = float(np.max(np.abs(read_field(last).values - work.exact)))
+    return {"cli_hnls5 repetition in-process: evolve + verify residual, seed 1": {
+        "ms": statistics.median(e + v for e, v in zip(evolve_s, verify_s)) * 1e3,
+        "evolve_ms": statistics.median(evolve_s) * 1e3,
+        "verify_ms": statistics.median(verify_s) * 1e3,
+        "err_vs_exact": err,
+        "worst_residual": float(re.search(r"worst residual (\S+)", text).group(1)),
+    }}
+
+
 def measure(checkout: Path) -> dict:
-    code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2], sys.argv[3]]; "
-            "import record; print(json.dumps({**record.analytic_rows(), **record.stepping_rows()}))")
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import record; print(json.dumps("
+            "{**record.analytic_rows(), **record.stepping_rows(), **record.io_rows(), **record.run_rows()}))")
+    paths = [checkout / "src", ROOT / "tests", ROOT / "bench", ROOT / "perfbench"]
     out = subprocess.run(
-        [sys.executable, "-c", code, str(checkout / "src"), str(ROOT / "tests"), str(ROOT / "bench")],
-        stdout=subprocess.PIPE, text=True, check=True).stdout
+        [sys.executable, "-c", code, *map(str, paths)], stdout=subprocess.PIPE, text=True, check=True).stdout
     return json.loads(out)
 
 
@@ -298,8 +381,9 @@ def cmd_write(args) -> None:
             runs = [s[name] for s in samples[side]]
             row[side] = runs[0] if "refused" in runs[0] else {
                 key: statistics.median(run[key] for run in runs) for key in runs[0]}
-        if all("ms" in row[side] for side in ("parent", "change")):
-            ratios = [c[name]["ms"] / p[name]["ms"] for p, c in zip(samples["parent"], samples["change"])]
+        unit = next((u for u in ("ms", "us") if all(u in row[side] for side in ("parent", "change"))), None)
+        if unit:
+            ratios = [c[name][unit] / p[name][unit] for p, c in zip(samples["parent"], samples["change"])]
             q1, q2, q3 = quartiles(ratios)
             row["change_over_parent"] = {"rounds": ratios, "q1": q1, "median": q2, "q3": q3}
         analytic[name] = row

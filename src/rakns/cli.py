@@ -221,7 +221,7 @@ def cmd_verify_residual(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .spectral import sample_onto_grid, write_field
+    from .spectral import format_samples, sample_onto_grid, write_field
 
     params = _parse_params(args.param)
     if args.riemann:
@@ -233,8 +233,7 @@ def cmd_sample(args) -> int:
         write_field(f, args.out)
         print(f"wrote field to {args.out}")
     else:
-        for i, v in enumerate(f.values):
-            print(f"{i} {v.real:.17g} {v.imag:.17g}")
+        print(format_samples(f.values), end="")
     return OK
 
 

@@ -101,8 +101,8 @@ def _method(text: str) -> str:
 # The only keys a config may hold, each with the one parser for its value.
 _KEYS = {
     **{("flows", f"flow{k}"): _schedule for k in range(1, 10)},
-    ("grid", "n"): int,
-    ("grid", "length"): _finite,
+    ("grid", "n"): _bounded(int, lambda v: v >= 16 and not v & (v - 1), "a power of two >= 16"),
+    ("grid", "length"): _bounded(_finite, lambda v: v > 0, "positive"),
     ("time", "dt"): _bounded(_finite, lambda v: v > 0, "positive"),
     ("time", "t_end"): _bounded(_finite, lambda v: v >= 0, "non-negative"),
     ("time", "method"): _method,

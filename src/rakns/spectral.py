@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 
@@ -312,21 +313,38 @@ def _conserved_integrals(psi_hat: np.ndarray, grid: Grid, table, orders) -> tupl
 # -- field file I/O ----------------------------------------------------------
 
 FIELD_MAGIC = "# akns-field v1"
+_SAMPLE_ROW = np.dtype([("i", np.int64), ("re", float), ("im", float)])
+
+
+def format_samples(values: np.ndarray) -> str:
+    """The sample lines 'index re im' of ``values``, floats with 17
+    significant digits so that every double reads back to itself: one %
+    format of the interleaved columns (%.17g gives the bytes of {:.17g})."""
+    n = len(values)
+    cols: list = [None] * (3 * n)
+    cols[0::3], cols[1::3], cols[2::3] = range(n), values.real.tolist(), values.imag.tolist()
+    return ("%d %.17g %.17g\n" * n) % tuple(cols)
 
 
 def write_field(f: Field, path) -> None:
-    samples = zip(f.values.real.tolist(), f.values.imag.tolist())
-    lines = [FIELD_MAGIC, f"n={f.grid.n} L={f.grid.length:.17g} t={f.time:.17g}"]
-    lines.extend(f"{i} {re:.17g} {im:.17g}" for i, (re, im) in enumerate(samples))
+    """Write ``f`` as a field file: the magic line, the line
+    ``n=.. L=.. t=..``, then ``format_samples`` of the values, in one write."""
+    header = f"{FIELD_MAGIC}\nn={f.grid.n} L={f.grid.length:.17g} t={f.time:.17g}\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + format_samples(f.values))
 
 
 def read_field(path) -> Field:
-    """The Field of a field file.  The sample lines are split once and each
-    column is converted in one pass; only a file that fails those checks is
-    scanned again, line by line, to name its first bad line."""
-    with open(path) as fh:
+    """The Field of a field file.  After the two header lines, each
+    non-blank line is 'index re im' in numpy's text grammar: an ASCII
+    decimal integer and two ASCII decimal floats separated by whitespace,
+    with no digit-group underscores and no comments; the indices come in
+    any order.  A byte outside ASCII is read as a lone surrogate, which no
+    token holds.  numpy's parser reads all sample lines in one call; only
+    a file that fails it, or the checks of index range and repeats, is
+    scanned again, line by line, to name its first bad line.  The values
+    must be finite (``Field``)."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if header != FIELD_MAGIC:
             raise FieldFormatError(f"bad field file header: {header!r}")
@@ -339,35 +357,39 @@ def read_field(path) -> Field:
                 raise ValueError(f"t={kv['t']} is not finite")
         except (KeyError, ValueError) as exc:
             raise FieldFormatError(f"bad field file metadata {meta!r}: need n=, L=, t= ({exc})") from None
-        lines = fh.read().split("\n")
-    rows = [parts for parts in map(str.split, lines) if parts]
-    try:
-        idx_s, re_s, im_s = zip(*rows, strict=True) if rows else ((), (), ())
-        idx = np.array(list(map(int, idx_s)), dtype=np.int64)
-        re_ = np.fromiter(map(float, re_s), float, len(rows))
-        im = np.fromiter(map(float, im_s), float, len(rows))
-        ok = not rows or (idx.min() >= 0 and idx.max() < n and np.bincount(idx).max() == 1)
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
+        body = fh.read()
+    lines = body.split("\n")
+    rows = np.empty(0, _SAMPLE_ROW)
+    if body.strip():  # loadtxt warns on a body with no data
+        try:
+            rows = np.loadtxt(lines, dtype=_SAMPLE_ROW, comments=None, ndmin=1)
+        except ValueError:
+            _raise_first_bad_line(lines, n)
+    idx = rows["i"]
+    if len(rows) and not (idx.min() >= 0 and idx.max() < n and np.bincount(idx).max() == 1):
         _raise_first_bad_line(lines, n)
     if len(rows) != n:
         raise FieldFormatError(f"expected {n} samples, got {len(rows)}")
     values = np.empty(n, dtype=complex)
-    values.real[idx], values.imag[idx] = re_, im
+    values.real[idx], values.imag[idx] = rows["re"], rows["im"]
     return Field(grid, values, t)
 
 
-def _raise_first_bad_line(lines, n: int) -> None:
+def _raise_first_bad_line(lines, n: int) -> NoReturn:
     """Raise the error of the first sample line (file line 3 on) that is not
-    'index re im', or whose index is out of range or repeated.  read_field
-    calls it only when one of its lines is such a line."""
+    'index re im' in read_field's grammar, or whose index is out of range or
+    repeated.  read_field calls it only when one of its lines is such a
+    line.  int() and float() read numpy's grammar once a token is ASCII and
+    has no digit-group underscores."""
     seen = set()
     for lineno, line in enumerate(lines, start=3):
-        if not line.strip():
+        parts = line.split()
+        if not parts:
             continue
         try:
-            idx_s, re_s, im_s = line.split()
+            idx_s, re_s, im_s = parts
+            if not all(p.isascii() and "_" not in p for p in parts):
+                raise ValueError
             idx = int(idx_s)
             float(re_s), float(im_s)
         except ValueError:
@@ -377,6 +399,7 @@ def _raise_first_bad_line(lines, n: int) -> None:
         if idx in seen:
             raise FieldFormatError(f"sample index {idx} repeated")
         seen.add(idx)
+    raise FieldFormatError("sample lines do not parse")  # a grammar gap: fail closed
 
 
 def sample_onto_grid(

@@ -132,6 +132,16 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert run(sample, capsys) == (0, first, "")
 
 
+def test_sample_prints_the_body_of_its_field_file(tmp_path, capsys):
+    """Without --out, sample prints the sample lines that --out writes."""
+    argv = ["sample", "--solution", "soliton", "--grid", "64,20", "--param", "a=1.0"]
+    code, printed, _ = run(argv, capsys)
+    assert code == 0
+    path = tmp_path / "f.txt"
+    assert run(argv + ["--out", str(path)], capsys)[0] == 0
+    assert printed == "".join(path.read_text().splitlines(keepends=True)[2:])
+
+
 def test_sample_and_evolve_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)

@@ -147,7 +147,13 @@ def test_preset_rejects_stray_params():
         ("grid", "n", "[64]"),
         ("grid", "n", "sixty-four"),
         ("grid", "n", "inf"),
+        ("grid", "n", "100"),
+        ("grid", "n", "8"),
+        ("grid", "n", "0"),
+        ("grid", "n", "-16"),
         ("grid", "length", "inf"),
+        ("grid", "length", "0"),
+        ("grid", "length", "-1"),
         ("grid", "length", "nan"),
         ("grid", "length", "[1, 2]"),
         ("grid", "length", "linear(1)"),
@@ -191,6 +197,20 @@ def test_bad_time_value_message():
             parse_config(text.format(line))
         assert str(e.value) == message
     assert parse_config(text.format("t_end = 0")).get("time", "t_end") == 0.0
+
+
+def test_bad_grid_value_message():
+    """n must be a power of two >= 16 and length positive, as Grid needs;
+    the config refuses either at its line, before a Grid is made."""
+    text = "[flows]\nflow1 = linear(1)\n\n[grid]\n{}\n"
+    for line, message in [
+        ("n = 100", "line 5: n: must be a power of two >= 16, got '100'"),
+        ("length = -1", "line 5: length: must be positive, got '-1'"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_config(text.format(line))
+        assert str(e.value) == message
+    assert parse_config(text.format("n = 16")).get("grid", "n") == 16
 
 
 def test_values_have_their_key_type():

@@ -1,6 +1,8 @@
 """Grid fields, spectral differentiation, compiled evaluation plans,
 residual tests, conserved integrals, and field file I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -481,6 +483,66 @@ def test_field_file_reports_first_bad_line(tmp_path, damage, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SpectralError, match=message):
         read_field(path)
+
+
+@pytest.mark.parametrize("bad", ["\u0661\u0660 1 0", "1_0 1 0", "10 1_0 0", "10 1 \u0660", "10 1e1_0 0"])
+def test_field_file_tokens_are_ascii_without_underscores(tmp_path, bad):
+    """int() and float() read Unicode digits and digit-group underscores;
+    the field format does not, and such a token names its file line."""
+    path = tmp_path / "f.txt"
+    write_field(Field(Grid(16, 1.0), np.ones(16, dtype=complex)), path)
+    lines = path.read_text().splitlines()
+    lines[2 + 10] = bad
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FieldFormatError, match="line 13: expected 'index re im'"):
+        read_field(path)
+
+
+def test_field_file_non_utf8_byte_names_its_line(tmp_path):
+    """A byte outside ASCII that is not UTF-8 either is a bad token too, not
+    a codec error."""
+    path = tmp_path / "f.txt"
+    write_field(Field(Grid(16, 1.0), np.ones(16, dtype=complex)), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2 + 10] = b"10 1\xff 0"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FieldFormatError, match="line 13: expected 'index re im'"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n \n\t\n"])
+def test_field_file_without_samples_warns_nothing(tmp_path, body):
+    """A body with no sample line is short by n samples, without a warning."""
+    path = tmp_path / "f.txt"
+    path.write_text(f"# akns-field v1\nn=16 L=1 t=0\n{body}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldFormatError, match="expected 16 samples, got 0"):
+            read_field(path)
+
+
+# Signed zeros, subnormals (the smallest, the largest, one between), the
+# smallest normal double and +-DBL_MAX.
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([16, 256, 4096]), st.integers(0, 2**32 - 1))
+def test_field_file_roundtrip_is_bit_identical(tmp_path_factory, n, seed):
+    """Any finite doubles, subnormals, signed zeros and the largest double
+    among them, read back with the bits they were written with."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64 - 1, size=2 * n + 1, dtype=np.uint64, endpoint=True)
+    bits[((bits >> 52) & 0x7FF) == 0x7FF] ^= np.uint64(1 << 62)  # an inf/nan exponent made finite
+    doubles = bits.view(float)
+    doubles[rng.choice(len(doubles), len(_EDGE_DOUBLES), replace=False)] = _EDGE_DOUBLES
+    f = Field(Grid(n, 40.0), doubles[1:].view(complex), float(doubles[0]))
+    path = tmp_path_factory.mktemp("roundtrip") / "f.txt"
+    write_field(f, path)
+    back = read_field(path)
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+    assert np.float64(back.time).view(np.uint64) == np.float64(f.time).view(np.uint64)
 
 
 # -- sampling ----------------------------------------------------------------
