@@ -154,6 +154,8 @@ def cmd_transform(args) -> int:
     from .symmetry import SymmetryParams, transform_solution
 
     _check_tol(args.tol)
+    if not math.isfinite(args.t):
+        raise CliError(f"--t must be finite, got {args.t}")
     sampler = _parse_sampler(args.sampler, _parse_params(args.param))
     p = SymmetryParams(args.a, args.b)
     transformed = transform_solution(sampler, p)

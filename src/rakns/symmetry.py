@@ -141,14 +141,13 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
     td = moduli_transform(data, p.a, p.b)
     P = _affine_matrix(p.a, p.b, M + 1)
     z = np.exp(2j * np.pi * np.arange(M + 2) / (M + 2))
-    sides = []
+    # row k of P is P^T e_k, the (E, X, T) of the k-th basis direction, so
+    # the columns of the identity and of P[1:] give every direction at once
+    x, *times = np.eye(M + 1)
+    E, X, *T = P[1:].T
     with np.errstate(over="ignore", invalid="ignore"):
-        # row k of P is P^T e_k, the (E, X, T) of the k-th basis direction;
-        # as Python floats, which phases multiplies faster than numpy scalars
-        for (x, *times), (E, X, *T) in zip(np.eye(M + 1).tolist(), P[1:].tolist()):
-            (U_t, Phi_t), (U_s, Phi_s) = td.phases(x, times), data.phases(X, T)
-            sides.append((U_t, U_s, Phi_t, Phi_s - E / 2))
-        U_t, U_s, Phi_t, Phi_s = map(np.array, zip(*sides))
+        (U_t, Phi_t), (U_s, Phi_s) = td.phases(x, times), data.phases(X, T)
+        Phi_s = Phi_s - E / 2
         definition = _relative(P @ np.vander(z, M + 2, True).T, np.vander(p.a * z + 2 * p.b, M + 2, True).T)
         # np.max keeps a NaN, where max(err, nan) would drop it
         argument = np.max([definition, _relative(U_t, U_s)])

@@ -429,3 +429,23 @@ def moduli_transform_reference(V, K, a, b) -> tuple:
         newV.append(v)
         newK.append(kj)
     return tuple(newV), tuple(newK)
+
+
+def identity_errors_reference(data, a, b, M: int) -> dict:
+    """``symmetry.identity_errors`` with one ``phases`` call per side and
+    basis direction, the direction's (x, t) and (E, X, T) as Python floats."""
+    from rakns.solutions import _affine_matrix, moduli_transform
+    from rakns.symmetry import _relative
+
+    td = moduli_transform(data, a, b)
+    P = _affine_matrix(a, b, M + 1)
+    z = np.exp(2j * np.pi * np.arange(M + 2) / (M + 2))
+    sides = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (x, *times), (E, X, *T) in zip(np.eye(M + 1).tolist(), P[1:].tolist()):
+            (U_t, Phi_t), (U_s, Phi_s) = td.phases(x, times), data.phases(X, T)
+            sides.append((U_t, U_s, Phi_t, Phi_s - E / 2))
+        U_t, U_s, Phi_t, Phi_s = map(np.array, zip(*sides))
+        definition = _relative(P @ np.vander(z, M + 2, True).T, np.vander(a * z + 2 * b, M + 2, True).T)
+        argument = np.max([definition, _relative(U_t, U_s)])
+        return {"argument": float(argument), "phase": float(_relative(Phi_t, Phi_s))}

@@ -696,6 +696,8 @@ _IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
         (None, ["identity", "check", "--a", "1", "--b", "0", "--genus", "-1"]),
         (None, [*_TRANSFORM, "--tol", "nan"]),
         (None, [*_TRANSFORM, "--tol", "0"]),
+        (None, [*_TRANSFORM, "--t", "nan"]),
+        (None, [*_TRANSFORM, "--t", "inf"]),
         (("dt = 1e-3", "dt = 1e-3"), ["verify", "residual", "--snapshots", ".", "--tol", "-1"]),
         (None, [*_IDENTITY, "--tol", "nan"]),
         (None, [*_IDENTITY, "--tol", "inf"]),
@@ -706,6 +708,7 @@ _IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
         "dt_list", "dt_schedule", "length_inf", "length_nan", "n_float", "flow_nan",
         "preset_six_values", "preset_nan", "transform_a_overflow", "transform_b_overflow",
         "genus_0", "genus_negative", "transform_tol_nan", "transform_tol_0",
+        "transform_t_nan", "transform_t_inf",
         "verify_residual_tol_negative", "identity_tol_nan", "identity_tol_inf",
         "max_order_not_int", "dt_not_float",
     ],
@@ -726,3 +729,5 @@ def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):
         assert "genus must be >= 1" in err
     if "--tol" in argv:
         assert "--tol must be positive and finite" in err
+    if "--t" in argv:
+        assert "--t must be finite" in err

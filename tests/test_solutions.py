@@ -1,6 +1,7 @@
 """Analytic samplers, Riemann theta evaluation, finite-gap sampling, and
 the affine transform of spectral-curve data."""
 
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -326,6 +327,26 @@ def test_separable_sum_falls_back_to_per_point_sum(B, lifted, monkeypatch):
     exact_scale, exact_osc = theta_terms_reference(lattice, z, dtype=np.clongdouble)
     err = lambda s, o: float(np.max(np.abs(o * np.exp(s - exact_scale) - exact_osc)))
     assert err(scale, osc) <= 2 * err(*theta_terms_reference(lattice, z)) + 1e-12
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_peak_over_near_points_equals_peak_over_all_points(g):
+    """The largest term is taken over the points with |T m| <= 2D only.
+    With the Gaussian centre on a half-cell corner, where |T f| = D is
+    largest, the evaluator gives bit for bit the scale and sum it gives
+    with the peak taken over every kept point: the equality is exact."""
+    lams = {1: (0.4,), 2: (0.4, 4.5), 3: (0.4, 1.5, 4.5), 4: (0.4, 1.0, 2.0, 4.5)}[g]
+    soliton_limit = {1: [[0.3 + 1000j]], 2: np.diag([0.2 + 300j, 0.1 + 250j])}.get(g, _coupled(30, 0.5, g))
+    rng = np.random.default_rng(60 + g)
+    for B in (_random_B(g, 20 + g), _anisotropic_B(lams, seed=g), _coupled(30, 0.9, g), soliton_limit):
+        B = np.asarray(B, dtype=complex)
+        lattice = _ThetaLattice(B)
+        every = copy.copy(lattice)
+        every.peak_points, every.peak_quad = lattice.points, lattice.quad.real
+        assert 0 < lattice.peak_points.shape[1] <= lattice.points.shape[1]
+        z = _corner_arguments(B, rng, rows_per_corner=64 // 2**g)
+        for got, want in zip(lattice(z), every(z)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

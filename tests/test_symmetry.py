@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 import rakns.solutions
 import rakns.symmetry
 import test_acceptance
-from oracles import boost_exponent_reference, moduli_transform_reference, transform_arguments_reference
+from oracles import (
+    boost_exponent_reference,
+    identity_errors_reference,
+    moduli_transform_reference,
+    transform_arguments_reference,
+)
 from rakns.cli import main
 from rakns.evolve import FlowSpec, Linear
 from rakns.solutions import _affine_matrix, moduli_transform, plane_wave, random_riemann_data, soliton
@@ -172,6 +177,29 @@ def test_identity_errors_random_data():
     errs = identity_errors(data, p, 5)
     assert errs["argument"] < 1e-12
     assert errs["phase"] < 1e-12
+
+
+def test_identity_errors_match_per_direction_oracle():
+    """One phases call per side gives bit for bit the errors of one call
+    per basis direction."""
+    rng = np.random.default_rng(43)
+    for genus in (1, 2, 3):
+        for M in range(6):
+            for _ in range(4):
+                data = random_riemann_data(genus, 5, rng=rng)
+                a, b = rng.choice([-1, 1]) * rng.uniform(0.3, 2.5), rng.uniform(-1, 1)
+                assert identity_errors(data, SymmetryParams(a, b), M) == identity_errors_reference(data, a, b, M)
+
+
+def test_phases_with_array_times_match_scalar_calls():
+    rng = np.random.default_rng(44)
+    for genus in (1, 2, 3):
+        data = random_riemann_data(genus, 5, rng=rng)
+        x, times = rng.uniform(-3, 3, 7), list(rng.uniform(-1, 1, (5, 7)))
+        U, Phi = data.phases(x, times)
+        for i in range(len(x)):
+            U_i, Phi_i = data.phases(float(x[i]), [float(t[i]) for t in times])
+            assert np.array_equal(U[i], U_i) and Phi[i] == Phi_i
 
 
 def test_identity_errors_keep_nan(monkeypatch):
