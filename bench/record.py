@@ -81,6 +81,8 @@ IMPORTS = {
     "import rakns.cli": "import rakns.cli",
     "rakns hierarchy verify --max-order 7 (import and cli.main)":
         "import rakns.cli; rakns.cli.main(['hierarchy', 'verify', '--max-order', '7'])",
+    "rakns identity check --a 1.2 --b 0.1 (import and cli.main)":
+        "import rakns.cli; rakns.cli.main(['identity', 'check', '--a', '1.2', '--b', '0.1'])",
 }
 
 

@@ -14,11 +14,9 @@ import os
 import re
 import sys
 
-from . import hierarchy
-from .diffpoly import render
-
-# Each command imports the layers it uses when it runs, so that the exact
-# layer's commands load neither numpy nor the numerical modules.
+# Each command imports the layers it uses when it runs: the exact layer's
+# commands load neither numpy nor the numerical modules, and the analytic
+# ones (sample, identity check) load no module of the exact layer.
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
 
@@ -77,6 +75,9 @@ def _parse_grid(text: str) -> Grid:
 
 
 def cmd_hierarchy_show(args) -> int:
+    from . import hierarchy
+    from .diffpoly import render
+
     table = hierarchy.build_flows(args.order)
     h = hierarchy.scalar_H(table, args.order)
     print(render(h, args.format))
@@ -84,6 +85,8 @@ def cmd_hierarchy_show(args) -> int:
 
 
 def cmd_hierarchy_verify(args) -> int:
+    from . import hierarchy
+
     table = hierarchy.build_flows(args.max_order)
     ok = True
     for report in hierarchy._curvature_reports(table, args.max_order):

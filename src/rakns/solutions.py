@@ -4,16 +4,12 @@ the affine transform of the spectral-curve moduli."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .diffpoly import dp_eval
-from .hierarchy import default_flow_table
 
 
 class SolutionError(Exception):
@@ -48,25 +44,34 @@ class Sampler:
 
 
 def plane_wave(q: float, M: int = 5) -> Sampler:
-    """Constant-modulus background q exp(i sum_odd omega_k t_k); the phase
-    rates come from evaluating each flow on the constant field."""
+    """Constant-modulus background q exp(i sum_k omega_k t_k), with the
+    closed-form rates of ``_plane_wave_rate``."""
     if not (q > 0 and math.isfinite(q)):
         raise ValueError(f"q must be positive and finite, got {q}")
     if not 1 <= M <= 5:
         raise ValueError("M must be in 1..5")
-    table = default_flow_table(M)
-    rates = []
-    for k in range(1, M + 1):
-        jets = {j: (q if j.order == 0 else 0.0) for j in table.H[k].jets()}
-        c = dp_eval(table.H[k], jets) / q
-        rate = (1j**k) * c  # psi_{t_k} = i^k H_k = (i omega_k) psi
-        rates.append(rate.imag)
+    rates = [_plane_wave_rate(k, q) for k in range(1, M + 1)]
 
     def fn(x, times):
         phase = sum(w * t for w, t in zip(rates, times))
         return np.full(np.shape(x), q * np.exp(1j * phase), dtype=complex)
 
     return Sampler(fn, M, "plane_wave")
+
+
+def _plane_wave_rate(k: int, q: float) -> float:
+    """Phase rate omega_k of the constant background q under flow k.
+
+    On psi = q only the non-derivative monomials of H_k survive, and
+    psi_{t_k} = i^k H_k(q) = i omega_k q gives the central binomials of the
+    AKNS hierarchy on a constant background (Ablowitz, Kaup, Newell & Segur,
+    Stud. Appl. Math. 53, 1974): omega_k = (-1)^((k-1)/2) C(k+1, (k+1)/2)
+    q^(k+1) for odd k (2q^2, -6q^4, 20q^6, -70q^8), and 0 for even k, whose
+    flows leave a constant field alone.
+    """
+    if k % 2 == 0:
+        return 0.0
+    return (-1) ** ((k - 1) // 2) * math.comb(k + 1, (k + 1) // 2) * q ** (k + 1)
 
 
 def _soliton_rate(k: int, a: float) -> float:
@@ -438,6 +443,8 @@ class RiemannData:
         return U, Phi
 
     def to_json(self) -> str:
+        import json
+
         def cvec(v):
             return [[x.real, x.imag] for x in np.asarray(v, dtype=complex).reshape(-1)]
 
@@ -454,23 +461,54 @@ class RiemannData:
 
     @staticmethod
     def from_json(text: str) -> "RiemannData":
+        """The data of an object as ``to_json`` writes it.  A missing key, a
+        value of another shape or a number that is no [re, im] pair is a
+        ValueError that names the key."""
+        import json
+
         data = json.loads(text)
-
-        def cx(pair):
-            return complex(pair[0], pair[1])
-
-        def cvec(entries):
-            return np.array([cx(p) for p in entries], dtype=complex)
-
+        if not isinstance(data, dict):
+            raise ValueError(f"Riemann data must be a JSON object, got {type(data).__name__}")
+        if type(_json_value(data, "genus")) is not int:
+            raise ValueError("Riemann data 'genus' must be an integer")
         return RiemannData(
-            genus=int(data["genus"]),
-            B=np.array([cvec(row) for row in data["B"]]),
-            V=tuple(cvec(v) for v in data["V"]),
-            K=tuple(cx(p) for p in data["K"]),
-            Z=cvec(data["Z"]),
-            delta=cvec(data["Delta"]),
-            rho=cx(data["rho"]),
+            genus=data["genus"],
+            B=_json_complex(data, "B", 2),
+            V=tuple(_json_complex(data, "V", 2)),
+            K=tuple(_json_complex(data, "K", 1)),
+            Z=_json_complex(data, "Z", 1),
+            delta=_json_complex(data, "Delta", 1),
+            rho=_json_complex(data, "rho", 0),
         )
+
+
+def _json_value(data: dict, key: str):
+    if key not in data:
+        raise ValueError(f"Riemann data has no {key!r}")
+    return data[key]
+
+
+_JSON_SHAPES = ("an [re, im] pair", "a list of [re, im] pairs", "a list of lists of [re, im] pairs")
+
+
+def _json_complex(data: dict, key: str, depth: int):
+    """data[key] as complex numbers in lists nested ``depth`` deep, each
+    number an [re, im] pair of JSON numbers; any other value, or a number
+    beyond the float range, is a ValueError naming the key."""
+
+    def read(value, depth):
+        if not isinstance(value, list):
+            raise TypeError
+        if depth:
+            return [read(v, depth - 1) for v in value]
+        if len(value) != 2 or not all(type(v) in (int, float) for v in value):
+            raise TypeError
+        return complex(float(value[0]), float(value[1]))
+
+    try:
+        return read(_json_value(data, key), depth)
+    except (TypeError, OverflowError):
+        raise ValueError(f"Riemann data {key!r} must be {_JSON_SHAPES[depth]}") from None
 
 
 def _finite_gap_values(data: RiemannData, x, times: tuple) -> np.ndarray:

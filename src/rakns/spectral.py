@@ -6,12 +6,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from .diffpoly import DiffPoly
-from .hierarchy import conserved_density, default_flow_table
+if TYPE_CHECKING:
+    from .diffpoly import DiffPoly
 
 
 class SpectralError(Exception):
@@ -282,6 +282,8 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
     dp = f_plus.time - f0.time
     if not (dm > 0 and abs(dm - dp) <= 1e-12 * max(dm, dp)):
         raise SpectralError("residual fields must be equally spaced in time")
+    from .hierarchy import default_flow_table
+
     table = default_flow_table(max((k for k, _ in spec.entries), default=1))
     dt = 0.5 * (dm + dp)
     psi_t = (f_plus.values - f_minus.values) / (2.0 * dt)
@@ -302,6 +304,8 @@ def _conserved_integrals(psi_hat: np.ndarray, grid: Grid, table, orders) -> tupl
     its jets, the program runs once, and each density sums its scatter
     column of the block's grid sums.  The samples are a view of the
     workspace: a caller that keeps them copies them."""
+    from .hierarchy import conserved_density
+
     plan = _cached_plan(*(conserved_density(table, k) for k in orders))
     ws = np.empty((plan.rows, grid.n), dtype=complex)
     _inverse_jets(psi_hat, _multipliers(grid, (0,) + plan.orders), ws[: 1 + len(plan.orders)])

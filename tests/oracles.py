@@ -114,6 +114,19 @@ def sech_reduction(h: DiffPoly) -> tuple:
     return total.get((1, 0), 0), total.get((0, 1), 0)
 
 
+def constant_reduction(h: DiffPoly, q: Fraction) -> tuple:
+    """(re, im) of h on the constant field psi = psibar = q, exactly: a
+    monomial with a derivative vanishes, any other is its coefficient times
+    q to its degree."""
+    re = im = Fraction(0)
+    for m in h.terms:
+        if all(j.order == 0 for j, _ in m.factors):
+            power = q ** sum(e for _, e in m.factors)
+            re += m.coeff.re * power
+            im += m.coeff.im * power
+    return re, im
+
+
 # -- Gaussian rationals as (re, im) pairs of Fractions --------------------------
 
 

@@ -348,26 +348,56 @@ def test_identity_check_passes_correct_transforms(a, b, max_flow, capsys):
     assert text.splitlines()[-1] == "pass"
 
 
-_RIEMANN_EDITS = {"as_is": lambda d: None, "short_K": lambda d: d["K"].pop(), "empty_V": lambda d: d["V"].clear()}
+_RIEMANN_EDITS = {
+    "as_is": lambda d: d,
+    "short_K": lambda d: {**d, "K": d["K"][:-1]},
+    "empty_V": lambda d: {**d, "V": []},
+    "empty_object": lambda d: {},
+    "int_B": lambda d: {"genus": 1, "B": 5},
+    "top_list": lambda d: [1, 2],
+    "string_genus": lambda d: {**d, "genus": "2"},
+    "rho_triple": lambda d: {**d, "rho": [1.0, 2.0, 3.0]},
+    "string_pair": lambda d: {**d, "Z": [["1", "0"], ["0", "1"]]},
+    "flat_V": lambda d: {**d, "V": d["K"]},
+}
+_IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
+_SAMPLE = ["sample", "--solution", "finitegap", "--grid", "16,10"]
 
 
 @pytest.mark.parametrize(
     "edit, argv, message",
     [
-        ("short_K", ["identity", "check", "--a", "1.2", "--b", "0.1"], "K must hold K_0..K_6"),
-        ("short_K", ["sample", "--solution", "finitegap", "--grid", "16,10"], "K must hold K_0..K_6"),
-        ("empty_V", ["sample", "--solution", "finitegap", "--grid", "16,10"], "V must hold"),
-        (None, ["identity", "check", "--a", "1.2", "--b", "0.1", "--max-flow", "-1"], "n_flows must be >= 0"),
-        ("as_is", ["identity", "check", "--a", "1.2", "--b", "0.1", "--max-flow", "-1"], "M must be >= 0"),
+        ("short_K", _IDENTITY, "K must hold K_0..K_6"),
+        ("short_K", _SAMPLE, "K must hold K_0..K_6"),
+        ("empty_V", _SAMPLE, "V must hold"),
+        (None, [*_IDENTITY, "--max-flow", "-1"], "n_flows must be >= 0"),
+        ("as_is", [*_IDENTITY, "--max-flow", "-1"], "M must be >= 0"),
+        ("empty_object", _IDENTITY, "Riemann data has no 'genus'"),
+        ("empty_object", _SAMPLE, "Riemann data has no 'genus'"),
+        ("int_B", _IDENTITY, "'B' must be a list of lists of [re, im] pairs"),
+        ("int_B", _SAMPLE, "'B' must be a list of lists of [re, im] pairs"),
+        ("top_list", _IDENTITY, "must be a JSON object, got list"),
+        ("top_list", _SAMPLE, "must be a JSON object, got list"),
+        ("string_genus", _IDENTITY, "'genus' must be an integer"),
+        ("rho_triple", _SAMPLE, "'rho' must be an [re, im] pair"),
+        ("string_pair", _IDENTITY, "'Z' must be a list of [re, im] pairs"),
+        ("flat_V", _SAMPLE, "'V' must be a list of lists of [re, im] pairs"),
     ],
-    ids=["identity_short_K", "sample_short_K", "sample_empty_V", "random_negative_flows", "file_negative_flows"],
+    ids=[
+        "identity_short_K", "sample_short_K", "sample_empty_V", "random_negative_flows",
+        "file_negative_flows", "identity_missing_key", "sample_missing_key", "identity_int_B",
+        "sample_int_B", "identity_top_list", "sample_top_list", "identity_string_genus",
+        "sample_rho_triple", "identity_string_pair", "sample_flat_V",
+    ],
 )
 def test_malformed_riemann_data_is_one_line_exit_2(tmp_path, capsys, edit, argv, message):
     """A K too short for V once ended in an IndexError traceback, exit 1;
-    a negative flow count in a message about -1 flow vectors."""
+    a negative flow count in a message about -1 flow vectors.  A missing
+    key, a value of the wrong type or a top level that is no object once
+    ended in a KeyError or TypeError traceback, and a triple or a string
+    genus was read as if it were well formed."""
     if edit:
-        data = json.loads(random_riemann_data(2, 5, rng=1).to_json())
-        _RIEMANN_EDITS[edit](data)
+        data = _RIEMANN_EDITS[edit](json.loads(random_riemann_data(2, 5, rng=1).to_json()))
         path = tmp_path / "rd.json"
         path.write_text(json.dumps(data))
         argv = [*argv, "--riemann", str(path)]

@@ -5,6 +5,7 @@ import copy
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,13 +27,14 @@ from rakns.solutions import (
     soliton,
     theta,
     _lattice_points,
+    _plane_wave_rate,
     _soliton_rate,
     _ThetaLattice,
     _upper_gamma,
 )
 from rakns.spectral import Grid, residual, sample_onto_grid
 
-from oracles import sech_reduction, theta_brute, theta_terms_reference
+from oracles import constant_reduction, sech_reduction, theta_brute, theta_terms_reference
 
 
 # -- exact sampler constants -------------------------------------------------
@@ -66,6 +68,22 @@ def test_plane_wave_rates():
         times = [0.0] * 5
         times[k - 1] = t
         assert complex(s(0.0, times)) == pytest.approx(base)
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0, 1.7, 2.9])
+def test_plane_wave_rates_match_constant_reduction(q):
+    """The closed-form rates against each generated H_k reduced exactly on
+    the constant field psi = q (the double q, in rationals): i^k H_k(q) must
+    be i omega_k q, purely imaginary, with omega_k the sampler's rate."""
+    table = build_flows(8)
+    for k in range(1, 9):
+        re, im = constant_reduction(table.H[k], Fraction(q))
+        # i^k (re + i im), by the quarter turns of i^k
+        rotated = ((re, im), (-im, re), (-re, -im), (im, -re))[k % 4]
+        assert rotated[0] == 0
+        exact = float(rotated[1] / Fraction(q))
+        assert abs(_plane_wave_rate(k, q) - exact) <= 1e-15 * abs(exact), k
+        assert (exact == 0) == (k % 2 == 0)
 
 
 @pytest.mark.parametrize("a", [0.7, 1.3, 2.0])

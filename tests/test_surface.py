@@ -82,6 +82,31 @@ def test_exact_layer_commands_load_no_numerical_module():
     assert {"rakns.cli", "rakns.hierarchy", "rakns.diffpoly"} <= loaded
 
 
+
+def test_analytic_layer_loads_no_exact_module(tmp_path):
+    """The finite-gap path, the closed-form samplers and the analytic CLI
+    commands run without the exact layer, the config parser or the
+    stepper: none of them is imported along the way."""
+    loaded = loaded_after(
+        f"path = {str(tmp_path / 'rd.json')!r}\n"
+        "import rakns\n"
+        "open(path, 'w').write(rakns.random_riemann_data(2, 5, rng=1).to_json())\n"
+        "data = rakns.RiemannData.from_json(open(path).read())\n"
+        "grid = rakns.Grid(64, 20.0)\n"
+        "rakns.sample_onto_grid(rakns.finite_gap_sampler(data), grid, (0.1, 0.2))\n"
+        "rakns.moduli_transform(data, 1.3, 0.2)\n"
+        "rakns.identity_errors(data, rakns.SymmetryParams(1.3, 0.2), 5)\n"
+        "for s in (rakns.plane_wave(1.2), rakns.soliton(0.8), rakns.peregrine()):\n"
+        "    rakns.sample_onto_grid(s, grid, (0.1,))\n"
+        "from rakns.cli import main\n"
+        "assert main(['identity', 'check', '--a', '1.2', '--b', '0.1']) == 0\n"
+        "assert main(['identity', 'check', '--a', '1.2', '--b', '0.1', '--riemann', path]) == 0\n"
+        "for argv in (['finitegap', '--riemann', path], ['planewave'], ['soliton']):\n"
+        "    assert main(['sample', '--solution', *argv, '--grid', '16,10']) == 0"
+    )
+    assert not loaded & {f"rakns.{m}" for m in ("diffpoly", "hierarchy", "config", "evolve")}
+    assert {"rakns.spectral", "rakns.solutions", "rakns.symmetry", "rakns.cli"} <= loaded
+
 def test_all_is_unchanged():
     assert rakns.__all__ == [name for names in PUBLIC.values() for name in names]
 
