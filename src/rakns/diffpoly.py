@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 SYMBOLS = ("psi", "phi", "psibar", "phibar")
 _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
+_PHI, _PSIBAR = _SYMBOL_INDEX["phi"], _SYMBOL_INDEX["psibar"]
 
 # Conjugation pairs psi <-> psibar, phi <-> phibar.
 CONJUGATE = {"psi": "psibar", "psibar": "psi", "phi": "phibar", "phibar": "phi"}
@@ -533,23 +534,26 @@ def dp_antidx(p: DiffPoly) -> DiffPoly:
 
 
 def dp_reduce(p: DiffPoly) -> DiffPoly:
-    """Apply the reduction phi = -psibar (so phi jets become -psibar jets)."""
+    """Apply the reduction phi = -psibar (so phi jets become -psibar jets).
+
+    On psi/phi polynomials, phi_n -> psibar_n maps symbol index 1 to 2 with
+    no 2 present, which keeps the order of jets, of factor lists and so of
+    monomials, and merges none: the result is canonical as built."""
     bad = p.symbols() & {"psibar", "phibar"}
     if bad:
         raise ValueError(f"dp_reduce expects only psi/phi jets, found {sorted(bad)}")
     out = []
     for m in p.terms:
-        coeff = m.coeff
+        odd = 0
         facs = []
         for j, e in m.factors:
-            if j.symbol == "phi":
-                if e % 2 == 1:
-                    coeff = -coeff
-                facs.append((jet("psibar", j.order), e))
+            if j.sym_index == _PHI:
+                odd ^= e & 1
+                facs.append((JetVariable(_PSIBAR, j.order), e))
             else:
                 facs.append((j, e))
-        out.append(Monomial(coeff, tuple(sorted(facs))))
-    return DiffPoly(out)
+        out.append(Monomial(-m.coeff if odd else m.coeff, tuple(facs)))
+    return DiffPoly(out, _canonical=True)
 
 
 def dp_conjugate(p: DiffPoly) -> DiffPoly:
@@ -682,6 +686,8 @@ def _combine(commutators=(), matrices=(), derivatives=()) -> MatrixDP:
 
 
 def mat_commutator(a: MatrixDP, b: MatrixDP) -> MatrixDP:
+    """[A, B], one fused sum per entry.  The recursion forms only the
+    entries it needs; the benchmark tracer still wraps this by name."""
     return _combine(commutators=((1, a, b),))
 
 

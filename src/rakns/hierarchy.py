@@ -7,9 +7,17 @@ U = lambda J + U0, V_k = 2 lambda V_{k-1} + V_k^0, V_0 = U.  The audit makes
 one pass over the orders: W_k = -(V_k)_x + [U, V_k] has W_0 = -U_x and
 W_k = 2 lambda W_{k-1} + lambda [J, V_k^0] + [U0, V_k^0] - (V_k^0)_x.
 By lambda power, W_k^0 = [U0, V_k^0] - (V_k^0)_x and W_k^1 = 2 W_{k-1}^0
-+ [J, V_k^0] are each one fused sum (``diffpoly._combine``), as is the
-recursion's right-hand side 2 (F_k)_x + 2 [D_k, U0]; the higher powers are
-2 W_{k-1}^(p-1).
++ [J, V_k^0] are each one fused sum (``diffpoly._combine``); the higher
+powers are 2 W_{k-1}^(p-1).
+
+The recursion builds one off-diagonal chain.  Let tau swap psi_n <-> phi_n
+and Theta(M) = tau(sigma_1 M sigma_1) with sigma_1 = [[0, 1], [1, 0]].
+Theta(J) = -J and Theta(U0) = -U0, so Theta(F_k) = (-1)^(k+1) F_k and
+Theta(D_k) = (-1)^k D_k (Ablowitz, Kaup, Newell & Segur 1974): with
+b_k = (F_k)_12 and c_k = (F_k)_21, c_k = (-1)^(k+1) tau(b_k), and only
+b_k and (D_k)_11 are computed.  The audit does not use the parity: it
+forms all four entries of each W_k, so it checks the shortcut as well as
+the recursion.
 """
 
 from __future__ import annotations
@@ -20,18 +28,22 @@ from functools import lru_cache
 from .diffpoly import (
     DiffPoly,
     GaussianRational,
+    JetVariable,
     MatrixDP,
     NotExact,
+    _accumulate,
+    _add_product,
     _combine,
+    _dx_terms,
+    _from_dict,
     dp_antidx,
-    dp_dx,
     dp_reduce,
     gr_i_power,
-    mat_commutator,
 )
 
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
+TWO_I = GaussianRational(0, 2)
 
 # J = diag(-i, i), U0 = [[0, i psi], [-i phi, 0]]
 J = MatrixDP(DiffPoly.constant(MINUS_I), 0, 0, DiffPoly.constant(I))
@@ -46,17 +58,13 @@ class NonRealCoefficients(Exception):
     """A reduced flow H_k came out with a non-real coefficient."""
 
 
-def _solve_offdiag(rhs: MatrixDP) -> MatrixDP:
-    """Solve [J, F] = rhs for off-diagonal F.
-
-    For F = [[0, b], [c, 0]] the commutator [J, F] is [[0, -2i b], [2i c, 0]],
-    so each entry divides out a factor of +-2i.
-    """
-    if not (rhs[0, 0].is_zero() and rhs[1, 1].is_zero()):
-        raise RecursionBroken("off-diagonal solve received a diagonal part")
-    b = rhs[0, 1].scale(GaussianRational(1) / GaussianRational(0, -2))
-    c = rhs[1, 0].scale(GaussianRational(1) / GaussianRational(0, 2))
-    return MatrixDP(0, b, c, 0)
+def _swap(p: DiffPoly, sign: int) -> DiffPoly:
+    """sign * tau(p), tau swapping psi_n <-> phi_n in a psi/phi polynomial."""
+    return _from_dict({
+        tuple(sorted((JetVariable(1 - j.sym_index, j.order), e) for j, e in m.factors)):
+            m.coeff if sign > 0 else -m.coeff
+        for m in p.terms
+    })
 
 
 @dataclass(frozen=True)
@@ -78,23 +86,36 @@ class FlowTable:
 
 
 def build_flows(K: int) -> FlowTable:
-    """Run the recursion [J, V_{k+1}^0] = 2 (V_k^0)_x + 2 [V_k^0, U0]."""
+    """Run the recursion [J, V_{k+1}^0] = 2 (V_k^0)_x + 2 [V_k^0, U0].
+
+    Per order, with b_k = (F_k)_12 and c_k = (F_k)_21:
+    (D_k)_11 integrates -[F_k, U0]_11 = -(b_k U0_21 - U0_12 c_k), and the
+    (1,2) entry of [J, F_{k+1}] = -2i b_{k+1} gives b_{k+1}
+    = (2 (b_k)_x + 4 (D_k)_11 U0_12) / (-2i), starting from V_0^0 = U0.
+    c_k = (-1)^(k+1) tau(b_k) by the parity in the module docstring.
+    """
     if K < 1:
         raise ValueError(f"order must be >= 1, got {K}")
     F: dict[int, MatrixDP] = {}
     D: dict[int, MatrixDP] = {}
-    F[1] = _solve_offdiag(U0.dx().scale(2))
+    b, d = U0[0, 1], DiffPoly.zero()  # b_0 and (D_0)_11 of V_0^0 = U0
     for k in range(1, K + 2):
-        comm = mat_commutator(F[k], U0)
+        acc: dict = {}  # b_k, the division by -2i folded into the coefficients
+        for t in b.terms:
+            _accumulate(acc, _dx_terms(t.factors, t.coeff * I))
+        _add_product(acc, TWO_I, d, U0[0, 1])
+        b = _from_dict(acc)
+        c = _swap(b, (-1) ** (k + 1))
+        F[k] = MatrixDP(0, b, c, 0)
+        acc = {}
+        _add_product(acc, -1, b, U0[1, 0])
+        _add_product(acc, 1, U0[0, 1], c)
         try:
-            d11 = dp_antidx(-comm[0, 0])
+            d = dp_antidx(_from_dict(acc))
         except NotExact as exc:
             raise RecursionBroken(f"diagonal density at order {k} not exact") from exc
-        # A commutator is traceless, so comm[1, 1] = -comm[0, 0], and the
-        # antiderivative is odd: D_22 = -D_11 with no second integration.
-        D[k] = MatrixDP(d11, 0, 0, -d11)
-        if k <= K:
-            F[k + 1] = _solve_offdiag(_combine(commutators=((2, D[k], U0),), derivatives=((2, F[k]),)))
+        # [F_k, U0] is traceless and the antiderivative odd: D_22 = -D_11.
+        D[k] = MatrixDP(d, 0, 0, -d)
     H = {k: _scalar_H(F, k) for k in range(1, K + 1)}
     density = {k: dp_reduce(D[k][0, 0]) for k in range(1, K + 2)}
     return FlowTable(max_order=K, F=F, D=D, H=H, density=density)

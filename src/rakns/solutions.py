@@ -397,11 +397,11 @@ class RiemannData:
         if g < 1:
             raise ValueError("genus must be >= 1")
         fields = {
-            "B": np.asarray(self.B, dtype=complex),
-            "V": tuple(np.asarray(v, dtype=complex).reshape(g) for v in self.V),
+            "B": _complex_array("B", self.B, (g, g)),
+            "V": tuple(_complex_array(f"V[{j}]", v, (g,)) for j, v in enumerate(self.V)),
             "K": tuple(complex(k) for k in self.K),
-            "Z": np.asarray(self.Z, dtype=complex).reshape(g),
-            "delta": np.asarray(self.delta, dtype=complex).reshape(g),
+            "Z": _complex_array("Z", self.Z, (g,)),
+            "delta": _complex_array("delta", self.delta, (g,)),
             "rho": complex(self.rho),
         }
         for name, value in fields.items():
@@ -413,8 +413,6 @@ class RiemannData:
         if len(self.K) < len(self.V) + 1:
             raise ValueError(f"K must hold K_0..K_{len(self.V)}, one more entry than V, got {len(self.K)}")
         _check_riemann_matrix(self.B)
-        if self.B.shape != (g, g):
-            raise ValueError("B has wrong shape for the declared genus")
         if self.K[0] == 0:
             raise ValueError("K_0 must be nonzero")
         if self.rho == 0:
@@ -480,6 +478,21 @@ class RiemannData:
             delta=_json_complex(data, "Delta", 1),
             rho=_json_complex(data, "rho", 0),
         )
+
+
+def _complex_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a complex array of ``shape``, a vector in any shape of
+    its size; a ragged value or one of another shape is a ValueError that
+    names it and the shape."""
+    try:
+        a = np.asarray(value, dtype=complex)
+        if len(shape) == 1 and a.size == shape[0]:
+            a = a.reshape(shape)
+    except (ValueError, TypeError):
+        a = None
+    if a is None or a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape} for genus {shape[0]}")
+    return a
 
 
 def _json_value(data: dict, key: str):

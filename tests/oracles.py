@@ -13,8 +13,8 @@ from rakns.diffpoly import (
     Monomial,
     NotExact,
     dp_dx,
-    dp_reduce,
     gr_i_power,
+    jet,
 )
 from rakns.hierarchy import I, J, MINUS_I, U0, flow_rhs
 from rakns.spectral import compile_plan, eval_rhs, spectral_derivative
@@ -238,9 +238,39 @@ def build_flows_reference(K: int) -> tuple:
         D[k] = MatrixDP(antidx_reference(-comm[0, 0]), 0, 0, antidx_reference(-comm[1, 1]))
         if k <= K:
             F[k + 1] = solve_offdiag(F[k].dx().scale(2) + commutator_reference(D[k], U0).scale(2))
-    H = {k: dp_reduce(-F[k + 1][0, 1]).scale(gr_i_power(-k)) for k in range(1, K + 1)}
-    density = {k: dp_reduce(D[k][0, 0]) for k in range(1, K + 2)}
+    H = {k: reduce_reference(-F[k + 1][0, 1]).scale(gr_i_power(-k)) for k in range(1, K + 1)}
+    density = {k: reduce_reference(D[k][0, 0]) for k in range(1, K + 2)}
     return F, D, H, density
+
+
+def reduce_reference(p: DiffPoly) -> DiffPoly:
+    """phi = -psibar substituted into each monomial as a product of
+    DiffPolys, one factor per unit of exponent, and the products summed."""
+    out = DiffPoly.zero()
+    for m in p.terms:
+        term = DiffPoly.constant(m.coeff)
+        for j, e in m.factors:
+            assert j.symbol in ("psi", "phi")
+            v = DiffPoly.var("psibar", j.order, -1) if j.symbol == "phi" else DiffPoly.var("psi", j.order)
+            for _ in range(e):
+                term = term * v
+        out = out + term
+    return out
+
+
+def swap_reference(p: DiffPoly) -> DiffPoly:
+    """tau: psi_n <-> phi_n, monomial by monomial through DiffPoly.monomial."""
+    other = {"psi": "phi", "phi": "psi"}
+    out = DiffPoly.zero()
+    for m in p.terms:
+        out = out + DiffPoly.monomial(m.coeff, {jet(other[j.symbol], j.order): e for j, e in m.factors})
+    return out
+
+
+def parity_reference(m: MatrixDP) -> MatrixDP:
+    """Theta(M) = tau(sigma_1 M sigma_1), sigma_1 = [[0, 1], [1, 0]]: the
+    entries swap across both diagonals and each is swapped by tau."""
+    return MatrixDP(*(swap_reference(m[i, j]) for i, j in ((1, 1), (1, 0), (0, 1), (0, 0))))
 
 
 # -- zero-curvature audit ---------------------------------------------------------

@@ -359,6 +359,9 @@ _RIEMANN_EDITS = {
     "rho_triple": lambda d: {**d, "rho": [1.0, 2.0, 3.0]},
     "string_pair": lambda d: {**d, "Z": [["1", "0"], ["0", "1"]]},
     "flat_V": lambda d: {**d, "V": d["K"]},
+    "ragged_B": lambda d: {**d, "B": [d["B"][0], d["B"][1][:1]]},
+    "short_V_entry": lambda d: {**d, "V": [d["V"][0][:1], *d["V"][1:]]},
+    "long_Z": lambda d: {**d, "Z": [*d["Z"], [0.0, 0.0]]},
 }
 _IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
 _SAMPLE = ["sample", "--solution", "finitegap", "--grid", "16,10"]
@@ -382,12 +385,20 @@ _SAMPLE = ["sample", "--solution", "finitegap", "--grid", "16,10"]
         ("rho_triple", _SAMPLE, "'rho' must be an [re, im] pair"),
         ("string_pair", _IDENTITY, "'Z' must be a list of [re, im] pairs"),
         ("flat_V", _SAMPLE, "'V' must be a list of lists of [re, im] pairs"),
+        ("ragged_B", _IDENTITY, "B must have shape (2, 2)"),
+        ("ragged_B", _SAMPLE, "B must have shape (2, 2)"),
+        ("short_V_entry", _IDENTITY, "V[0] must have shape (2,)"),
+        ("short_V_entry", _SAMPLE, "V[0] must have shape (2,)"),
+        ("long_Z", _IDENTITY, "Z must have shape (2,)"),
+        ("long_Z", _SAMPLE, "Z must have shape (2,)"),
     ],
     ids=[
         "identity_short_K", "sample_short_K", "sample_empty_V", "random_negative_flows",
         "file_negative_flows", "identity_missing_key", "sample_missing_key", "identity_int_B",
         "sample_int_B", "identity_top_list", "sample_top_list", "identity_string_genus",
-        "sample_rho_triple", "identity_string_pair", "sample_flat_V",
+        "sample_rho_triple", "identity_string_pair", "sample_flat_V", "identity_ragged_B",
+        "sample_ragged_B", "identity_short_V_entry", "sample_short_V_entry", "identity_long_Z",
+        "sample_long_Z",
     ],
 )
 def test_malformed_riemann_data_is_one_line_exit_2(tmp_path, capsys, edit, argv, message):
@@ -395,7 +406,8 @@ def test_malformed_riemann_data_is_one_line_exit_2(tmp_path, capsys, edit, argv,
     a negative flow count in a message about -1 flow vectors.  A missing
     key, a value of the wrong type or a top level that is no object once
     ended in a KeyError or TypeError traceback, and a triple or a string
-    genus was read as if it were well formed."""
+    genus was read as if it were well formed.  A ragged B, or a V entry or
+    Z of the wrong length, was refused in numpy's words, naming no key."""
     if edit:
         data = _RIEMANN_EDITS[edit](json.loads(random_riemann_data(2, 5, rng=1).to_json()))
         path = tmp_path / "rd.json"

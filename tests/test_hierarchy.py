@@ -12,17 +12,22 @@ from oracles import (
     build_flows_reference,
     commutator_reference,
     curvature_residual,
+    parity_reference,
+    reduce_reference,
+    swap_reference,
 )
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
     dp_conjugate,
     dp_dx,
+    dp_reduce,
     from_json,
     is_exact,
     jet,
 )
 from rakns.hierarchy import (
+    J,
     U0,
     CurvatureReport,
     _curvature_reports,
@@ -189,17 +194,42 @@ def _one_pass_against_direct(table, K: int) -> list:
     return reports
 
 
-@pytest.mark.parametrize("K", [7, 8])
+@pytest.mark.parametrize("K", range(1, 10))
 def test_build_flows_matches_reference(K):
-    """Every matrix, flow and density of build_flows(K), whose fused
-    right-hand sides are made canonical once, equals the recursion written
-    with whole-matrix products, sums and scalings."""
+    """Every matrix, flow and density of build_flows(K), which computes one
+    off-diagonal entry per order and takes the other from the swap parity,
+    equals the recursion written with whole-matrix products, sums and
+    scalings, reduced by substitution."""
     table = build_flows(K)
     F, D, H, density = build_flows_reference(K)
     for got, want in ((table.F, F), (table.D, D), (table.H, H), (table.density, density)):
         assert got.keys() == want.keys()
         for k in want:
             assert got[k] == want[k], k
+
+
+def test_recursion_has_swap_parity(table8):
+    """Theta(M) = tau(sigma_1 M sigma_1) with tau: psi_n <-> phi_n flips J
+    and U0, so (F_k)_21 = (-1)^(k+1) tau((F_k)_12) and tau((D_k)_11) =
+    (-1)^(k+1) (D_k)_11; checked with the oracle's own tau through k = 9."""
+    assert parity_reference(J) == J.scale(-1)
+    assert parity_reference(U0) == U0.scale(-1)
+    for k in range(1, 10):
+        sign = (-1) ** (k + 1)
+        assert table8.F[k][1, 0] == swap_reference(table8.F[k][0, 1]).scale(sign), k
+        assert swap_reference(table8.D[k][0, 0]) == table8.D[k][0, 0].scale(sign), k
+        assert parity_reference(table8.F[k]) == table8.F[k].scale(sign), k
+        assert parity_reference(table8.D[k]) == table8.D[k].scale(-sign), k
+
+
+def test_reduce_matches_substitution(table8):
+    """dp_reduce, which builds its result in canonical order without a sort,
+    equals substitution of phi = -psibar on every entry of build_flows(8)."""
+    for matrices in (table8.F, table8.D):
+        for m in matrices.values():
+            for i in (0, 1):
+                for j in (0, 1):
+                    assert dp_reduce(m[i, j]) == reduce_reference(m[i, j])
 
 
 def test_one_pass_residual_equals_direct_formula(table8):

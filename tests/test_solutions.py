@@ -502,6 +502,26 @@ def test_riemann_data_refuses_non_finite(field):
         RiemannData(**{**kwargs, field: bad})
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("B", [[1j, 0.0], [0.0]], r"B must have shape \(2, 2\)"),
+        ("B", np.eye(3) * 1j, r"B must have shape \(2, 2\)"),
+        ("V", (np.ones(1),), r"V\[0\] must have shape \(2,\)"),
+        ("Z", np.ones(3), r"Z must have shape \(2,\)"),
+        ("delta", [[1.0], [2.0, 3.0]], r"delta must have shape \(2,\)"),
+    ],
+)
+def test_riemann_data_refuses_wrong_shape(field, bad, message):
+    """A ragged value or one of another length was refused in numpy's
+    words ('setting an array element with a sequence', 'cannot reshape'),
+    which name no field."""
+    good = random_riemann_data(2, 2, rng=3)
+    kwargs = {f: getattr(good, f) for f in ("genus", "B", "V", "K", "Z", "delta", "rho")}
+    with pytest.raises(ValueError, match=f"^{message} for genus 2$"):
+        RiemannData(**{**kwargs, field: bad})
+
+
 def test_finite_gap_at_origin_argument():
     """U = 0 at x = 0, all times zero: the theta ratio collapses to
     Theta(Z) Theta(Z - Delta) / [Theta(Z - Delta) Theta(Z)] = 1, leaving
