@@ -197,7 +197,7 @@ def cmd_transform(args) -> int:
 
 def cmd_verify_residual(args) -> int:
     from .config import parse_config
-    from .spectral import read_field, residual
+    from .spectral import _equally_spaced, read_field, residual
 
     _check_tol(args.tol)
     with open(args.config) as fh:
@@ -212,8 +212,7 @@ def cmd_verify_residual(args) -> int:
     worst = 0.0
     checked = 0
     for fm, f0, fp in zip(fields, fields[1:], fields[2:]):
-        dm, dp = f0.time - fm.time, fp.time - f0.time
-        if not (dm > 0 and abs(dm - dp) <= 1e-12 * max(dm, dp)):
+        if not _equally_spaced(fm, f0, fp):
             continue  # trailing snapshot may break the uniform cadence
         r = residual(fm, f0, fp, spec)
         print(f"t={f0.time:.6g}: residual {r:.3e}")
@@ -269,6 +268,8 @@ _ERRORS = (
     ("config", "ConfigError", USAGE),
     ("solutions", "SolutionError", USAGE),
     ("evolve", "EvolveError", USAGE),
+    ("hierarchy", "RecursionBroken", VERIFY_FAILED),
+    ("hierarchy", "NonRealCoefficients", VERIFY_FAILED),
 )
 
 

@@ -35,9 +35,6 @@ class BadScheduleLiteral(ConfigError):
 class Config:
     sections: dict  # section -> {key: value}
 
-    def get(self, section, key, default=None):
-        return self.sections.get(section, {}).get(key, default)
-
     def flow_spec(self) -> FlowSpec:
         flows = self.sections.get("flows", {})
         if not flows:

@@ -5,7 +5,9 @@
 with one stepper for every schedule, Lawson's integrating-factor RK4,
 which propagates the stiff linear phases exactly by exp(int mu dt); plain
 RK4, guarded by the imaginary-axis stability bound, stays as the oracle.
-Both run the spec's one flow plan and read its linear symbol off it.
+Both step psi-hat through the spec's one flow plan, bound to the grid
+once per run, and read its linear symbol off it; the oracle differs in
+its time scheme alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .hierarchy import default_flow_table
-from .spectral import Field, Grid, _BoundPlan, _conserved_integrals, eval_rhs, flow_plan, linear_symbol, write_field
+from .spectral import Field, Grid, _BoundPlan, _conserved_integrals, flow_plan, linear_symbol, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 
@@ -183,47 +185,50 @@ def _unit_phases(plan, spec: FlowSpec, grid: Grid) -> list:
 
 
 def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
-    """One step of size dt as ``(fourier, integrate)``: integrate(state, t)
-    is the state one step on from t, where the state is psi-hat if
-    ``fourier`` and the samples otherwise; ``_advanced`` checks it.
+    """One step of size dt: integrate(psi_hat, t) is psi-hat one step on
+    from t; ``_advanced`` checks it.
 
-    Both methods run the spec's one flow plan and take the linear symbol
-    mu = sum_k i^k alpha_k' (i xi)^(k+1) off it.  ifrk4 (auto too) is
-    Lawson's integrating-factor RK4 for any schedules, on psi-hat.
+    Both methods bind the spec's one flow plan to the grid once and run
+    its nonlinear part from psi-hat at the stage weights: one batched
+    inverse and one forward FFT per stage, 8 per step.  The linear symbol
+    mu = sum_k i^k alpha_k' (i xi)^(k+1) comes off the same plan.  ifrk4
+    (auto too) is Lawson's integrating-factor RK4 for any schedules.
     exp(int mu dt) over a half step is exp of the symbol at the increments
     i^k (alpha_k(t1) - alpha_k(t0)), that is cos(phi) + i sin(phi) with
     phi = sum_k (alpha_k(t1) - alpha_k(t0)) phi_k and the real rows phi_k
-    of ``_unit_phases``, made once per run: no complex exp.  RK4 runs the
-    plan's nonlinear part at the stage weights, bound to the grid once and
-    run from psi-hat: one inverse and one forward FFT per stage, 8 per
-    step.  For Linear schedules the factors and weights are made once.
-    rk4, the oracle, is plain RK4 on the samples through eval_rhs behind
-    the guard dt max|mu| <= 2.8, and holds no workspace between steps (a
-    bound one raised its peak RSS for no speed).
+    of ``_unit_phases``, made once per run: no complex exp.  For Linear
+    schedules the factors and weights are made once.  rk4, the oracle, is
+    plain RK4 on psi-hat, a stage mu psi-hat plus the FFT of the nonlinear
+    part, behind the guard dt max|mu| <= 2.8.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
+    if method not in ("auto", "ifrk4", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
     plan = flow_plan(table, spec)
+    program = _BoundPlan(plan, grid)
+
+    def nhat(u, w):
+        return np.fft.fft(program(u, w))
+
     if method == "rk4":
 
-        def rhs(v, t):
-            return eval_rhs(plan, v, grid, spec.weights(t))
+        def rhs(u, t):
+            w = spec.weights(t)
+            return linear_symbol(plan, grid, w) * u + nhat(u, w)
 
-        def integrate(v, t):
+        def integrate(u, t):
             mu_max = float(np.max(np.abs(linear_symbol(plan, grid, spec.weights(t)))))
             if dt * mu_max > RK4_IMAG_STABILITY:
                 raise StabilityViolation(f"dt*max|mu| = {dt * mu_max:.3g} exceeds {RK4_IMAG_STABILITY}")
-            k1 = rhs(v, t)
-            k2 = rhs(v + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = rhs(v + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = rhs(v + dt * k3, t + dt)
-            return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = rhs(u, t)
+            k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = rhs(u + dt * k3, t + dt)
+            return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        return False, integrate
+        return integrate
 
-    if method not in ("auto", "ifrk4"):
-        raise ValueError(f"unknown method {method!r}")
-    program = _BoundPlan(plan, grid)
     phases = _unit_phases(plan, spec, grid)
 
     def factor(alpha0, alpha1):
@@ -243,9 +248,6 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
 
     fixed = factors(0.0) if spec.is_constant else None
 
-    def nhat(u, w):
-        return np.fft.fft(program(u, w))
-
     def integrate(u, t):
         e1, e2, e, w0, wh, w1 = fixed or factors(t)
         a = nhat(u, w0)
@@ -255,7 +257,7 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
         d = nhat(eu + dt * e2 * c, w1)
         return eu + (dt / 6.0) * (e * a + 2.0 * e2 * (b + c) + d)
 
-    return True, integrate
+    return integrate
 
 
 def _advanced(integrate, state, t: float, last_good):
@@ -271,15 +273,12 @@ def _advanced(integrate, state, t: float, last_good):
 def step(f: Field, spec: FlowSpec, dt: float, method: str = "auto") -> Field:
     """Advance one time step; the method defaults to evolve_run's auto, which
     is ifrk4 for every schedule.  rk4, the oracle, enforces the stability
-    bound.  An ifrk4 step goes to psi-hat and back: 10 FFTs for hnls5."""
+    bound.  A step of either goes to psi-hat and back: 10 FFTs for hnls5."""
     table = default_flow_table(max(spec.max_order, 1))
-    fourier, integrate = _stepper(table, spec, f.grid, dt, method)
+    integrate = _stepper(table, spec, f.grid, dt, method)
     # Overflow before a Blowup is the Blowup, as in evolve_run.
     with np.errstate(over="ignore", invalid="ignore"):
-        if fourier:
-            new = np.fft.ifft(_advanced(integrate, np.fft.fft(f.values), f.time, lambda: f))
-        else:
-            new = _advanced(integrate, f.values, f.time, lambda: f)
+        new = np.fft.ifft(_advanced(integrate, np.fft.fft(f.values), f.time, lambda: f))
     return Field(f.grid, new, f.time + dt)
 
 
@@ -287,7 +286,7 @@ def step(f: Field, spec: FlowSpec, dt: float, method: str = "auto") -> Field:
 class Trajectory:
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
-    conserved: list = field(default_factory=list)  # rows: (t, c1, c2, c3)
+    conserved: list = field(default_factory=list)  # rows: (c1, c2, c3) at times[i]
 
     def append(self, f: Field, conserved_row) -> None:
         self.times.append(f.time)
@@ -321,15 +320,14 @@ def evolve_run(
     """Integrate from f0.time to f0.time + t_end, recording snapshots and a
     conserved-quantity log (orders 1..3) at each snapshot.
 
-    ifrk4 holds psi-hat from one forward FFT of f0 to the end: samples are
-    made only at a snapshot, where one batched inverse FFT gives them with
-    the jets of the c1-c3 densities, and for the last good Field of a
-    Blowup.  rk4 holds the samples and transforms each snapshot forward
-    for its record."""
+    Either method holds psi-hat from one forward FFT of f0 to the end:
+    samples are made only at a snapshot, where one batched inverse FFT
+    gives them with the jets of the c1-c3 densities, and for the last good
+    Field of a Blowup."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and non-negative")
     table = default_flow_table(max(spec.max_order, 2))
-    fourier, integrate = _stepper(table, spec, f0.grid, dt, method)
+    integrate = _stepper(table, spec, f0.grid, dt, method)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -341,13 +339,13 @@ def evolve_run(
     grid, traj = f0.grid, Trajectory()
 
     def record(state, t, f=None):
-        samples, row = _conserved_integrals(state if fourier else np.fft.fft(state), grid, table, (1, 2, 3))
-        traj.append(f or Field(grid, samples if fourier else state, t), row)
+        samples, row = _conserved_integrals(state, grid, table, (1, 2, 3))
+        traj.append(f or Field(grid, samples, t), row)
 
     def last_good():  # called before state and t move on
-        return f0 if i == 1 else Field(grid, np.fft.ifft(state) if fourier else state, t)
+        return f0 if i == 1 else Field(grid, np.fft.ifft(state), t)
 
-    state, t = (np.fft.fft(f0.values) if fourier else f0.values), f0.time
+    state, t = np.fft.fft(f0.values), f0.time
     record(state, t, f0)
     # A growing field overflows before it turns non-finite; _advanced reports
     # that as Blowup, so numpy's overflow warnings would only repeat it.

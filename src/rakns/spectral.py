@@ -273,20 +273,23 @@ def flow_plan(table, spec) -> EvalPlan:
     return _cached_plan(*(table.H[k] for k, _ in spec.entries))
 
 
+def _equally_spaced(f_minus: Field, f0: Field, f_plus: Field) -> bool:
+    """Whether the fields step forward in time evenly, to a relative 1e-12."""
+    dm, dp = f0.time - f_minus.time, f_plus.time - f0.time
+    return dm > 0 and abs(dm - dp) <= 1e-12 * max(dm, dp)
+
+
 def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
     """L-inf norm of psi_t - sum_k i^k alpha_k'(t) H_k(psi), with psi_t from
     the centered difference of the outer fields."""
     if f_minus.grid != f0.grid or f_plus.grid != f0.grid:
         raise SpectralError("residual fields must share a grid")
-    dm = f0.time - f_minus.time
-    dp = f_plus.time - f0.time
-    if not (dm > 0 and abs(dm - dp) <= 1e-12 * max(dm, dp)):
+    if not _equally_spaced(f_minus, f0, f_plus):
         raise SpectralError("residual fields must be equally spaced in time")
     from .hierarchy import default_flow_table
 
     table = default_flow_table(max((k for k, _ in spec.entries), default=1))
-    dt = 0.5 * (dm + dp)
-    psi_t = (f_plus.values - f_minus.values) / (2.0 * dt)
+    psi_t = (f_plus.values - f_minus.values) / (f_plus.time - f_minus.time)
     rhs = eval_rhs(flow_plan(table, spec), f0, weights=spec.weights(f0.time))
     return float(np.max(np.abs(psi_t - rhs)))
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rakns.cli import build_parser, main
+from rakns.cli import USAGE, VERIFY_FAILED, _ERRORS, build_parser, main
 from rakns.diffpoly import from_json
 from rakns.solutions import random_riemann_data
 from rakns.spectral import Field, Grid, read_field, write_field
@@ -294,6 +294,8 @@ def test_identity_check_refuses_overflowing_transform(a, b, max_flow, capsys):
         ("spectral", "UnreducedInput", 1),
         ("config", "UnknownKey", 2),
         ("evolve", "Blowup", 2),
+        ("hierarchy", "RecursionBroken", 1),
+        ("hierarchy", "NonRealCoefficients", 1),
     ],
 )
 def test_error_class_exit_code(monkeypatch, capsys, module, name, expected):
@@ -310,6 +312,15 @@ def test_error_class_exit_code(monkeypatch, capsys, module, name, expected):
     code, text, err = run(["hierarchy", "show", "--order", "1"], capsys)
     assert code == expected
     assert text == "" and err == "error: injected\n"
+
+
+@pytest.mark.parametrize("module, name, code", _ERRORS)
+def test_error_table_names_exception_classes(module, name, code):
+    """_exit_code looks each class up inside the error path: a renamed one
+    would turn every error of its module into an AttributeError."""
+    error = getattr(importlib.import_module(f"rakns.{module}"), name, None)
+    assert isinstance(error, type) and issubclass(error, Exception)
+    assert code in (USAGE, VERIFY_FAILED)
 
 
 def test_unexpected_error_propagates(monkeypatch):

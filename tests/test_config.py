@@ -33,11 +33,11 @@ method = ifrk4
 
 def test_parse_good_config():
     cfg = parse_config(GOOD)
-    assert isinstance(cfg.get("flows", "flow1"), Linear)
-    assert isinstance(cfg.get("flows", "flow2"), Sinusoid)
-    assert isinstance(cfg.get("flows", "flow3"), Bump)
-    assert cfg.get("grid", "n") == 256
-    assert cfg.get("time", "method") == "ifrk4"
+    assert isinstance(cfg.sections["flows"]["flow1"], Linear)
+    assert isinstance(cfg.sections["flows"]["flow2"], Sinusoid)
+    assert isinstance(cfg.sections["flows"]["flow3"], Bump)
+    assert cfg.sections["grid"]["n"] == 256
+    assert cfg.sections["time"]["method"] == "ifrk4"
     spec = cfg.flow_spec()
     assert [k for k, _ in spec.entries] == [1, 2, 3]
 
@@ -196,7 +196,7 @@ def test_bad_time_value_message():
         with pytest.raises(ParseError) as e:
             parse_config(text.format(line))
         assert str(e.value) == message
-    assert parse_config(text.format("t_end = 0")).get("time", "t_end") == 0.0
+    assert parse_config(text.format("t_end = 0")).sections["time"]["t_end"] == 0.0
 
 
 def test_bad_grid_value_message():
@@ -210,7 +210,7 @@ def test_bad_grid_value_message():
         with pytest.raises(ParseError) as e:
             parse_config(text.format(line))
         assert str(e.value) == message
-    assert parse_config(text.format("n = 16")).get("grid", "n") == 16
+    assert parse_config(text.format("n = 16")).sections["grid"]["n"] == 16
 
 
 def test_values_have_their_key_type():
@@ -219,10 +219,10 @@ def test_values_have_their_key_type():
         "[grid]\nn = 64\nlength = 40\n"
         "[time]\ndt = 1\nt_end = 2e-3\nmethod = rk4\nsnapshot_stride = 5\n"
     )
-    assert cfg.get("flows", "flow1") == Linear(2.0, 0.0)
-    assert cfg.get("flows", "flow2") == Sinusoid(1.0, 2.0, 0.0)
-    assert cfg.get("flows", "flow3") == Poly([1.0, 2.0, 3.0])
-    typed = [cfg.get(s, k) for s, k in [("grid", "n"), ("time", "snapshot_stride"),
+    assert cfg.sections["flows"]["flow1"] == Linear(2.0, 0.0)
+    assert cfg.sections["flows"]["flow2"] == Sinusoid(1.0, 2.0, 0.0)
+    assert cfg.sections["flows"]["flow3"] == Poly([1.0, 2.0, 3.0])
+    typed = [cfg.sections[s][k] for s, k in [("grid", "n"), ("time", "snapshot_stride"),
                                         ("grid", "length"), ("time", "dt"), ("time", "method")]]
     assert typed == [64, 5, 40.0, 1.0, "rk4"]
     assert [type(v) for v in typed] == [int, int, float, float, str]

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import conserved_integral_reference, ifrk4_reference, linear_symbol_reference, rhs_terms
 
+from rakns import evolve as evolve_module
 from rakns import spectral
 from rakns.evolve import (
     Blowup,
@@ -284,14 +285,8 @@ def test_conserved_rows_match_three_integrals(spec, method):
             assert abs(c - conserved_integral_reference(density, f)) <= 1e-14 * scale
 
 
-def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):
-    """One IF-RK4 step of the hnls5 mix at n = 256: the forward FFT of psi,
-    per stage one batched inverse FFT to psi and its jets and one forward
-    FFT of the nonlinear part, and the inverse FFT of the result.  (Stages
-    that went back to samples made 17.)  A stage transforms psi and the
-    jets of orders 1-4 that the nonlinear terms read, not the linear-only
-    jets 5 and 6 of the flow plan: shape (5, 256), not (7, 256)."""
-    f = _soliton_field()
+def _counted_ffts(monkeypatch) -> Counter:
+    """Counts of np.fft.fft and ifft calls by (name, input shape)."""
     calls = Counter()
     for name in ("fft", "ifft"):
 
@@ -300,6 +295,18 @@ def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_ifrk4_hnls5_step_makes_ten_ffts(monkeypatch):
+    """One IF-RK4 step of the hnls5 mix at n = 256: the forward FFT of psi,
+    per stage one batched inverse FFT to psi and its jets and one forward
+    FFT of the nonlinear part, and the inverse FFT of the result.  (Stages
+    that went back to samples made 17.)  A stage transforms psi and the
+    jets of orders 1-4 that the nonlinear terms read, not the linear-only
+    jets 5 and 6 of the flow plan: shape (5, 256), not (7, 256)."""
+    f = _soliton_field()
+    calls = _counted_ffts(monkeypatch)
     step(f, HNLS5, 2.5e-5, method="ifrk4")
     assert calls == {("fft", (256,)): 5, ("ifft", (5, 256)): 4, ("ifft", (256,)): 1}
 
@@ -312,17 +319,28 @@ def test_ifrk4_hnls5_run_stays_in_fourier_space(monkeypatch):
     samples and the jets of orders 1-2 that the c1-c3 densities read.  No
     step returns to samples."""
     f = _soliton_field()
-    calls = Counter()
-    for name in ("fft", "ifft"):
-
-        def counted(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
-            calls[_name, np.shape(a)] += 1
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = _counted_ffts(monkeypatch)
     traj = evolve_run(f, HNLS5, 6 * 2.5e-5, 2.5e-5, method="ifrk4", snapshot_stride=3)
     assert len(traj.fields) == 3
     assert calls == {("fft", (256,)): 1 + 4 * 6, ("ifft", (5, 256)): 4 * 6, ("ifft", (3, 256)): 3}
+
+
+def test_rk4_nls_run_stays_in_fourier_space(monkeypatch):
+    """The rk4 oracle steps psi-hat through the same bound flow plan as
+    IF-RK4: a 6-step NLS run at stride 3 makes one forward FFT of f0, per
+    step 4 forward FFTs of the nonlinear part and 4 inverse FFTs to psi
+    (the only row that |psi|^2 psi reads), and per snapshot one batched
+    inverse FFT; it never evaluates the right-hand side on samples."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval_rhs called during an rk4 run")
+
+    for module in (spectral, evolve_module):  # also a copy imported by name
+        monkeypatch.setattr(module, "eval_rhs", forbidden, raising=False)
+    calls = _counted_ffts(monkeypatch)
+    traj = evolve_run(_soliton_field(), NLS, 6 * 1e-3, 1e-3, method="rk4", snapshot_stride=3)
+    assert len(traj.fields) == 3
+    assert calls == {("fft", (256,)): 1 + 4 * 6, ("ifft", (1, 256)): 4 * 6, ("ifft", (3, 256)): 3}
 
 
 def test_ifrk4_refuses_a_symbol_with_a_real_part(table5):
