@@ -25,12 +25,9 @@ _EXPORTS = {
         "MatrixDP",
         "NotExact",
         "dp_antidx",
-        "dp_conjugate",
         "dp_dx",
-        "dp_eval",
         "dp_reduce",
         "euler_derivative",
-        "is_exact",
         "jet",
         "render",
     ),
@@ -80,11 +77,7 @@ _EXPORTS = {
     ),
     "symmetry": (
         "SymmetryParams",
-        "hirota_closed_form",
         "identity_errors",
-        "phase_factor",
-        "scaling",
-        "transform_arguments",
         "transform_solution",
     ),
     "config": ("parse_config", "preset_flow_spec"),

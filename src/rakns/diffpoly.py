@@ -25,9 +25,6 @@ SYMBOLS = ("psi", "phi", "psibar", "phibar")
 _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 _PHI, _PSIBAR = _SYMBOL_INDEX["phi"], _SYMBOL_INDEX["psibar"]
 
-# Conjugation pairs psi <-> psibar, phi <-> phibar.
-CONJUGATE = {"psi": "psibar", "psibar": "psi", "phi": "phibar", "phibar": "phi"}
-
 
 class DiffPolyError(Exception):
     pass
@@ -42,10 +39,6 @@ class NotExact(DiffPolyError):
     def __init__(self, remainder: "DiffPoly"):
         self.remainder = remainder
         super().__init__(f"not a total x-derivative; remainder: {remainder}")
-
-
-class MissingJet(DiffPolyError):
-    pass
 
 
 class GaussianRational:
@@ -191,7 +184,6 @@ def _as_gr(x) -> GaussianRational:
     raise TypeError(f"cannot interpret {x!r} as GaussianRational")
 
 
-GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 GR_MINUS_ONE = GaussianRational(-1)
@@ -347,12 +339,6 @@ class DiffPoly:
     def symbols(self) -> set[str]:
         return {j.symbol for j in self.jets()}
 
-    def constant_term(self) -> GaussianRational:
-        for m in self.terms:
-            if not m.factors:
-                return m.coeff
-        return GR_ZERO
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
@@ -470,17 +456,6 @@ def euler_derivative(p: DiffPoly, symbol: str) -> DiffPoly:
     return out
 
 
-def is_exact(p: DiffPoly) -> bool:
-    """Euler-operator exactness test (independent oracle for dp_antidx).
-
-    A total x-derivative has vanishing variational derivative for every
-    symbol and no constant term.
-    """
-    if not p.constant_term().is_zero():
-        return False
-    return all(euler_derivative(p, s).is_zero() for s in p.symbols())
-
-
 def dp_antidx(p: DiffPoly) -> DiffPoly:
     """Anti-derivative q with dp_dx(q) == p and no constant term.
 
@@ -554,27 +529,6 @@ def dp_reduce(p: DiffPoly) -> DiffPoly:
                 facs.append((j, e))
         out.append(Monomial(-m.coeff if odd else m.coeff, tuple(facs)))
     return DiffPoly(out, _canonical=True)
-
-
-def dp_conjugate(p: DiffPoly) -> DiffPoly:
-    """Complex conjugate: conjugate coefficients, swap each jet with its bar."""
-    out = []
-    for m in p.terms:
-        facs = tuple(sorted((jet(CONJUGATE[j.symbol], j.order), e) for j, e in m.factors))
-        out.append(Monomial(m.coeff.conjugate(), facs))
-    return DiffPoly(out)
-
-
-def dp_eval(p: DiffPoly, jets: Mapping[JetVariable, complex]) -> complex:
-    total = 0j
-    for m in p.terms:
-        v = complex(m.coeff)
-        for j, e in m.factors:
-            if j not in jets:
-                raise MissingJet(f"no value supplied for jet {j}")
-            v *= jets[j] ** e
-        total += v
-    return total
 
 
 # -- 2x2 matrices over DiffPoly ---------------------------------------------

@@ -275,9 +275,9 @@ def step(f: Field, spec: FlowSpec, dt: float, method: str = "auto") -> Field:
     is ifrk4 for every schedule.  rk4, the oracle, enforces the stability
     bound.  A step of either goes to psi-hat and back: 10 FFTs for hnls5."""
     table = default_flow_table(max(spec.max_order, 1))
-    integrate = _stepper(table, spec, f.grid, dt, method)
     # Overflow before a Blowup is the Blowup, as in evolve_run.
     with np.errstate(over="ignore", invalid="ignore"):
+        integrate = _stepper(table, spec, f.grid, dt, method)
         new = np.fft.ifft(_advanced(integrate, np.fft.fft(f.values), f.time, lambda: f))
     return Field(f.grid, new, f.time + dt)
 
@@ -327,15 +327,6 @@ def evolve_run(
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and non-negative")
     table = default_flow_table(max(spec.max_order, 2))
-    integrate = _stepper(table, spec, f0.grid, dt, method)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be an integer multiple of dt")
-    if snapshot_stride is None:
-        snapshot_stride = max(1, n_steps // 64)
-    elif not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
-        raise ValueError("snapshot_stride must be a positive integer")
-
     grid, traj = f0.grid, Trajectory()
 
     def record(state, t, f=None):
@@ -345,11 +336,24 @@ def evolve_run(
     def last_good():  # called before state and t move on
         return f0 if i == 1 else Field(grid, np.fft.ifft(state), t)
 
-    state, t = np.fft.fft(f0.values), f0.time
-    record(state, t, f0)
     # A growing field overflows before it turns non-finite; _advanced reports
-    # that as Blowup, so numpy's overflow warnings would only repeat it.
+    # that as Blowup, so numpy's overflow warnings would only repeat it.  The
+    # same holds for Lawson's fixed factors, which _stepper makes up front.
     with np.errstate(over="ignore", invalid="ignore"):
+        integrate = _stepper(table, spec, grid, dt, method)
+        steps = t_end / dt
+        if not math.isfinite(steps):
+            raise ValueError(f"t_end / dt = {steps} is not a finite step count")
+        n_steps = int(round(steps))
+        if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+            raise ValueError("t_end must be an integer multiple of dt")
+        if snapshot_stride is None:
+            snapshot_stride = max(1, n_steps // 64)
+        elif not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
+            raise ValueError("snapshot_stride must be a positive integer")
+
+        state, t = np.fft.fft(f0.values), f0.time
+        record(state, t, f0)
         for i in range(1, n_steps + 1):
             state = _advanced(integrate, state, t, last_good)
             t = f0.time + i * dt

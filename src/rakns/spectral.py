@@ -281,7 +281,9 @@ def _equally_spaced(f_minus: Field, f0: Field, f_plus: Field) -> bool:
 
 def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
     """L-inf norm of psi_t - sum_k i^k alpha_k'(t) H_k(psi), with psi_t from
-    the centered difference of the outer fields."""
+    the centered difference of the outer fields.  A value that is not
+    finite (xi^order overflows on a tiny grid length) raises SpectralError,
+    so that no verdict can drop it."""
     if f_minus.grid != f0.grid or f_plus.grid != f0.grid:
         raise SpectralError("residual fields must share a grid")
     if not _equally_spaced(f_minus, f0, f_plus):
@@ -289,9 +291,13 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
     from .hierarchy import default_flow_table
 
     table = default_flow_table(max((k for k, _ in spec.entries), default=1))
-    psi_t = (f_plus.values - f_minus.values) / (f_plus.time - f_minus.time)
-    rhs = eval_rhs(flow_plan(table, spec), f0, weights=spec.weights(f0.time))
-    return float(np.max(np.abs(psi_t - rhs)))
+    with np.errstate(all="ignore"):
+        psi_t = (f_plus.values - f_minus.values) / (f_plus.time - f_minus.time)
+        rhs = eval_rhs(flow_plan(table, spec), f0, weights=spec.weights(f0.time))
+        r = float(np.max(np.abs(psi_t - rhs)))
+    if not math.isfinite(r):
+        raise SpectralError(f"residual is not finite ({r}) at t={f0.time:.6g}")
+    return r
 
 
 def conserved_integral(f: Field, table, k: int) -> complex:

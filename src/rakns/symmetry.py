@@ -40,34 +40,15 @@ class SymmetryParams:
         if self.a == 0:
             raise ValueError("a must be nonzero")
 
-    def compose(self, other: "SymmetryParams") -> "SymmetryParams":
-        """Apply ``other`` after ``self``: lambda -> a2(a1 lambda + b1) + b2."""
-        return SymmetryParams(self.a * other.a, other.a * self.b + other.b)
-
 
 def _argument_map(P: np.ndarray, x, times: Sequence[float]):
     """(E, X, T) = P^T (0, x, t_1..t_M) for P with M + 2 rows: the boost
-    exponent, the argument X and the tuple T."""
+    exponent, the argument X and the tuple T.  An overflowing entry of P
+    makes them inf or NaN, quietly: the samples built from them are
+    non-finite, which a Field refuses."""
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.asarray(times, dtype=float) @ P[2:]
         return P[1, 0] * x + c[0], P[1, 1] * x + c[1], tuple(c[2:])
-
-
-def transform_arguments(p: SymmetryParams, x, times: Sequence[float]):
-    """X = a(x + sum_m C(m+1,1) (2b)^m t_m),
-    T_j = a^(j+1) (t_j + sum_{m>j} C(m+1, j+1) (2b)^(m-j) t_m).
-
-    An overflowing entry of P is inf or NaN, so the samples built from it
-    are non-finite, which a Field refuses."""
-    times = tuple(times)
-    _, X, T = _argument_map(_affine_matrix(p.a, p.b, len(times) + 1), x, times)
-    return X, T
-
-
-def phase_factor(p: SymmetryParams, x, times: Sequence[float]):
-    """exp{-2ibx - i sum_m (2b)^(m+1) t_m}; unit modulus for real input."""
-    E, _, _ = _argument_map(_affine_matrix(p.a, p.b, len(times) + 1), np.asarray(x, dtype=float), times)
-    return np.exp(-1j * E)
 
 
 def transform_solution(s: Sampler, p: SymmetryParams) -> Sampler:
@@ -79,41 +60,6 @@ def transform_solution(s: Sampler, p: SymmetryParams) -> Sampler:
         return p.a * s(X, T) * np.exp(-1j * E)
 
     return Sampler(fn, s.max_order, f"{s.name}~({p.a},{p.b})")
-
-
-def scaling(n: int, q: float, s: Sampler) -> Sampler:
-    """Pure scaling covariance of the n-th flow: psi -> q psi(qx, q^(n+1) t)."""
-    if not q > 0:
-        raise ValueError("q must be positive for the pure scaling form")
-    if not 1 <= n <= s.max_order:
-        raise ValueError(f"sampler does not support flow {n}")
-
-    def fn(x, times):
-        t = times[n - 1]
-        scaled = [0.0] * s.max_order
-        scaled[n - 1] = q ** (n + 1) * t
-        return q * s(q * np.asarray(x, dtype=float), tuple(scaled))
-
-    return Sampler(fn, s.max_order, f"{s.name}~scaled({q},flow{n})")
-
-
-def hirota_closed_form(a: float, b: float, alpha: float, beta: float, s: Sampler) -> Sampler:
-    """Explicit Hirota-ray transform:
-    a s(ax + 4[alpha-3b beta]abt, [alpha-6b beta]a^2 t, -beta a^3 t)
-    * exp{-2ibx - 4i(alpha-2 beta b) b^2 t}."""
-    if s.max_order < 2:
-        raise ValueError("Hirota transform needs a sampler of order >= 2")
-
-    def fn(x, times):
-        t = times[0]
-        x = np.asarray(x, dtype=float)
-        args = [0.0] * s.max_order
-        args[0] = (alpha - 6 * b * beta) * a**2 * t
-        args[1] = -beta * a**3 * t
-        X = a * x + 4 * (alpha - 3 * b * beta) * a * b * t
-        return a * s(X, tuple(args)) * np.exp(-2j * b * x - 4j * (alpha - 2 * beta * b) * b**2 * t)
-
-    return Sampler(fn, 1, f"{s.name}~hirota")
 
 
 # -- bridge to the finite-gap moduli transform -------------------------------

@@ -13,10 +13,12 @@ from rakns.diffpoly import (
     Monomial,
     NotExact,
     dp_dx,
+    euler_derivative,
     gr_i_power,
     jet,
 )
 from rakns.hierarchy import I, J, MINUS_I, U0, flow_rhs
+from rakns.solutions import Sampler
 from rakns.spectral import compile_plan, eval_rhs, spectral_derivative
 
 
@@ -197,6 +199,15 @@ def antidx_reference(p: DiffPoly) -> DiffPoly:
         result = result + piece
         remainder = remainder - dp_dx(piece)
     return result
+
+
+def is_exact(p: DiffPoly) -> bool:
+    """Euler-operator exactness test, independent of any integration by
+    parts: a total x-derivative has no constant term and a vanishing
+    variational derivative for every symbol."""
+    if any(not m.factors for m in p.terms):
+        return False
+    return all(euler_derivative(p, s).is_zero() for s in p.symbols())
 
 
 # -- matrix algebra and the recursion ---------------------------------------------
@@ -492,3 +503,41 @@ def identity_errors_reference(data, a, b, M: int) -> dict:
         definition = _relative(P @ np.vander(z, M + 2, True).T, np.vander(a * z + 2 * b, M + 2, True).T)
         argument = np.max([definition, _relative(U_t, U_s)])
         return {"argument": float(argument), "phase": float(_relative(Phi_t, Phi_s))}
+
+
+# -- the group on one flow ray, in closed form ----------------------------------
+
+
+def scaling(n: int, q: float, s: Sampler) -> Sampler:
+    """Pure scaling covariance of the n-th flow: psi -> q psi(qx, q^(n+1) t)."""
+    if not q > 0:
+        raise ValueError("q must be positive for the pure scaling form")
+    if not 1 <= n <= s.max_order:
+        raise ValueError(f"sampler does not support flow {n}")
+
+    def fn(x, times):
+        t = times[n - 1]
+        scaled = [0.0] * s.max_order
+        scaled[n - 1] = q ** (n + 1) * t
+        return q * s(q * np.asarray(x, dtype=float), tuple(scaled))
+
+    return Sampler(fn, s.max_order, f"{s.name}~scaled({q},flow{n})")
+
+
+def hirota_closed_form(a: float, b: float, alpha: float, beta: float, s: Sampler) -> Sampler:
+    """Explicit Hirota-ray transform:
+    a s(ax + 4[alpha-3b beta]abt, [alpha-6b beta]a^2 t, -beta a^3 t)
+    * exp{-2ibx - 4i(alpha-2 beta b) b^2 t}."""
+    if s.max_order < 2:
+        raise ValueError("Hirota transform needs a sampler of order >= 2")
+
+    def fn(x, times):
+        t = times[0]
+        x = np.asarray(x, dtype=float)
+        args = [0.0] * s.max_order
+        args[0] = (alpha - 6 * b * beta) * a**2 * t
+        args[1] = -beta * a**3 * t
+        X = a * x + 4 * (alpha - 3 * b * beta) * a * b * t
+        return a * s(X, tuple(args)) * np.exp(-2j * b * x - 4j * (alpha - 2 * beta * b) * b**2 * t)
+
+    return Sampler(fn, 1, f"{s.name}~hirota")

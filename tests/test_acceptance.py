@@ -58,15 +58,13 @@ from rakns.solutions import (
 from rakns.spectral import Grid, residual, sample_onto_grid
 from rakns.symmetry import (
     SymmetryParams,
-    hirota_closed_form,
     identity_errors,
-    scaling,
     transform_solution,
 )
 
 import pathlib
 
-from oracles import theta_brute
+from oracles import hirota_closed_form, scaling, theta_brute
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

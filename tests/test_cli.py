@@ -225,6 +225,39 @@ def test_transform_exit_codes(capsys):
     assert "worst residual" in text
 
 
+def test_transform_nan_residual_fails_the_verdict(capsys):
+    """On the probe 64,1e-300 every flow's residual is NaN; max(worst, r)
+    dropped it, printed 'worst residual 0.000e+00' and exited 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["transform", "--a", "1", "--b", "0", "--sampler", "soliton", "--probe", "64,1e-300", "--t", "0"],
+            capsys,
+        )
+    assert code == VERIFY_FAILED
+    assert _one_error_line(err) and "not finite" in err
+    assert "worst residual" not in out
+
+
+def test_verify_residual_nan_fails_the_verdict(tmp_path, capsys):
+    """The twin of the transform case: snapshots on a grid of length 1e-300
+    give a NaN residual, which must fail the check, not pass it."""
+    g = Grid(64, 1e-300)
+    values = 1.0 + 0.1 * np.cos(2 * np.pi * np.arange(64) / 64) + 0j
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    for i in range(3):
+        write_field(Field(g, values, i * 1e-3), snaps / f"snap_{i}.txt")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["verify", "residual", "--snapshots", str(snaps), "--config", str(cfg)], capsys)
+    assert code == VERIFY_FAILED
+    assert _one_error_line(err) and "not finite" in err
+    assert "worst residual" not in out
+
+
 def test_transform_csv_output(tmp_path, capsys):
     out = tmp_path / "probe.csv"
     code, _, _ = run(
@@ -554,6 +587,20 @@ def test_evolve_blowup_exits_1_with_last_good(tmp_path, capsys):
     assert np.all(np.isfinite(read_field(out / "last_good.txt").values.view(float)))
 
 
+def test_evolve_overflowing_coefficient_is_one_blowup_line(capsys):
+    """gnls(1e308) overflows Lawson's fixed factors before the first step:
+    the run exits 1 with its one 'blow-up:' line and no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            ["evolve", "--preset", "gnls(1e308)", "--initial", "soliton", "--grid", "64,40",
+             "--dt", "2", "--t-end", "2"],
+            capsys,
+        )
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("blow-up:")
+
+
 def test_evolve_zero_dt_is_usage_error(capsys):
     code, _, err = run(
         ["evolve", "--preset", "nls", "--initial", "soliton", "--grid", "256,40",
@@ -756,6 +803,7 @@ _IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
         (None, [*_IDENTITY, "--tol", "inf"]),
         (None, ["hierarchy", "verify", "--max-order", "abc"]),
         (None, [*_EVOLVE, "--preset", "nls", "--dt", "x"]),
+        (None, [*_EVOLVE, "--preset", "nls", "--grid", "64,40", "--dt", "1e-3", "--t-end", "1e308"]),
     ],
     ids=[
         "dt_list", "dt_schedule", "length_inf", "length_nan", "n_float", "flow_nan",
@@ -763,7 +811,7 @@ _IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
         "genus_0", "genus_negative", "transform_tol_nan", "transform_tol_0",
         "transform_t_nan", "transform_t_inf",
         "verify_residual_tol_negative", "identity_tol_nan", "identity_tol_inf",
-        "max_order_not_int", "dt_not_float",
+        "max_order_not_int", "dt_not_float", "t_end_overflows_step_count",
     ],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):

@@ -13,6 +13,7 @@ from oracles import (
     antidx_reference,
     commutator_reference,
     dx_reference,
+    is_exact,
     pair,
     pair_add,
     pair_conjugate,
@@ -28,14 +29,11 @@ from rakns.diffpoly import (
     _combine,
     _dx_terms,
     dp_antidx,
-    dp_conjugate,
     dp_dx,
-    dp_eval,
     dp_reduce,
     euler_derivative,
     from_json,
     gr_i_power,
-    is_exact,
     jet,
     render,
     to_json,
@@ -341,7 +339,7 @@ def test_antidx_known_case():
     assert dp_antidx(p) == psi * psibar
 
 
-# -- reduction / conjugation -------------------------------------------------
+# -- reduction ---------------------------------------------------------------
 
 
 def test_reduce_substitutes_conjugate():
@@ -353,21 +351,6 @@ def test_reduce_substitutes_conjugate():
 def test_reduce_handles_derivatives():
     phi_xx = DiffPoly.var("phi", 2)
     assert dp_reduce(psi * phi_xx) == -(psi * DiffPoly.var("psibar", 2))
-
-
-def test_conjugate_involution():
-    p = psi * psibar + DiffPoly.var("psi", 1).scale(GaussianRational(0, 1))
-    assert dp_conjugate(dp_conjugate(p)) == p
-
-
-# -- evaluation --------------------------------------------------------------
-
-
-def test_dp_eval_matches_hand_value():
-    p = psi * psi * psibar + 2 * psi_x
-    jets = {jet("psi"): 1 + 2j, jet("psibar"): 1 - 2j, jet("psi", 1): 0.5j}
-    expected = (1 + 2j) ** 2 * (1 - 2j) + 2 * 0.5j
-    assert dp_eval(p, jets) == pytest.approx(expected)
 
 
 # -- rendering / serialization -----------------------------------------------

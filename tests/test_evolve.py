@@ -467,6 +467,20 @@ def test_t_end_must_divide():
         evolve_run(f0, NLS, 0.1, 3e-3)
 
 
+def test_overflowing_fixed_factors_are_one_blowup():
+    """Lawson's factors for a constant spec are made before the first step;
+    at alpha = 1e308 their phases overflow.  That overflow is the Blowup of
+    the first step, with no RuntimeWarning beside it."""
+    f0 = _soliton_field(Grid(64, 40.0))
+    spec = FlowSpec([(1, Linear(1e308))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for advance in (lambda: evolve_run(f0, spec, 2.0, 2.0), lambda: step(f0, spec, 2.0)):
+            with pytest.raises(Blowup) as exc_info:
+                advance()
+            assert exc_info.value.last_good is f0
+
+
 def test_run_validates_step_and_span():
     f0 = _soliton_field()
     for dt in (0.0, -1e-3, math.nan):
@@ -476,6 +490,9 @@ def test_run_validates_step_and_span():
         evolve_run(f0, NLS, -0.1, 1e-3)
     with pytest.raises(ValueError):
         evolve_run(f0, NLS, 0.1, 1e-3, snapshot_stride=0)
+    # t_end / dt = 1e311 is inf, which int() refused with an OverflowError
+    with pytest.raises(ValueError, match="step count"):
+        evolve_run(f0, NLS, 1e308, 1e-3)
 
 
 def test_snapshot_cadence():

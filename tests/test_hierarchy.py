@@ -12,6 +12,7 @@ from oracles import (
     build_flows_reference,
     commutator_reference,
     curvature_residual,
+    is_exact,
     parity_reference,
     reduce_reference,
     swap_reference,
@@ -19,11 +20,9 @@ from oracles import (
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
-    dp_conjugate,
     dp_dx,
     dp_reduce,
     from_json,
-    is_exact,
     jet,
 )
 from rakns.hierarchy import (

@@ -309,6 +309,19 @@ def test_residual_requires_shared_grid():
         residual(f1, f2, f1, spec)
 
 
+def test_residual_refuses_a_value_that_is_not_finite():
+    """On L = 1e-300, xi ~ 1e302 and (i xi)^2 overflows, so the residual is
+    NaN.  It raises, quietly: a caller that keeps max(worst, r) dropped the
+    NaN and passed the check."""
+    g = Grid(64, 1e-300)
+    values = 1.0 + 0.1 * np.cos(2 * np.pi * np.arange(64) / 64) + 0j
+    fields = [Field(g, values, t) for t in (0.0, 1e-5, 2e-5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpectralError, match="not finite"):
+            residual(*fields, FlowSpec([(1, Linear(1.0))]))
+
+
 # -- conserved integrals -----------------------------------------------------
 
 

@@ -15,23 +15,23 @@ import rakns.symmetry
 import test_acceptance
 from oracles import (
     boost_exponent_reference,
+    hirota_closed_form,
     identity_errors_reference,
     moduli_transform_reference,
+    scaling,
     transform_arguments_reference,
 )
 from rakns.cli import main
 from rakns.evolve import FlowSpec, Linear
 from rakns.solutions import _affine_matrix, moduli_transform, plane_wave, random_riemann_data, soliton
 from rakns.spectral import Grid, residual, sample_onto_grid
-from rakns.symmetry import (
-    SymmetryParams,
-    hirota_closed_form,
-    identity_errors,
-    phase_factor,
-    scaling,
-    transform_arguments,
-    transform_solution,
-)
+from rakns.symmetry import SymmetryParams, _argument_map, identity_errors, transform_solution
+
+
+def _group_maps(a, b, x, times):
+    """(E, X, T) as transform_solution makes them: the argument map of
+    P(a, b) with one row per time and two more."""
+    return _argument_map(_affine_matrix(a, b, len(times) + 1), x, times)
 
 
 def test_params_reject_zero_a():
@@ -47,46 +47,40 @@ def test_params_refuse_non_finite(a, b, name):
 
 
 def test_composition_law():
-    p1 = SymmetryParams(1.5, 0.3)
-    p2 = SymmetryParams(0.8, -0.2)
-    combo = p1.compose(p2)
-    assert combo.a == pytest.approx(1.5 * 0.8)
-    assert combo.b == pytest.approx(0.8 * 0.3 - 0.2)
+    """lambda -> a2(a1 lambda + b1) + b2 is the transform (a1 a2, a2 b1 + b2):
+    P(a2, b2) P(a1, b1) = P(a1 a2, a2 b1 + b2)."""
+    (a1, b1), (a2, b2) = (1.5, 0.3), (0.8, -0.2)
+    P1, P2, Pc = (_affine_matrix(a, b, 6) for a, b in ((a1, b1), (a2, b2), (a1 * a2, a2 * b1 + b2)))
+    assert np.allclose(P2 @ P1, Pc, rtol=1e-14, atol=1e-14)
 
 
 def test_composition_matches_argument_maps():
     """Applying the argument maps one after the other equals the composite."""
-    p1 = SymmetryParams(1.5, 0.3)
-    p2 = SymmetryParams(0.8, -0.2)
+    (a1, b1), (a2, b2) = (1.5, 0.3), (0.8, -0.2)
     x, times = 0.7, (0.2, -0.1, 0.05, 0.0, 0.3)
-    X1, T1 = transform_arguments(p2, x, times)
-    X12, T12 = transform_arguments(p1, X1, T1)
-    Xc, Tc = transform_arguments(p1.compose(p2), x, times)
+    _, X1, T1 = _group_maps(a2, b2, x, times)
+    _, X12, T12 = _group_maps(a1, b1, X1, T1)
+    _, Xc, Tc = _group_maps(a1 * a2, a2 * b1 + b2, x, times)
     assert X12 == pytest.approx(Xc)
     assert np.allclose(T12, Tc)
-    P1, P2, Pc = (_affine_matrix(p.a, p.b, 6) for p in (p1, p2, p1.compose(p2)))
-    assert np.allclose(P2 @ P1, Pc, rtol=1e-14, atol=1e-14)
 
 
 def test_identity_transform_is_trivial():
-    p = SymmetryParams(1.0, 0.0)
     x, times = 1.2, (0.3, 0.4)
-    X, T = transform_arguments(p, x, times)
+    E, X, T = _group_maps(1.0, 0.0, x, times)
     assert X == x and T == times
-    assert complex(phase_factor(p, x, times)) == 1.0
+    assert complex(np.exp(-1j * E)) == 1.0
 
 
 def test_argument_map_zero_boost_is_pure_scaling():
-    p = SymmetryParams(2.0, 0.0)
-    X, T = transform_arguments(p, 1.0, (1.0, 1.0, 1.0))
+    _, X, T = _group_maps(2.0, 0.0, 1.0, (1.0, 1.0, 1.0))
     assert X == pytest.approx(2.0)
     assert np.allclose(T, [4.0, 8.0, 16.0])  # a^{j+1}
 
 
 def test_phase_factor_unit_modulus():
-    p = SymmetryParams(1.3, 0.4)
-    ph = phase_factor(p, np.linspace(-5, 5, 11), (0.2, -0.1))
-    assert np.allclose(np.abs(ph), 1.0)
+    E, _, _ = _group_maps(1.3, 0.4, np.linspace(-5, 5, 11), (0.2, -0.1))
+    assert np.allclose(np.abs(np.exp(-1j * E)), 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -254,19 +248,19 @@ def test_affine_matrix_is_exact_on_dyadics(a, b, n):
 
 
 def test_group_maps_match_oracles():
-    """transform_arguments, phase_factor and moduli_transform against the
-    term-by-term oracles on random draws, relative to their magnitudes."""
+    """The argument map and phase factor of P, and moduli_transform, against
+    the term-by-term oracles on random draws, relative to their magnitudes."""
     rng = np.random.default_rng(12)
     for _ in range(200):
         a, b = rng.choice([-1, 1]) * rng.uniform(0.3, 2.5), rng.uniform(-1, 1)
         M = int(rng.integers(0, 6))
         x, times = rng.uniform(-3, 3), tuple(rng.uniform(-1, 1, size=M))
-        p = SymmetryParams(a, b)
-        got, want = transform_arguments(p, x, times), transform_arguments_reference(a, b, x, times)
+        E_got, *got = _group_maps(a, b, x, times)
+        want = transform_arguments_reference(a, b, x, times)
         scale = max(1.0, *np.abs([want[0], *want[1]]))
         assert np.max(np.abs(np.subtract([got[0], *got[1]], [want[0], *want[1]]))) < 1e-14 * scale
         E = 2 * b * x + boost_exponent_reference(b, times)
-        assert abs(phase_factor(p, x, times) - np.exp(-1j * E)) < 1e-14 * max(1.0, abs(E))
+        assert abs(np.exp(-1j * E_got) - np.exp(-1j * E)) < 1e-14 * max(1.0, abs(E))
     for genus in (1, 2, 3):
         data = random_riemann_data(genus, 5, rng=genus)
         a, b = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)
