@@ -27,24 +27,30 @@ class CliError(Exception):
         self.code = code
 
 
+_SAMPLER_PARAMS = {"planewave": ("q", "order"), "soliton": ("a", "order"), "peregrine": (), "finitegap": ("riemann",)}
+
+
 def _parse_sampler(text: str, params: dict):
-    """Sampler literal: planewave, soliton, peregrine, finitegap."""
+    """Sampler literal (a key of _SAMPLER_PARAMS) and the parameters it reads; any other is refused."""
     from .solutions import RiemannData, finite_gap_sampler, peregrine, plane_wave, soliton
 
-    name = text.lower()
-    if name in ("planewave", "plane_wave"):
+    name = "planewave" if text.lower() == "plane_wave" else text.lower()
+    if name not in _SAMPLER_PARAMS:
+        raise CliError(f"unknown sampler {text!r}")
+    unread = sorted(set(params) - set(_SAMPLER_PARAMS[name]))
+    if unread:
+        takes = ", ".join(_SAMPLER_PARAMS[name]) or "none"
+        raise CliError(f"sampler {name} does not take {unread[0]!r} (it takes: {takes})")
+    if name == "planewave":
         return plane_wave(float(params.get("q", 1.0)), int(params.get("order", 5)))
     if name == "soliton":
         return soliton(float(params.get("a", 1.0)), int(params.get("order", 5)))
     if name == "peregrine":
         return peregrine()
-    if name == "finitegap":
-        path = params.get("riemann")
-        if not path:
-            raise CliError("finitegap sampler needs a riemann data file")
-        with open(path) as fh:
-            return finite_gap_sampler(RiemannData.from_json(fh.read()))
-    raise CliError(f"unknown sampler {text!r}")
+    if not params.get("riemann"):
+        raise CliError("finitegap sampler needs a riemann data file")
+    with open(params["riemann"]) as fh:
+        return finite_gap_sampler(RiemannData.from_json(fh.read()))
 
 
 def _parse_params(items) -> dict:
@@ -116,6 +122,8 @@ def cmd_evolve(args) -> int:
     grid_keys, time_keys = sections.get("grid", {}), sections.get("time", {})
     flag_grid = _parse_grid(args.grid) if args.grid else None
     if os.path.exists(args.initial):
+        if args.param:  # a field file reads no sampler parameter
+            raise CliError(f"--param {min(_parse_params(args.param))!r} is for a sampler --initial, not a field file")
         f0 = read_field(args.initial)
         stated = list(grid_keys.items())  # only the keys given
         if flag_grid:

@@ -6,8 +6,8 @@ with one stepper for every schedule, Lawson's integrating-factor RK4,
 which propagates the stiff linear phases exactly by exp(int mu dt); plain
 RK4, guarded by the imaginary-axis stability bound, stays as the oracle.
 Both step psi-hat through the spec's one flow plan, bound to the grid
-once per run, and read its linear symbol off it; the oracle differs in
-its time scheme alone.
+once per run (as is the plan of the densities a run records), and read
+its linear symbol off it; the oracle differs in its time scheme alone.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .hierarchy import default_flow_table
-from .spectral import Field, Grid, _BoundPlan, _conserved_integrals, flow_plan, linear_symbol, write_field
+from .hierarchy import conserved_density, default_flow_table
+from .spectral import Field, Grid, _BoundPlan, _cached_plan, flow_plan, linear_symbol, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
+RECORDED = (1, 2, 3)  # the orders of the conserved integrals each snapshot records
 
 
 class EvolveError(Exception):
@@ -286,7 +287,7 @@ def step(f: Field, spec: FlowSpec, dt: float, method: str = "auto") -> Field:
 class Trajectory:
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
-    conserved: list = field(default_factory=list)  # rows: (c1, c2, c3) at times[i]
+    conserved: list = field(default_factory=list)  # rows: c_k for k in RECORDED at times[i]
 
     def append(self, f: Field, conserved_row) -> None:
         self.times.append(f.time)
@@ -304,7 +305,7 @@ class Trajectory:
             write_field(f, os.path.join(outdir, f"snap_{i}.txt"))
         with open(os.path.join(outdir, "conserved.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t", "re_c1", "im_c1", "re_c2", "im_c2", "re_c3", "im_c3"])
+            w.writerow(["t"] + [f"{part}_c{k}" for k in RECORDED for part in ("re", "im")])
             for t, row in zip(self.times, self.conserved):
                 w.writerow([f"{t:.17g}"] + [f"{x:.17g}" for c in row for x in (c.real, c.imag)])
 
@@ -318,19 +319,19 @@ def evolve_run(
     snapshot_stride: int | None = None,
 ) -> Trajectory:
     """Integrate from f0.time to f0.time + t_end, recording snapshots and a
-    conserved-quantity log (orders 1..3) at each snapshot.
+    conserved-quantity log (the orders RECORDED) at each snapshot.
 
     Either method holds psi-hat from one forward FFT of f0 to the end:
-    samples are made only at a snapshot, where one batched inverse FFT
-    gives them with the jets of the c1-c3 densities, and for the last good
-    Field of a Blowup."""
+    samples are made only at a snapshot, where the densities' plan, bound
+    once per run, gives them with its jets by one batched inverse FFT,
+    and for the last good Field of a Blowup."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be finite and non-negative")
-    table = default_flow_table(max(spec.max_order, 2))
+    table = default_flow_table(max(spec.max_order, max(RECORDED) - 1))  # density k needs order k - 1
     grid, traj = f0.grid, Trajectory()
 
-    def record(state, t, f=None):
-        samples, row = _conserved_integrals(state, grid, table, (1, 2, 3))
+    def record(state, t, f=None):  # called once densities is bound
+        samples, row = densities.integrals(state)
         traj.append(f or Field(grid, samples, t), row)
 
     def last_good():  # called before state and t move on
@@ -341,6 +342,7 @@ def evolve_run(
     # same holds for Lawson's fixed factors, which _stepper makes up front.
     with np.errstate(over="ignore", invalid="ignore"):
         integrate = _stepper(table, spec, grid, dt, method)
+        densities = _BoundPlan(_cached_plan(*(conserved_density(table, k) for k in RECORDED)), grid)
         steps = t_end / dt
         if not math.isfinite(steps):
             raise ValueError(f"t_end / dt = {steps} is not a finite step count")

@@ -123,7 +123,8 @@ def peregrine() -> Sampler:
 
     def fn(x, times):
         t1 = times[0]
-        denom = 1.0 + 4.0 * x**2 + 16.0 * t1**2
+        with np.errstate(over="ignore"):  # inf far out gives the far-field limit e^{2it}
+            denom = 1.0 + 4.0 * x**2 + 16.0 * t1**2
         return (1.0 - 4.0 * (1.0 + 4j * t1) / denom) * np.exp(2j * t1)
 
     return Sampler(fn, 1, "peregrine")

@@ -125,7 +125,7 @@ class EvalPlan:
     monomials (``linear_symbol``).  ``eval_rhs`` and ``_BoundPlan`` scale
     the block and add up its rows, not by a BLAS matrix-vector product
     (OpenBLAS threads one of this size, and on a loaded 2-core host each
-    handoff can wait 8 ms); ``_conserved_integrals``, the one route of the
+    handoff can wait 8 ms); ``_BoundPlan.integrals``, the one route of the
     conserved integrals, sums each column over the block's grid sums.
     """
 
@@ -194,21 +194,6 @@ def _run_program(plan: EvalPlan, rows: list) -> None:
         np.multiply(rows[a], rows[b], out=rows[r])
 
 
-def _weighted_sum(plan: EvalPlan, rows: list, terms: np.ndarray, coeffs) -> np.ndarray:
-    """Run the product program on ``rows`` and return the weighted sum of
-    the block ``terms``, which it scales in place."""
-    _run_program(plan, rows)
-    terms *= coeffs[:, None]
-    return terms.sum(axis=0)
-
-
-def _inverse_jets(psi_hat: np.ndarray, mults: np.ndarray, out: np.ndarray) -> None:
-    """The rows ifft(psi_hat * mults) into ``out``: one batched inverse FFT,
-    written in place."""
-    np.multiply(psi_hat, mults, out=out)
-    np.fft.ifft(out, axis=-1, out=out)
-
-
 def eval_rhs(
     plan: EvalPlan, f: Field | np.ndarray, grid: Grid | None = None, weights=None
 ) -> np.ndarray:
@@ -220,9 +205,13 @@ def eval_rhs(
     ws = np.empty((plan.rows, grid.n), dtype=complex)
     ws[0] = values
     if plan.orders:
-        _inverse_jets(np.fft.fft(values), _multipliers(grid, plan.orders), ws[1 : 1 + len(plan.orders)])
+        jets = ws[1 : 1 + len(plan.orders)]
+        np.multiply(np.fft.fft(values), _multipliers(grid, plan.orders), out=jets)
+        np.fft.ifft(jets, axis=-1, out=jets)
+    _run_program(plan, list(ws))
     terms = ws[plan.first : plan.first + len(plan.scatter)]
-    return _weighted_sum(plan, list(ws), terms, _coefficients(plan, weights))
+    terms *= _coefficients(plan, weights)[:, None]
+    return terms.sum(axis=0)
 
 
 def linear_symbol(plan: EvalPlan, grid: Grid, weights) -> np.ndarray:
@@ -236,30 +225,44 @@ def linear_symbol(plan: EvalPlan, grid: Grid, weights) -> np.ndarray:
 
 
 class _BoundPlan:
-    """The nonlinear part of an EvalPlan, all but its linear_symbol, bound
-    to one grid for a stepper that works on psi-hat: workspace, row views
-    and multipliers are made once, and a call takes its source weights.  A
-    call fills psi and its jets up to the last one the products and
-    conjugations read, by one batched inverse FFT of psi-hat (no forward
-    FFT), runs the product program of eval_rhs and sums the rows of the
-    block after the jet rows.
+    """An EvalPlan bound to one grid: the one fill of psi and its jets from
+    psi-hat.  Workspace, row views and multipliers are made once, and a
+    fill is one batched inverse FFT of psi-hat, then the product program.
+    A call is the nonlinear part of a stepper stage (all but linear_symbol)
+    at the source weights: it fills the jets the products and conjugations
+    read and sums the block's rows after the jet rows.  ``integrals`` fills
+    every jet and returns psi's samples, a view of the workspace that a
+    caller keeps by copying, and each source's grid integral, its scatter
+    column over the block's grid sums.
     """
 
     def __init__(self, plan: EvalPlan, grid: Grid):
         ws = np.empty((plan.rows, grid.n), dtype=complex)
         top = 1 + len(plan.orders)  # rows of psi and its jets
         jets = max((r + 1 for p in plan.products + plan.conj for r in p[1:] if r < top), default=0)
-        start = max(plan.first, top)
-        self.plan = plan
+        mults = _multipliers(grid, (0,) + plan.orders)  # row 0 is (i xi)^0 = 1
+        self.plan, self.dx = plan, grid.dx
         self.rows = list(ws)
-        self.mults = _multipliers(grid, (0,) + plan.orders)[:jets]  # row 0 is (i xi)^0 = 1
-        self.jets = ws[:jets]
-        self.terms = ws[start : plan.first + len(plan.scatter)]
-        self.skip = start - plan.first  # block rows that are linear jets
+        self.stage = mults[:jets], ws[:jets]  # the fill of a call
+        self.every = mults, ws[:top]  # the fill of integrals
+        self.block = ws[plan.first : plan.first + len(plan.scatter)]
+        self.skip = max(plan.first, top) - plan.first  # block rows that are linear jets
+        self.terms = self.block[self.skip :]
+
+    def _fill(self, psi_hat: np.ndarray, mults: np.ndarray, jets: np.ndarray) -> None:
+        np.multiply(psi_hat, mults, out=jets)
+        np.fft.ifft(jets, axis=-1, out=jets)
+        _run_program(self.plan, self.rows)
 
     def __call__(self, psi_hat: np.ndarray, weights) -> np.ndarray:
-        _inverse_jets(psi_hat, self.mults, self.jets)
-        return _weighted_sum(self.plan, self.rows, self.terms, _coefficients(self.plan, weights)[self.skip :])
+        self._fill(psi_hat, *self.stage)
+        self.terms *= _coefficients(self.plan, weights)[self.skip :, None]
+        return self.terms.sum(axis=0)
+
+    def integrals(self, psi_hat: np.ndarray) -> tuple:
+        self._fill(psi_hat, *self.every)
+        sums = self.block.sum(axis=1)
+        return self.rows[0], tuple((self.plan.scatter.T @ sums * self.dx).tolist())
 
 
 @lru_cache(maxsize=256)
@@ -301,26 +304,11 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
 
 
 def conserved_integral(f: Field, table, k: int) -> complex:
-    """Grid integral of the k-th conserved density: the one-density case of
-    the route the run records take, from the FFT of the field."""
-    return _conserved_integrals(np.fft.fft(f.values), f.grid, table, (k,))[1][0]
-
-
-def _conserved_integrals(psi_hat: np.ndarray, grid: Grid, table, orders) -> tuple:
-    """The samples of psi and the grid integrals of the conserved densities
-    of the given orders, from psi-hat and one plan of the densities.  One
-    batched inverse FFT of psi-hat (i xi)^{0, orders} fills psi (row 0) and
-    its jets, the program runs once, and each density sums its scatter
-    column of the block's grid sums.  The samples are a view of the
-    workspace: a caller that keeps them copies them."""
+    """Grid integral of the k-th conserved density from the FFT of the
+    field: the one-density plan, bound as the run records bind theirs."""
     from .hierarchy import conserved_density
 
-    plan = _cached_plan(*(conserved_density(table, k) for k in orders))
-    ws = np.empty((plan.rows, grid.n), dtype=complex)
-    _inverse_jets(psi_hat, _multipliers(grid, (0,) + plan.orders), ws[: 1 + len(plan.orders)])
-    _run_program(plan, list(ws))
-    sums = ws[plan.first : plan.first + len(plan.scatter)].sum(axis=1)
-    return ws[0], tuple((plan.scatter.T @ sums * grid.dx).tolist())
+    return _BoundPlan(_cached_plan(conserved_density(table, k)), f.grid).integrals(np.fft.fft(f.values))[1][0]
 
 
 # -- field file I/O ----------------------------------------------------------

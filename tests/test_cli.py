@@ -239,6 +239,20 @@ def test_transform_nan_residual_fails_the_verdict(capsys):
     assert "worst residual" not in out
 
 
+def test_transform_peregrine_far_field_warns_nothing(capsys):
+    """On the probe 64,1e300 the Peregrine denominator overflows to inf,
+    which gives the far-field value e^{2it}; a RuntimeWarning once leaked
+    beside the verdict, and a traceback under the error filter."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["transform", "--a", "-1", "--b", "10", "--sampler", "peregrine", "--probe", "64,1e300", "--t", "1e-3"],
+            capsys,
+        )
+    assert (code, err) == (VERIFY_FAILED, "")
+    assert "worst residual" in out
+
+
 def test_verify_residual_nan_fails_the_verdict(tmp_path, capsys):
     """The twin of the transform case: snapshots on a grid of length 1e-300
     give a NaN residual, which must fail the check, not pass it."""
@@ -566,6 +580,44 @@ def test_unknown_sampler(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["evolve", "--preset", "nls", "--initial", "soliton", "--param", "amp=2", "--grid", "64,20",
+          "--dt", "1e-3", "--t-end", "2e-3"], "amp"),
+        (["sample", "--solution", "planewave", "--param", "a=3", "--grid", "16,10"], "a"),
+        (["sample", "--solution", "peregrine", "--param", "order=3", "--grid", "16,10"], "order"),
+        (["transform", "--sampler", "planewave", "--param", "a=2", "--a", "1", "--b", "0", "--probe", "64,20"], "a"),
+        (["transform", "--sampler", "finitegap", "--param", "q=1", "--a", "1", "--b", "0", "--probe", "64,20"], "q"),
+    ],
+)
+def test_sampler_parameter_nothing_reads_is_refused(capsys, argv, key):
+    """A --param key that the named sampler does not take was dropped, and
+    the command ran the default sampler with exit 0."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and repr(key) in err
+
+
+def test_sample_riemann_beside_another_solution_is_refused(tmp_path, capsys):
+    """--riemann feeds only the finitegap sampler; a soliton dropped it."""
+    path = tmp_path / "rd.json"
+    path.write_text(random_riemann_data(1, 2, rng=8).to_json())
+    code, out, err = run(["sample", "--solution", "soliton", "--riemann", str(path), "--grid", "16,10"], capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and "'riemann'" in err
+
+
+def test_evolve_param_beside_a_field_file_is_refused(tmp_path, capsys):
+    """A field-file --initial reads no sampler parameter; it was dropped."""
+    init = tmp_path / "init.txt"
+    assert run(["sample", "--solution", "soliton", "--grid", "64,20", "--out", str(init)], capsys)[0] == 0
+    argv = ["evolve", "--preset", "nls", "--initial", str(init), "--param", "a=2", "--dt", "1e-3", "--t-end", "2e-3"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and "'a'" in err
 
 
 def _one_error_line(err):

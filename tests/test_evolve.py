@@ -30,7 +30,7 @@ from rakns.evolve import (
 )
 from rakns.hierarchy import conserved_density, default_flow_table
 from rakns.solutions import plane_wave, soliton
-from rakns.spectral import Field, Grid, flow_plan, linear_symbol, residual, sample_onto_grid
+from rakns.spectral import Field, Grid, conserved_integral, flow_plan, linear_symbol, residual, sample_onto_grid
 
 
 NLS = FlowSpec([(1, Linear(1.0))])
@@ -283,6 +283,45 @@ def test_conserved_rows_match_three_integrals(spec, method):
             density = conserved_density(table, k)
             scale = sum(np.sum(np.abs(t)) for t in rhs_terms([density], f.values, g)) * g.dx
             assert abs(c - conserved_integral_reference(density, f)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "spec, method",
+    [
+        (HNLS5, "ifrk4"),
+        (FlowSpec([(1, Sinusoid(1.0, 2.0)), (2, Sinusoid(0.3, 3.0)), (3, Sinusoid(0.05, 1.0))]), "rk4"),
+    ],
+    ids=["hnls5", "sinusoid"],
+)
+def test_conserved_rows_agree_with_conserved_integral(spec, method):
+    """The records' plan of the three densities, bound once per run, and
+    conserved_integral's one-density plan give each snapshot's c1-c3 to
+    rounding; they are different programs, so not bit for bit."""
+    g = Grid(128, 40.0)
+    boost = np.exp(2j * np.pi * 3 * g.nodes / g.length)  # c2 of a still soliton is 0
+    f0 = Field(g, _soliton_field(g).values * boost)
+    traj = evolve_run(f0, spec, 2e-3, 2.5e-4, method=method, snapshot_stride=2)
+    table = default_flow_table(5)
+    for f, row in zip(traj.fields, traj.conserved, strict=True):
+        for c, k in zip(row, (1, 2, 3), strict=True):
+            expected = conserved_integral(f, table, k)
+            assert abs(c - expected) <= 1e-14 * abs(expected)
+
+
+def test_run_binds_the_flow_plan_and_the_density_plan_once(monkeypatch):
+    """However many snapshots a run records, it binds two plans to its
+    grid: the flow plan that steps and the plan of the c1-c3 densities."""
+    bound = []
+
+    def counted(self, plan, grid, _original=spectral._BoundPlan.__init__):
+        bound.append(plan)
+        _original(self, plan, grid)
+
+    monkeypatch.setattr(spectral._BoundPlan, "__init__", counted)
+    traj = evolve_run(_soliton_field(), HNLS5, 8 * 2.5e-5, 2.5e-5, method="ifrk4", snapshot_stride=1)
+    assert len(traj.fields) == 9
+    table = default_flow_table(5)
+    assert bound == [flow_plan(table, HNLS5), spectral._cached_plan(*(conserved_density(table, k) for k in (1, 2, 3)))]
 
 
 def _counted_ffts(monkeypatch) -> Counter:

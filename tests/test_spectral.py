@@ -23,7 +23,6 @@ from rakns.spectral import (
     UnreducedInput,
     _BoundPlan,
     _cached_plan,
-    _conserved_integrals,
     compile_plan,
     conserved_integral,
     eval_rhs,
@@ -355,7 +354,7 @@ def test_conserved_integral_is_the_one_density_route(table5, monkeypatch):
     for k in (1, 2, 3):
         c = conserved_integral(f, table5, k)
         assert type(c) is complex and c != 0
-        samples, row = _conserved_integrals(np.fft.fft(f.values), g, table5, (k,))
+        samples, row = _BoundPlan(_cached_plan(conserved_density(table5, k)), g).integrals(np.fft.fft(f.values))
         assert c == row[0]
         assert np.max(np.abs(samples - f.values)) <= 1e-15 * np.max(np.abs(f.values))
 

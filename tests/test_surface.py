@@ -2,7 +2,8 @@
 functions the benchmark tracer wraps (perfbench/tracer.py ``TARGETS``), so
 a refactor that drops one fails here before it breaks a traced run.  Also
 what a run loads: ``import rakns`` loads no submodule, and the exact
-layer's commands load neither numpy nor the numerical modules."""
+layer's commands load neither numpy nor the numerical modules.  And the
+library keeps no function that nothing outside the tests calls."""
 
 import ast
 import importlib
@@ -159,6 +160,17 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     used = traced.union(*(_names_used(ast.parse(path.read_text())) for path in files))
     assert [name for name in rakns.__all__ if name not in used and name not in KEPT_WITHOUT_CALLER] == []
     assert set(KEPT_WITHOUT_CALLER) <= set(rakns.__all__)
+
+
+def test_every_private_function_and_class_has_a_caller_in_the_library():
+    """A module-level private function or class that the library no longer
+    calls is dead code: each is named in ``src/rakns`` outside its own
+    definition.  The scan goes by name, as for the public names."""
+    trees = [ast.parse(path.read_text()) for path in (SRC / "rakns").glob("*.py")]
+    used = set().union(*map(_names_used, trees))
+    defined = [node.name for tree in trees for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    private = [name for name in defined if name.startswith("_") and not name.endswith("__")]
+    assert private and [name for name in private if name not in used] == []
 
 
 def test_dir_lists_public_names():
