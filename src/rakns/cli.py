@@ -42,15 +42,27 @@ def _parse_sampler(text: str, params: dict):
         takes = ", ".join(_SAMPLER_PARAMS[name]) or "none"
         raise CliError(f"sampler {name} does not take {unread[0]!r} (it takes: {takes})")
     if name == "planewave":
-        return plane_wave(float(params.get("q", 1.0)), int(params.get("order", 5)))
+        return plane_wave(_param(params, "q", float, 1.0), _param(params, "order", int, 5))
     if name == "soliton":
-        return soliton(float(params.get("a", 1.0)), int(params.get("order", 5)))
+        return soliton(_param(params, "a", float, 1.0), _param(params, "order", int, 5))
     if name == "peregrine":
         return peregrine()
     if not params.get("riemann"):
         raise CliError("finitegap sampler needs a riemann data file")
     with open(params["riemann"]) as fh:
         return finite_gap_sampler(RiemannData.from_json(fh.read()))
+
+
+def _param(params: dict, key: str, kind: type, default):
+    """params[key] read as an int or a float, ``default`` if absent; a
+    value that does not parse is refused by its key."""
+    if key not in params:
+        return default
+    try:
+        return kind(params[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise CliError(f"--param {key} must be {what}, got {params[key]!r}") from None
 
 
 def _parse_params(items) -> dict:
@@ -262,9 +274,13 @@ def cmd_identity_check(args) -> int:
     errors = identity_errors(data, SymmetryParams(args.a, args.b), args.max_flow)
     print(f"argument identity error: {errors['argument']:.3e}")
     print(f"phase identity error:    {errors['phase']:.3e}")
-    ok = all(e < args.tol for e in errors.values())  # NaN fails
-    print("pass" if ok else "FAIL")
-    return OK if ok else VERIFY_FAILED
+    failed = [(name, e) for name, e in errors.items() if not e < args.tol]  # NaN fails
+    print("FAIL" if failed else "pass")
+    if failed:
+        name, e = failed[0]
+        print(f"identity check failed: {name} error {e:.3e} is not below --tol {args.tol:.3e}", file=sys.stderr)
+        return VERIFY_FAILED
+    return OK
 
 
 # Errors that a command reports in one line: (home module, class, exit code),

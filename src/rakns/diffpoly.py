@@ -86,10 +86,17 @@ class GaussianRational:
         return _raw(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-_as_gr(other))
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+        d, od = self._d, other._d
+        if d == od:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(
+            self._a * od - other._a * d, self._b * od - other._b * d, d * od
+        )
 
     def __rsub__(self, other):
-        return _as_gr(other) + (-self)
+        return _as_gr(other) - self
 
     def __mul__(self, other):
         if type(other) is int:
@@ -282,9 +289,12 @@ def _accumulate(acc: dict, pairs) -> dict:
 
 
 class DiffPoly:
-    """Canonical sum of monomials; supports +, -, * and scalar multiples."""
+    """Canonical sum of monomials; supports +, -, * and scalar multiples.
 
-    __slots__ = ("terms",)
+    The hash is computed on first use and kept: plan caches hash the same
+    polynomials on every lookup, while most intermediates are never hashed."""
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Iterable[Monomial] = (), _canonical=False):
         if not _canonical:
@@ -388,7 +398,11 @@ class DiffPoly:
         return isinstance(other, DiffPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.terms)
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.terms))
+            return self._hash
 
     def __str__(self):
         return render(self, "text")

@@ -5,7 +5,7 @@ the affine transform of the spectral-curve moduli."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
@@ -49,7 +49,7 @@ def plane_wave(q: float, M: int = 5) -> Sampler:
     if not (q > 0 and math.isfinite(q)):
         raise ValueError(f"q must be positive and finite, got {q}")
     if not 1 <= M <= 5:
-        raise ValueError("M must be in 1..5")
+        raise ValueError(f"order must be in 1..5, got {M}")
     rates = [_plane_wave_rate(k, q) for k in range(1, M + 1)]
 
     def fn(x, times):
@@ -94,7 +94,7 @@ def soliton(a_amp: float, M: int = 5) -> Sampler:
     if not (a_amp > 0 and math.isfinite(a_amp)):
         raise ValueError(f"amplitude a must be positive and finite, got {a_amp}")
     if not 1 <= M <= 5:
-        raise ValueError("M must be in 1..5")
+        raise ValueError(f"order must be in 1..5, got {M}")
     a = a_amp
 
     def fn(x, times):
@@ -148,10 +148,14 @@ def _check_riemann_matrix(B: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("Riemann matrix must be square")
     if not np.isfinite(B).all():
         raise NotPositiveDefinite("Riemann matrix must be finite")
-    if np.max(np.abs(B - B.T)) > 1e-12:
+    with np.errstate(over="ignore"):
+        asymmetry, Y = np.max(np.abs(B - B.T)), np.pi * B.imag
+    if asymmetry > 1e-12:
         raise NotPositiveDefinite("Riemann matrix must be symmetric")
+    if not np.isfinite(Y).all():
+        raise NotPositiveDefinite("pi Im B must be finite")
     try:
-        return np.linalg.cholesky(np.pi * B.imag).T
+        return np.linalg.cholesky(Y).T
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("Im B must be positive definite") from None
 
@@ -165,18 +169,26 @@ def _upper_gamma(n: int, x: float) -> float:
     return G
 
 
+_MAX_LATTICE_POINTS = 2**18  # 8 MiB of coordinates at genus 4
+
+
 def _lattice_points(T: np.ndarray, r: float) -> np.ndarray:
     """Every integer m with |T m| <= r, one per row, for upper triangular T.
 
     Fincke-Pohst recursion (Math. Comp. 44, 1985): with m_(i+1..g) fixed,
     row i of T m is T_ii (m_i - c_i), so m_i ranges over an interval set by
-    the radius the later coordinates leave."""
+    the radius the later coordinates leave.  More than _MAX_LATTICE_POINTS
+    points at any stage (a very anisotropic T, whose ellipsoid is long
+    along every axis but one) is refused before they are stored."""
     m, rem = np.zeros((1, 0)), np.array([r * r])
     for i in reversed(range(len(T))):
         c = -(m @ T[i, i + 1 :]) / T[i, i]
         h = np.sqrt(np.maximum(rem, 0.0)) / T[i, i]
         lo = np.ceil(c - h)
-        n = np.maximum(np.floor(c + h) - lo + 1, 0).astype(int)
+        n = np.maximum(np.floor(c + h) - lo + 1, 0)
+        if not n.sum() <= _MAX_LATTICE_POINTS:
+            raise SolutionError(f"theta lattice needs {n.sum():.3g} points, more than {_MAX_LATTICE_POINTS}")
+        n = n.astype(int)
         row = np.arange(len(m)).repeat(n)
         mi = lo[row] + np.arange(n.sum()) - (n.cumsum() - n).repeat(n)
         m = np.concatenate((mi[:, None], m[row]), axis=1)
@@ -399,8 +411,6 @@ class RiemannData:
             raise ValueError("genus must be >= 1")
         fields = {
             "B": _complex_array("B", self.B, (g, g)),
-            "V": tuple(_complex_array(f"V[{j}]", v, (g,)) for j, v in enumerate(self.V)),
-            "K": tuple(complex(k) for k in self.K),
             "Z": _complex_array("Z", self.Z, (g,)),
             "delta": _complex_array("delta", self.delta, (g,)),
             "rho": complex(self.rho),
@@ -409,15 +419,22 @@ class RiemannData:
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        if not self.V:
-            raise ValueError("V must hold at least one period vector")
-        if len(self.K) < len(self.V) + 1:
-            raise ValueError(f"K must hold K_0..K_{len(self.V)}, one more entry than V, got {len(self.K)}")
+        V, K = _checked_flows(g, self.V, self.K)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "K", K)
         _check_riemann_matrix(self.B)
-        if self.K[0] == 0:
-            raise ValueError("K_0 must be nonzero")
         if self.rho == 0:
             raise ValueError("rho must be nonzero")
+
+    def _with_flows(self, V, K) -> "RiemannData":
+        """This data with period vectors V and constants K, which are
+        checked as ``__post_init__`` checks them.  Every other field is this
+        data's own object, already checked, and a theta lattice already
+        built carries over, as it depends on B alone."""
+        new = object.__new__(type(self))
+        V, K = _checked_flows(self.genus, V, K)
+        vars(new).update(vars(self), V=V, K=K)
+        return new
 
     @property
     def max_flows(self) -> int:
@@ -481,6 +498,24 @@ class RiemannData:
         )
 
 
+def _checked_flows(genus: int, V, K) -> tuple:
+    """(V, K) as RiemannData holds them: V a nonempty tuple of finite
+    complex genus-vectors, K a tuple of finite complex constants
+    K_0..K_len(V) or more, with K_0 nonzero."""
+    V = tuple(_complex_array(f"V[{j}]", v, (genus,)) for j, v in enumerate(V))
+    K = tuple(map(complex, K))
+    for name, value in (("V", V), ("K", K)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+    if not V:
+        raise ValueError("V must hold at least one period vector")
+    if len(K) < len(V) + 1:
+        raise ValueError(f"K must hold K_0..K_{len(V)}, one more entry than V, got {len(K)}")
+    if K[0] == 0:
+        raise ValueError("K_0 must be nonzero")
+    return V, K
+
+
 def _complex_array(name: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a complex array of ``shape``, a vector in any shape of
     its size; a ragged value or one of another shape is a ValueError that
@@ -528,25 +563,31 @@ def _json_complex(data: dict, key: str, depth: int):
 def _finite_gap_values(data: RiemannData, x, times: tuple) -> np.ndarray:
     """psi at the points x, in the shape of x.  The four thetas are kept as
     (log scale, oscillatory part) and their scales are combined with 2i Phi
-    before the one exp, so a finite ratio never overflows on the way."""
+    before the one exp, so a finite ratio never overflows on the way.  The
+    evaluation runs with overflow quiet, and a point whose psi comes out
+    not finite (its phases, or theta's terms there, beyond the float range)
+    is refused by name."""
     shape, x = np.shape(x), np.reshape(x, -1).astype(float)
     _check_finite("x", x)
     _check_finite("times", times)
-    U, Phi = data.phases(x, times)
-    Z, ZD = data.Z, data.Z - data.delta
-    lattice = data._theta_lattice
-    scale, osc = lattice(np.concatenate([[Z, ZD], U + ZD, U + Z]))
-    n = len(x)
-    num, den = osc[2 : n + 2], osc[n + 2 :]
-    # The oscillatory sums are accurate to about tol relative to their
-    # largest term, so a denominator no larger than that is a zero of theta.
-    vanishes = np.minimum(abs(osc[1]), np.abs(den)) <= lattice.tol
-    if vanishes.any():
-        raise ThetaZeroDivision(
-            f"denominator theta vanishes at x={x[np.argmax(vanishes)]}, times={times}"
-        )
-    log_ratio = scale[0] + scale[2 : n + 2] - scale[1] - scale[n + 2 :] + 2j * Phi
-    psi = (2.0 * data.K[0] / data.rho) * (osc[0] * num) / (osc[1] * den) * np.exp(log_ratio)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, Phi = data.phases(x, times)
+        Z, ZD = data.Z, data.Z - data.delta
+        lattice = data._theta_lattice
+        scale, osc = lattice(np.concatenate([[Z, ZD], U + ZD, U + Z]))
+        n = len(x)
+        num, den = osc[2 : n + 2], osc[n + 2 :]
+        # The oscillatory sums are accurate to about tol relative to their
+        # largest term, so a denominator no larger than that is a zero of theta.
+        vanishes = np.minimum(abs(osc[1]), np.abs(den)) <= lattice.tol
+        if vanishes.any():
+            raise ThetaZeroDivision(
+                f"denominator theta vanishes at x={x[np.argmax(vanishes)]}, times={times}"
+            )
+        log_ratio = scale[0] + scale[2 : n + 2] - scale[1] - scale[n + 2 :] + 2j * Phi
+        psi = (2.0 * data.K[0] / data.rho) * (osc[0] * num) / (osc[1] * den) * np.exp(log_ratio)
+    if not np.isfinite(psi).all():
+        raise SolutionError(f"psi is not finite at x={x[np.argmin(np.isfinite(psi))]}, times={times}")
     return psi.reshape(shape)
 
 
@@ -592,8 +633,14 @@ def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
     K~_j = K_j + 2^(j-1) b^j + sum_{m<j} C(j,m) (2b)^(j-m) K_m,
     which collapses to K_j + 2^(j-1) b^j only at j = 1: the boost's
     x-shift carries K_1, and each lower time shift carries K_m, into
-    every higher order.  An overflowing entry of P makes the result
-    non-finite, which RiemannData refuses.
+    every higher order.
+
+    Only the new V and K are checked, by the check RiemannData's
+    constructor runs on them: finite (an overflowing entry of P is not),
+    K~_0 nonzero (a K~_0 = a K_0 that underflows is refused) and their
+    lengths.  B, Z, Delta, rho and the genus are the data's own objects,
+    checked when the data was built and never written to, and so is the
+    theta lattice if the data has built it, as it depends on B alone.
     """
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(value):
@@ -603,9 +650,9 @@ def moduli_transform(data: RiemannData, a: float, b: float) -> RiemannData:
     n = len(data.V)
     P = _affine_matrix(a, b, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        V = P @ np.vstack([np.zeros(data.genus), *data.V])
+        V = P @ np.array([np.zeros(data.genus), *data.V])
         K = P @ np.array([0.5, *data.K[1 : n + 1]])
-    return replace(data, V=tuple(V[1:]), K=(a * data.K[0], *K[1:]))
+    return data._with_flows(tuple(V[1:]), (a * data.K[0], *K[1:]))
 
 
 def random_riemann_data(genus: int, n_flows: int, rng=None) -> RiemannData:

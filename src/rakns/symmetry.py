@@ -71,12 +71,17 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
 
     Both sides are linear in (x, t_1..t_M) and are compared per basis
     direction: the transformed data's phases against the data's phases at
-    (X, T), less E/2.  As both sides take their coefficients from one P,
-    this holds for any P (<P V, c> = <V, P^T c>), so P is also checked
-    against P w(lambda) = w(a lambda + b), w_j = (2 lambda)^j, with
-    w(a lambda + b) formed as products, at M + 2 points 2 lambda on the
-    unit circle: its rows are polynomials of degree <= M + 1, fixed by
-    their values there.  That residual joins the argument error.
+    (X, T), less E/2.  Along the direction of x (of t_j) the transformed
+    phases are V~^1 and -K~_1 (V~^(j+1) and -K~_(j+1)) themselves, bit for
+    bit what ``phases`` sums from unit coefficients, so that side is read
+    from the transformed data directly; the source side goes through
+    ``data.phases``, which refuses an M beyond the data's flows.  As both
+    sides take their coefficients from one P, this holds for any P
+    (<P V, c> = <V, P^T c>), so P is also checked against
+    P w(lambda) = w(a lambda + b), w_j = (2 lambda)^j, with w(a lambda + b)
+    formed as products, at M + 2 points 2 lambda on the unit circle: its
+    rows are polynomials of degree <= M + 1, fixed by their values there.
+    That residual joins the argument error.
 
     Each error is max|u - v| / max(1, max|u|, max|v|) over all directions,
     so rounding stays relative as the phases grow with the order.
@@ -88,18 +93,18 @@ def identity_errors(data, p: SymmetryParams, M: int) -> dict:
     P = _affine_matrix(p.a, p.b, M + 1)
     z = np.exp(2j * np.pi * np.arange(M + 2) / (M + 2))
     # row k of P is P^T e_k, the (E, X, T) of the k-th basis direction, so
-    # the columns of the identity and of P[1:] give every direction at once
-    x, *times = np.eye(M + 1)
+    # the columns of P[1:] give every direction at once
     E, X, *T = P[1:].T
     with np.errstate(over="ignore", invalid="ignore"):
-        (U_t, Phi_t), (U_s, Phi_s) = td.phases(x, times), data.phases(X, T)
+        U_s, Phi_s = data.phases(X, T)
+        U_t, Phi_t = np.array(td.V[: M + 1]), -np.array(td.K[1 : M + 2])
         Phi_s = Phi_s - E / 2
         definition = _relative(P @ np.vander(z, M + 2, True).T, np.vander(p.a * z + 2 * p.b, M + 2, True).T)
-        # np.max keeps a NaN, where max(err, nan) would drop it
-        argument = np.max([definition, _relative(U_t, U_s)])
+        # np.maximum keeps a NaN, where max(err, nan) would drop it
+        argument = np.maximum(definition, _relative(U_t, U_s))
         return {"argument": float(argument), "phase": float(_relative(Phi_t, Phi_s))}
 
 
 def _relative(u, v) -> float:
     """max|u - v| / max(1, max|u|, max|v|); NaN if u - v holds a NaN."""
-    return np.max(np.abs(u - v)) / max(1.0, np.max(np.abs(u)), np.max(np.abs(v)))
+    return np.abs(u - v).max() / max(1.0, np.abs(u).max(), np.abs(v).max())

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, determinism, file round-trips."""
 
+import contextlib
 import importlib
+import io
 import json
 import pathlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rakns.cli import USAGE, VERIFY_FAILED, _ERRORS, build_parser, main
 from rakns.diffpoly import from_json
@@ -387,9 +391,11 @@ def test_identity_check_nan_error_fails(monkeypatch, capsys):
     monkeypatch.setattr(
         rakns.symmetry, "identity_errors", lambda *args: {"argument": 0.0, "phase": float("nan")}
     )
-    code, text, _ = run(["identity", "check", "--a", "1.4", "--b", "0.3"], capsys)
+    code, text, err = run(["identity", "check", "--a", "1.4", "--b", "0.3"], capsys)
     assert code == 1
     assert text.splitlines()[-1] == "FAIL"
+    # a failed verdict used to print nothing on stderr
+    assert err == "identity check failed: phase error nan is not below --tol 1.000e-10\n"
 
 
 @pytest.mark.parametrize(
@@ -420,6 +426,7 @@ _RIEMANN_EDITS = {
     "ragged_B": lambda d: {**d, "B": [d["B"][0], d["B"][1][:1]]},
     "short_V_entry": lambda d: {**d, "V": [d["V"][0][:1], *d["V"][1:]]},
     "long_Z": lambda d: {**d, "Z": [*d["Z"], [0.0, 0.0]]},
+    "huge_im_B": lambda d: {**d, "B": [[[d["B"][0][0][0], 1e308], *d["B"][0][1:]], *d["B"][1:]]},
 }
 _IDENTITY = ["identity", "check", "--a", "1.2", "--b", "0.1"]
 _SAMPLE = ["sample", "--solution", "finitegap", "--grid", "16,10"]
@@ -449,6 +456,7 @@ _SAMPLE = ["sample", "--solution", "finitegap", "--grid", "16,10"]
         ("short_V_entry", _SAMPLE, "V[0] must have shape (2,)"),
         ("long_Z", _IDENTITY, "Z must have shape (2,)"),
         ("long_Z", _SAMPLE, "Z must have shape (2,)"),
+        ("huge_im_B", _SAMPLE, "pi Im B must be finite"),
     ],
     ids=[
         "identity_short_K", "sample_short_K", "sample_empty_V", "random_negative_flows",
@@ -456,7 +464,7 @@ _SAMPLE = ["sample", "--solution", "finitegap", "--grid", "16,10"]
         "sample_int_B", "identity_top_list", "sample_top_list", "identity_string_genus",
         "sample_rho_triple", "identity_string_pair", "sample_flat_V", "identity_ragged_B",
         "sample_ragged_B", "identity_short_V_entry", "sample_short_V_entry", "identity_long_Z",
-        "sample_long_Z",
+        "sample_long_Z", "sample_huge_im_B",
     ],
 )
 def test_malformed_riemann_data_is_one_line_exit_2(tmp_path, capsys, edit, argv, message):
@@ -465,7 +473,8 @@ def test_malformed_riemann_data_is_one_line_exit_2(tmp_path, capsys, edit, argv,
     key, a value of the wrong type or a top level that is no object once
     ended in a KeyError or TypeError traceback, and a triple or a string
     genus was read as if it were well formed.  A ragged B, or a V entry or
-    Z of the wrong length, was refused in numpy's words, naming no key."""
+    Z of the wrong length, was refused in numpy's words, naming no key.  An
+    Im B whose pi Im B overflows printed numpy's overflow warning first."""
     if edit:
         data = _RIEMANN_EDITS[edit](json.loads(random_riemann_data(2, 5, rng=1).to_json()))
         path = tmp_path / "rd.json"
@@ -509,6 +518,18 @@ def test_sample_refuses_non_finite_times(tmp_path, capsys, times):
     assert _one_error_line(err) and "times must be finite" in err
 
 
+def test_sample_refuses_times_beyond_the_float_range(tmp_path, capsys):
+    """t_1 = 1e308 puts the theta arguments beyond the float range: eight
+    RuntimeWarnings were printed before 'field contains NaN/Inf samples'."""
+    path = tmp_path / "rd.json"
+    path.write_text(random_riemann_data(2, 3, rng=0).to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run([*_SAMPLE, "--riemann", str(path), "--times", "1e308"], capsys)
+    assert code == 2
+    assert _one_error_line(err) and "psi is not finite at x=-5.0" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -516,11 +537,21 @@ def test_sample_refuses_non_finite_times(tmp_path, capsys, times):
         (["identity", "check", "--a", "inf", "--b", "0"], "a must be finite"),
         (["sample", "--solution", "soliton", "--grid", "64,10", "--param", "a=inf"], "amplitude a must be positive and finite"),
         (["sample", "--solution", "planewave", "--grid", "64,10", "--param", "q=inf"], "q must be positive and finite"),
+        (["sample", "--solution", "soliton", "--grid", "64,10", "--param", "order=abc"], "--param order must be an integer, got 'abc'"),
+        (["sample", "--solution", "soliton", "--grid", "64,10", "--param", "order=2.5"], "--param order must be an integer"),
+        (["sample", "--solution", "soliton", "--grid", "64,10", "--param", "order=0"], "order must be in 1..5, got 0"),
+        (["sample", "--solution", "planewave", "--grid", "64,10", "--param", "order=6"], "order must be in 1..5, got 6"),
+        (["sample", "--solution", "planewave", "--grid", "64,10", "--param", "q=abc"], "--param q must be a number, got 'abc'"),
+        (["sample", "--solution", "soliton", "--grid", "64,10", "--param", "a=1,5"], "--param a must be a number, got '1,5'"),
+        (["transform", "--a", "1", "--b", "0", "--sampler", "soliton", "--param", "order=x", "--probe", "64,10"],
+         "--param order must be an integer"),
     ],
 )
 def test_non_finite_parameters_are_refused_by_name(capsys, argv, message):
     """A NaN b was reported as 'V must be finite', an infinite amplitude as
-    'field contains NaN/Inf samples'."""
+    'field contains NaN/Inf samples'; an order, q or a that did not parse
+    as Python's bare int() or float() message, and order=0 as 'M must be
+    in 1..5', a name the command line does not use."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, text, err = run(argv, capsys)
@@ -884,3 +915,116 @@ def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):
         assert "--tol must be positive and finite" in err
     if "--t" in argv:
         assert "--t must be finite" in err
+
+
+# -- the finite-gap commands as a property ------------------------------------
+#
+# Bounds, so that the property runs in a few seconds of tier-1: genus <= 3,
+# --max-flow <= 5 and data of at most 5 flows, grids of at most 64 points,
+# and a fixed, derandomised example budget per test.
+
+_EDGE_NUMBERS = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324", "0", "-0", "1", "-1.5", "0.3", "2.5"]
+_numbers = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats().map(repr))
+
+
+@st.composite
+def _option(draw, name, values):
+    """One option as two tokens, or as --name=value, which argparse takes
+    also where the value looks like an option (-inf)."""
+    value = draw(values)
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+@st.composite
+def _identity_argv(draw):
+    argv = ["identity", "check", *draw(_option("--a", _numbers)), *draw(_option("--b", _numbers))]
+    if draw(st.booleans()):
+        argv += draw(_option("--tol", _numbers))
+    argv += ["--genus", str(draw(st.integers(-1, 3))), "--max-flow", str(draw(st.integers(-1, 5)))]
+    return argv + ["--seed", str(draw(st.integers(0, 2**16)))]
+
+
+def _mutations(doc: dict):
+    """Strategies of one edit each to a to_json document: a key removed, a
+    value of the wrong type, a ragged array, a non-finite or huge number."""
+    keys = sorted(doc)
+
+    def at_number(value, draw, new):
+        # one number of value, replaced by ``new``
+        if isinstance(value, list) and value:
+            i = draw(st.integers(0, len(value) - 1))
+            return [*value[:i], at_number(value[i], draw, new), *value[i + 1 :]]
+        return new
+
+    def shortened(value, draw):
+        # one list in value, at a drawn depth, an entry shorter
+        if isinstance(value, list) and value and isinstance(value[0], list) and draw(st.booleans()):
+            i = draw(st.integers(0, len(value) - 1))
+            return [*value[:i], shortened(value[i], draw), *value[i + 1 :]]
+        return value[:-1] if isinstance(value, list) else value
+
+    @st.composite
+    def edit(draw):
+        key = draw(st.sampled_from(keys))
+        kind = draw(st.sampled_from(["remove", "type", "ragged", "number"]))
+        out = dict(doc)
+        if kind == "remove":
+            del out[key]
+        elif kind == "type":
+            out[key] = draw(st.sampled_from(["x", 1, 2.5, None, {}, [], [[]], [["1", "0"]]]))
+        elif kind == "ragged":
+            out[key] = shortened(doc[key], draw)
+        else:
+            new = draw(st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e150, 0.0]))
+            out[key] = at_number(doc[key], draw, new)
+        return out
+
+    return edit()
+
+
+@st.composite
+def _riemann_documents(draw):
+    data = random_riemann_data(draw(st.integers(1, 3)), draw(st.integers(0, 5)), rng=draw(st.integers(0, 2**16)))
+    doc = json.loads(data.to_json())
+    return draw(_mutations(doc)) if draw(st.booleans()) else doc
+
+
+@st.composite
+def _sample_argv(draw):
+    n = draw(st.one_of(st.sampled_from([16, 32, 64]), st.integers(0, 64)))
+    grid = f"{n},{draw(st.sampled_from(['10', '40', '1e-300', '1e300', '0', '5e-324']))}"
+    argv = ["sample", "--solution", "finitegap", "--grid", grid]
+    if draw(st.booleans()):
+        argv += ["--times", *draw(st.lists(st.one_of(_numbers, st.floats(-1, 1).map(repr)), max_size=5))]
+    return argv
+
+
+def _runs_closed(argv):
+    """main(argv) returns 0, 1 or 2; a non-zero return prints one stderr
+    line; no warning escapes; no run that prints a NaN exits 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    assert not (code == 0 and "nan" in out.getvalue().lower()), (argv, out.getvalue())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_identity_argv())
+@example([*_IDENTITY, "--tol", "5e-324"])
+def test_identity_check_fails_closed(argv):
+    _runs_closed(argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_riemann_documents(), _sample_argv(), st.booleans())
+def test_finitegap_commands_fail_closed(tmp_path_factory, doc, argv, identity):
+    path = tmp_path_factory.getbasetemp() / "riemann.json"
+    path.write_text(json.dumps(doc))
+    if identity:
+        argv = ["identity", "check", "--a", "1.3", "--b", "-0.2", "--max-flow", "5"]
+    _runs_closed([*argv, "--riemann", str(path)])

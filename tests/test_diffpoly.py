@@ -109,6 +109,9 @@ def test_float_parts_are_refused():
     for re_, im_ in ((0.1, 0), (0, 0.5), (2.0, 0), (np.float64(1), 1)):
         with pytest.raises(TypeError):
             GaussianRational(re_, im_)
+    for x, y in ((GaussianRational(1), 0.5), (0.5, GaussianRational(1)), (GaussianRational(1), np.float64(2))):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            x - y
     assert GaussianRational("0.1", "-3/4") == GaussianRational(Fraction(1, 10), Fraction(-3, 4))
     assert GaussianRational(np.int64(3), True) == GaussianRational(3, 1)
 
@@ -165,6 +168,22 @@ def test_gr_mixed_with_ints(a, n):
     assert pair(a * n) == pair(n * a) == pair_mul(x, (n, 0))
     assert pair(n - a) == pair_sub((n, 0), x)
     assert _canonical(a * n) and _canonical(a + n)
+
+
+_exact_operands = st.one_of(wide_grs, st.integers(-(10**9), 10**9), wide_fracs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exact_operands, _exact_operands)
+def test_gr_subtraction_adds_the_negation(x, y):
+    """x - y subtracts the triples directly and gives the canonical triple
+    of x + (-y), for each operand a GaussianRational, an int or a Fraction."""
+    if not isinstance(x, GaussianRational) and not isinstance(y, GaussianRational):
+        x = GaussianRational(x)
+    got, want = x - y, x + (-y)
+    assert type(got) is GaussianRational
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+    assert _canonical(got)
 
 
 # -- polynomials -------------------------------------------------------------

@@ -384,6 +384,20 @@ def test_lattice_points_match_filtered_box(g):
         assert {tuple(m) for m in found.astype(int)} == {tuple(m) for m in box}
 
 
+@pytest.mark.parametrize("im_b00", [1e20, 1e40, 1e150])
+def test_anisotropic_lattice_is_refused_before_it_is_stored(im_b00):
+    """The ellipsoid radius R + D takes D from the largest axis of Im B, so
+    the other axes are enumerated out to it: at Im B_00 = 1e20 the first
+    sample asked numpy for a 59.8 GiB array, and from 1e40 on the point
+    count overflowed into numpy's 'negative dimensions are not allowed'."""
+    data = random_riemann_data(2, 1, rng=1)
+    B = data.B.copy()
+    B[0, 0] = B[0, 0].real + 1j * im_b00
+    data = replace(data, B=B)
+    with pytest.raises(SolutionError, match="^theta lattice needs .* points, more than 262144"):
+        finite_gap_sampler(data)(np.linspace(-1.0, 1.0, 4), ())
+
+
 def test_upper_gamma_against_quadrature():
     """Gamma(n/2, x) = integral of t^(n/2 - 1) e^-t over t > x."""
     for n in range(1, 8):
@@ -663,6 +677,54 @@ def test_moduli_transform_preserves_geometry():
     assert np.array_equal(td.Z, data.Z)
     assert np.array_equal(td.delta, data.delta)
     assert td.rho == data.rho
+
+
+_FIELDS = ("genus", "B", "V", "K", "Z", "delta", "rho")
+
+
+def _bits(d: RiemannData) -> list:
+    """Each field of d as its type and its bytes, so that == is bit for bit."""
+    out = []
+    for name in _FIELDS:
+        value = getattr(d, name)
+        parts = value if name in ("V", "K") else (value,)
+        out.append((name, type(value), [(type(v), np.asarray(v).shape, np.asarray(v).tobytes()) for v in parts]))
+    return out
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_moduli_transform_equals_the_full_constructor(genus):
+    """The transform checks only the new V and K; its result is field for
+    field, bit for bit, what the full constructor makes of the same fields."""
+    data = random_riemann_data(genus, 5, rng=60 + genus)
+    for a, b in ((1.0, 0.0), (1.7, -0.4), (-0.6, 0.25), (-2.3, -1.1), (0.05, 3.0)):
+        td = moduli_transform(data, a, b)
+        assert _bits(td) == _bits(RiemannData(**{name: getattr(td, name) for name in _FIELDS}))
+        assert all(getattr(td, name) is getattr(data, name) for name in ("B", "Z", "delta"))
+
+
+def test_moduli_transform_refuses_an_underflowing_k0():
+    """K~_0 = a K_0 is checked like the constructor's K_0: 5e-324 * 0.4
+    rounds to 0."""
+    data = random_riemann_data(2, 3, rng=36)
+    data = replace(data, K=(0.4, *data.K[1:]))
+    with pytest.raises(ValueError, match="^K_0 must be nonzero"):
+        moduli_transform(data, 5e-324, 0.0)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_moduli_transform_keeps_a_built_theta_lattice(genus):
+    """The lattice depends on B alone, so a transform of data that has
+    sampled shares it, and samples as freshly built data does."""
+    data = random_riemann_data(genus, 5, rng=70 + genus)
+    assert "_theta_lattice" not in vars(moduli_transform(data, 1.3, 0.2))
+    x, times = np.linspace(-1.0, 1.0, 17), (0.1, -0.05, 0.02)
+    finite_gap_sampler(data)(x, times)
+    td = moduli_transform(data, 1.3, 0.2)
+    assert td._theta_lattice is data._theta_lattice
+    fresh = RiemannData(**{name: getattr(td, name) for name in _FIELDS})
+    got, want = finite_gap_sampler(td)(x, times), finite_gap_sampler(fresh)(x, times)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_moduli_transform_rejects_zero_a():

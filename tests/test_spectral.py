@@ -147,6 +147,17 @@ def test_plan_cache_returns_same_object(table5):
     assert a is b
 
 
+def test_equal_polynomials_built_apart_share_one_plan():
+    """The hash a polynomial keeps after its first use is the hash of its
+    terms, so equal polynomials built apart find one cached plan."""
+    psi, psibar = DiffPoly.var("psi"), DiffPoly.var("psibar")
+    p = psi * psi * psibar + DiffPoly.var("psi", 2)
+    q = DiffPoly.var("psi", 2) + psibar * (psi * psi)
+    assert p == q and p is not q
+    assert hash(p) == hash(q) == hash(p) == hash(p.terms)
+    assert _cached_plan(p) is _cached_plan(q)
+
+
 def test_eval_h1_on_sech(table5):
     """H_1(sech) = sech - 2 sech^3 + 2 sech^3 = ... checked analytically:
     (sech)'' + 2 sech^3 = sech."""

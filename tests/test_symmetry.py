@@ -185,6 +185,20 @@ def test_identity_errors_match_per_direction_oracle():
                 assert identity_errors(data, SymmetryParams(a, b), M) == identity_errors_reference(data, a, b, M)
 
 
+def test_transformed_phases_along_the_basis_are_the_moduli():
+    """identity_errors reads V~ and -K~ for the transformed side: they are
+    exactly the phases at x = 1 or t_j = 1, every other coordinate 0."""
+    rng = np.random.default_rng(45)
+    for genus in (1, 2, 3):
+        data = random_riemann_data(genus, 5, rng=rng)
+        td = moduli_transform(data, -1.4, 0.6)
+        for M in range(6):
+            x, *times = np.eye(M + 1)
+            U, Phi = td.phases(x, times)
+            assert np.array_equal(U, np.array(td.V[: M + 1]))
+            assert np.array_equal(Phi, -np.array(td.K[1 : M + 2]))
+
+
 def test_phases_with_array_times_match_scalar_calls():
     rng = np.random.default_rng(44)
     for genus in (1, 2, 3):
