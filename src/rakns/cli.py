@@ -1,7 +1,8 @@
 """Command-line surface: inspect hierarchy flows, run evolutions, apply
 symmetry transforms, verify residuals and identities, sample solutions.
 
-Exit codes: 0 ok, 1 verification failed, 2 usage error.
+Exit codes: 0 ok, 1 verification failed, 2 usage error.  A command prints or
+raises; ``main`` alone writes stderr, one ``error: ...`` line per failure.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ def _check_tol(tol: float) -> None:
         raise CliError(f"--tol must be positive and finite, got {tol}")
 
 
+def _verdict(command: str, checks, tol: float) -> None:
+    """Fail ``command`` at the first (name, error) not below ``tol``; NaN fails."""
+    for name, error in checks:
+        if not error < tol:
+            raise CliError(f"{command} failed: {name} {error:.3e} is not below --tol {tol:.3e}", VERIFY_FAILED)
+
+
 def _parse_grid(text: str) -> Grid:
     from .spectral import Grid
 
@@ -92,28 +100,29 @@ def _parse_grid(text: str) -> Grid:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_hierarchy_show(args) -> int:
+def cmd_hierarchy_show(args) -> None:
     from . import hierarchy
     from .diffpoly import render
 
     table = hierarchy.build_flows(args.order)
     h = hierarchy.scalar_H(table, args.order)
     print(render(h, args.format))
-    return OK
 
 
-def cmd_hierarchy_verify(args) -> int:
+def cmd_hierarchy_verify(args) -> None:
     from . import hierarchy
 
     table = hierarchy.build_flows(args.max_order)
-    ok = True
+    failed = []
     for report in hierarchy._curvature_reports(table, args.max_order):
         print(f"flow {report.flow_order}: {'pass' if report.passed else 'FAIL'}")
-        ok = ok and report.passed
-    return OK if ok else VERIFY_FAILED
+        if not report.passed:
+            failed.append(report.flow_order)
+    if failed:
+        raise CliError(f"hierarchy verify failed: flow {failed[0]} does not satisfy zero curvature", VERIFY_FAILED)
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> None:
     import numpy as np
 
     from .config import parse_config, parse_preset
@@ -158,20 +167,28 @@ def cmd_evolve(args) -> int:
     try:
         traj = evolve_run(f0, spec, t_end, dt, method=method, snapshot_stride=stride)
     except Blowup as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
         if exc.last_good is not None and args.out:
             os.makedirs(args.out, exist_ok=True)
             write_field(exc.last_good, os.path.join(args.out, "last_good.txt"))
-        return VERIFY_FAILED
+        raise CliError(f"blow-up: {exc}", VERIFY_FAILED) from None
     if args.out:
         traj.write(args.out)
         print(f"wrote {len(traj.fields)} snapshots to {args.out}")
     else:
         print(f"final time {traj.final.time:.6g}, max|psi| = {np.max(np.abs(traj.final.values)):.6g}")
-    return OK
 
 
-def cmd_transform(args) -> int:
+def _residual_verdict(command: str, rows, tol: float) -> None:
+    """Print each (label, residual) of ``rows`` as it comes and the worst; then the verdict."""
+    checks = []
+    for label, r in rows:
+        print(f"{label}: residual {r:.3e}")
+        checks.append((f"{label} residual", r))
+    print(f"worst residual {max((r for _, r in checks), default=0.0):.3e}")
+    _verdict(command, checks, tol)
+
+
+def cmd_transform(args) -> None:
     from .evolve import FlowSpec, Linear
     from .spectral import residual, sample_onto_grid
     from .symmetry import SymmetryParams, transform_solution
@@ -183,39 +200,28 @@ def cmd_transform(args) -> int:
     p = SymmetryParams(args.a, args.b)
     transformed = transform_solution(sampler, p)
     grid = _parse_grid(args.probe)
+    if transformed.max_order < 1:  # a finite-gap sampler of no flow
+        raise CliError(f"sampler {sampler.name} has no flow to check")
     rows = []
-    worst = 0.0
     delta = 1e-5
     for k in range(1, min(transformed.max_order, 5) + 1):
-        spec = FlowSpec([(k, Linear(1.0))])
-        fields = []
-        for s in (-delta, 0.0, delta):
-            times = [0.0] * transformed.max_order
-            times[k - 1] = args.t + s
-            fields.append(sample_onto_grid(transformed, grid, tuple(times), t=args.t + s))
-        r = residual(*fields, spec)
-        worst = max(worst, r)
-        rows.append((k, r))
-    f0 = sample_onto_grid(
-        transformed,
-        grid,
-        tuple([args.t] + [0.0] * (transformed.max_order - 1)),
-        t=args.t,
-    )
+        fields = [
+            sample_onto_grid(transformed, grid, (0.0,) * (k - 1) + (args.t + s,), t=args.t + s)
+            for s in (-delta, 0.0, delta)
+        ]
+        rows.append((f"flow {k}", residual(*fields, FlowSpec([(k, Linear(1.0))]))))
     if args.out:
+        f0 = sample_onto_grid(transformed, grid, (args.t,), t=args.t)
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "t", "re", "im"])
             x = grid.nodes - grid.length / 2
             for xx, v in zip(x, f0.values):
                 w.writerow([f"{xx:.17g}", f"{args.t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
-    for k, r in rows:
-        print(f"flow {k}: residual {r:.3e}")
-    print(f"worst residual {worst:.3e}")
-    return OK if worst < args.tol else VERIFY_FAILED
+    _residual_verdict("transform", rows, args.tol)
 
 
-def cmd_verify_residual(args) -> int:
+def cmd_verify_residual(args) -> None:
     from .config import parse_config
     from .spectral import _equally_spaced, read_field, residual
 
@@ -229,22 +235,15 @@ def cmd_verify_residual(args) -> int:
     if len(snaps) < 3:
         raise CliError("need at least three snapshots", VERIFY_FAILED)
     fields = [read_field(os.path.join(args.snapshots, f)) for f in snaps]
-    worst = 0.0
-    checked = 0
-    for fm, f0, fp in zip(fields, fields[1:], fields[2:]):
-        if not _equally_spaced(fm, f0, fp):
-            continue  # trailing snapshot may break the uniform cadence
-        r = residual(fm, f0, fp, spec)
-        print(f"t={f0.time:.6g}: residual {r:.3e}")
-        worst = max(worst, r)
-        checked += 1
-    if not checked:
+    # a trailing snapshot may break the uniform cadence
+    triples = [triple for triple in zip(fields, fields[1:], fields[2:]) if _equally_spaced(*triple)]
+    if not triples:
         raise CliError("no equally spaced snapshot triples found", VERIFY_FAILED)
-    print(f"worst residual {worst:.3e}")
-    return OK if worst < args.tol else VERIFY_FAILED
+    rows = ((f"t={f0.time:.6g}", residual(fm, f0, fp, spec)) for fm, f0, fp in triples)
+    _residual_verdict("verify residual", rows, args.tol)
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     from .spectral import format_samples, sample_onto_grid, write_field
 
     params = _parse_params(args.param)
@@ -258,10 +257,9 @@ def cmd_sample(args) -> int:
         print(f"wrote field to {args.out}")
     else:
         print(format_samples(f.values), end="")
-    return OK
 
 
-def cmd_identity_check(args) -> int:
+def cmd_identity_check(args) -> None:
     from .solutions import RiemannData, random_riemann_data
     from .symmetry import SymmetryParams, identity_errors
 
@@ -274,13 +272,8 @@ def cmd_identity_check(args) -> int:
     errors = identity_errors(data, SymmetryParams(args.a, args.b), args.max_flow)
     print(f"argument identity error: {errors['argument']:.3e}")
     print(f"phase identity error:    {errors['phase']:.3e}")
-    failed = [(name, e) for name, e in errors.items() if not e < args.tol]  # NaN fails
-    print("FAIL" if failed else "pass")
-    if failed:
-        name, e = failed[0]
-        print(f"identity check failed: {name} error {e:.3e} is not below --tol {args.tol:.3e}", file=sys.stderr)
-        return VERIFY_FAILED
-    return OK
+    print("pass" if all(e < args.tol for e in errors.values()) else "FAIL")  # NaN fails
+    _verdict("identity check", ((f"{name} error", e) for name, e in errors.items()), args.tol)
 
 
 # Errors that a command reports in one line: (home module, class, exit code),
@@ -398,12 +391,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        args.func(args)
+        return OK
     except Exception as exc:
-        code = _exit_code(exc)
+        code = exc.code if isinstance(exc, CliError) else _exit_code(exc)
         if code is None:
             raise
         print(f"error: {exc}", file=sys.stderr)

@@ -662,7 +662,7 @@ def mat_commutator(a: MatrixDP, b: MatrixDP) -> MatrixDP:
 # -- rendering ---------------------------------------------------------------
 
 
-def _render_coeff_text(c: GaussianRational, lead: str) -> str:
+def _render_coeff_text(c: GaussianRational) -> str:
     """Coefficient prefix for a monomial with factors; '' or '-' when +-1."""
     if c == GR_ONE:
         return ""
@@ -681,7 +681,7 @@ def _render_monomial_text(m: Monomial) -> str:
     facs = "*".join(
         str(j) + (f"^{e}" if e > 1 else "") for j, e in m.factors
     )
-    return _render_coeff_text(m.coeff, facs) + facs
+    return _render_coeff_text(m.coeff) + facs
 
 
 _LATEX_SYMBOL = {

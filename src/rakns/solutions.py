@@ -46,17 +46,29 @@ class Sampler:
 def plane_wave(q: float, M: int = 5) -> Sampler:
     """Constant-modulus background q exp(i sum_k omega_k t_k), with the
     closed-form rates of ``_plane_wave_rate``."""
-    if not (q > 0 and math.isfinite(q)):
-        raise ValueError(f"q must be positive and finite, got {q}")
-    if not 1 <= M <= 5:
-        raise ValueError(f"order must be in 1..5, got {M}")
-    rates = [_plane_wave_rate(k, q) for k in range(1, M + 1)]
+    rates = _rates(_plane_wave_rate, "q", q, M)
 
     def fn(x, times):
         phase = sum(w * t for w, t in zip(rates, times))
         return np.full(np.shape(x), q * np.exp(1j * phase), dtype=complex)
 
     return Sampler(fn, M, "plane_wave")
+
+
+def _rates(rate, name: str, value: float, M: int) -> list:
+    """rate(k, value) for k = 1..M; refuses M outside 1..5, and a value not
+    positive and finite or whose rates overflow (float ** raises there)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 1 <= M <= 5:
+        raise ValueError(f"order must be in 1..5, got {M}")
+    try:
+        rates = [rate(k, value) for k in range(1, M + 1)]
+    except OverflowError:
+        rates = [math.inf]
+    if not all(map(math.isfinite, rates)):
+        raise ValueError(f"{name} = {value} overflows the rates of flows 1..{M}")
+    return rates
 
 
 def _plane_wave_rate(k: int, q: float) -> float:
@@ -91,21 +103,17 @@ def _soliton_rate(k: int, a: float) -> float:
 def soliton(a_amp: float, M: int = 5) -> Sampler:
     """Bright soliton a sech(a(x - drift)) exp(i phase) extended to the
     hierarchy times; even flows translate, odd flows rotate the phase."""
-    if not (a_amp > 0 and math.isfinite(a_amp)):
-        raise ValueError(f"amplitude a must be positive and finite, got {a_amp}")
-    if not 1 <= M <= 5:
-        raise ValueError(f"order must be in 1..5, got {M}")
-    a = a_amp
+    rates = _rates(_soliton_rate, "amplitude a", a_amp, M)
 
     def fn(x, times):
         shift = 0.0
         phase = 0.0
-        for k, t in enumerate(times, start=1):
+        for k, (w, t) in enumerate(zip(rates, times), start=1):
             if k % 2:
-                phase += _soliton_rate(k, a) * t
+                phase += w * t
             else:
-                shift += _soliton_rate(k, a) * t
-        return a * _sech(a * (x - shift)) * np.exp(1j * phase)
+                shift += w * t
+        return a_amp * _sech(a_amp * (x - shift)) * np.exp(1j * phase)
 
     return Sampler(fn, M, "soliton")
 
@@ -123,8 +131,7 @@ def peregrine() -> Sampler:
 
     def fn(x, times):
         t1 = times[0]
-        with np.errstate(over="ignore"):  # inf far out gives the far-field limit e^{2it}
-            denom = 1.0 + 4.0 * x**2 + 16.0 * t1**2
+        denom = 1.0 + 4.0 * x**2 + 16.0 * t1**2  # inf far out gives the far-field limit e^{2it}
         return (1.0 - 4.0 * (1.0 + 4j * t1) / denom) * np.exp(2j * t1)
 
     return Sampler(fn, 1, "peregrine")

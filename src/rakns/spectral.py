@@ -38,6 +38,8 @@ class Grid:
             raise ValueError("n must be a power of two, >= 16")
         if not (self.length > 0 and math.isfinite(self.length)):
             raise ValueError("length must be finite and positive")
+        if not self.length / self.n > 0:
+            raise ValueError(f"length {self.length} over {self.n} points: the spacing underflows to 0")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -407,7 +409,7 @@ def sample_onto_grid(
     sampler,
     grid: Grid,
     times,
-    t: float | None = None,
+    t: float = 0.0,
     images: int = 0,
 ) -> Field:
     """Evaluate an analytic sampler on grid nodes.
@@ -421,9 +423,9 @@ def sample_onto_grid(
     solve the flow to that accuracy.
     """
     x = grid.nodes - grid.length / 2.0
-    values = np.asarray(sampler(x, times), dtype=complex)
-    for m in range(1, images + 1):
-        values = values + sampler(x + m * grid.length, times)
-        values = values + sampler(x - m * grid.length, times)
-    timestamp = 0.0 if t is None else t
-    return Field(grid, values, timestamp)
+    with np.errstate(over="ignore", invalid="ignore"):  # Field refuses a sample that is not finite
+        values = np.asarray(sampler(x, times), dtype=complex)
+        for m in range(1, images + 1):
+            values = values + sampler(x + m * grid.length, times)
+            values = values + sampler(x - m * grid.length, times)
+    return Field(grid, values, t)

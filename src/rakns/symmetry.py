@@ -44,11 +44,10 @@ class SymmetryParams:
 def _argument_map(P: np.ndarray, x, times: Sequence[float]):
     """(E, X, T) = P^T (0, x, t_1..t_M) for P with M + 2 rows: the boost
     exponent, the argument X and the tuple T.  An overflowing entry of P
-    makes them inf or NaN, quietly: the samples built from them are
-    non-finite, which a Field refuses."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.asarray(times, dtype=float) @ P[2:]
-        return P[1, 0] * x + c[0], P[1, 1] * x + c[1], tuple(c[2:])
+    makes them inf or NaN, which ``sample_onto_grid`` lets through quietly
+    for a Field to refuse."""
+    c = np.asarray(times, dtype=float) @ P[2:]
+    return P[1, 0] * x + c[0], P[1, 1] * x + c[1], tuple(c[2:])
 
 
 def transform_solution(s: Sampler, p: SymmetryParams) -> Sampler:

@@ -4,7 +4,10 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import pathlib
+import re
+import shutil
 import warnings
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from rakns.cli import USAGE, VERIFY_FAILED, _ERRORS, build_parser, main
 from rakns.diffpoly import from_json
 from rakns.solutions import random_riemann_data
-from rakns.spectral import Field, Grid, read_field, write_field
+from rakns.spectral import FIELD_MAGIC, Field, Grid, format_samples, read_field, write_field
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -82,9 +85,22 @@ def test_hierarchy_verify_fails_a_corrupted_table(capsys, monkeypatch):
     F = {**good.F, 3: good.F[3] + good.F[1]}
     broken = type(good)(good.max_order, F, dict(good.D), dict(good.H), dict(good.density))
     monkeypatch.setattr(rakns.hierarchy, "build_flows", lambda K: broken)
-    code, out, _ = run(["hierarchy", "verify", "--max-order", "3"], capsys)
+    code, out, err = run(["hierarchy", "verify", "--max-order", "3"], capsys)
     assert code == 1
     assert out == "flow 1: pass\nflow 2: FAIL\nflow 3: FAIL\n"
+    assert err == "error: hierarchy verify failed: flow 2 does not satisfy zero curvature\n"
+
+
+def test_hierarchy_verify_failure_is_one_error_line(capsys, monkeypatch):
+    """A failed audit exited 1 with its FAIL line on stdout and nothing on
+    stderr; it now prints the one 'error:' line of every failed check."""
+    import rakns.hierarchy
+
+    report = rakns.hierarchy.CurvatureReport(1, {0: True, 1: False})
+    monkeypatch.setattr(rakns.hierarchy, "_curvature_reports", lambda table, K: iter([report]))
+    code, out, err = run(["hierarchy", "verify", "--max-order", "1"], capsys)
+    assert (code, out) == (VERIFY_FAILED, "flow 1: FAIL\n")
+    assert _one_error_line(err) and "flow 1" in err
 
 
 def test_help_prints_usage_and_exits_0(capsys):
@@ -188,12 +204,13 @@ def test_verify_residual_fails_wrong_equation(tmp_path, capsys):
 
     wrong = tmp_path / "wrong.cfg"
     wrong.write_text(CONFIG.replace("flow1", "flow2"))
-    code, _, _ = run(
+    code, _, err = run(
         ["verify", "residual", "--snapshots", str(out), "--config", str(wrong),
          "--tol", "1e-3"],
         capsys,
     )
     assert code == 1
+    assert _one_error_line(err) and err.startswith("error: verify residual failed: t=")
 
 
 def test_evolve_parses_config_once(tmp_path, capsys, monkeypatch):
@@ -253,8 +270,67 @@ def test_transform_peregrine_far_field_warns_nothing(capsys):
             ["transform", "--a", "-1", "--b", "10", "--sampler", "peregrine", "--probe", "64,1e300", "--t", "1e-3"],
             capsys,
         )
-    assert (code, err) == (VERIFY_FAILED, "")
+    assert code == VERIFY_FAILED and _one_error_line(err)
+    assert err.startswith("error: transform failed: flow 1 residual")
     assert "worst residual" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--preset", "nls", "--initial", "soliton", "--grid", "16,5e-324", "--dt", "1e-3", "--t-end", "0"],
+        ["transform", "--a", "1", "--b", "0", "--sampler", "soliton", "--probe", "16,5e-324"],
+        ["sample", "--solution", "soliton", "--grid", "64,5e-324"],
+    ],
+    ids=["evolve", "transform", "sample"],
+)
+def test_grid_whose_spacing_underflows_is_refused(capsys, argv):
+    """L = 5e-324 is positive, but L/n is 0: numpy's fftfreq divided by it
+    and the run ended in a ZeroDivisionError traceback (sample printed n
+    copies of one point)."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and "spacing underflows to 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--solution", "planewave", "--param", "q=1e308", "--grid", "16,10"], "q = 1e+308 overflows"),
+        (["transform", "--a", "1", "--b", "0", "--sampler", "soliton", "--param", "a=1e150", "--probe", "16,10"],
+         "amplitude a = 1e+150 overflows"),
+        (["evolve", "--initial", "planewave", "--param", "q=1e60", "--preset", "nls", "--grid", "16,10", "--dt", "1e-3",
+          "--t-end", "1e-3"], "q = 1e+60 overflows"),
+        (["sample", "--solution", "soliton", "--param", "a=1.5", "--grid", "16,10", "--times", "1e308"], "NaN/Inf"),
+        (["sample", "--solution", "planewave", "--param", "q=1.5", "--grid", "16,10", "--times", "1e308"], "NaN/Inf"),
+        (["transform", "--a", "1", "--b", "1e308", "--sampler", "peregrine", "--probe", "16,10"], "NaN/Inf"),
+        (["transform", "--a", "1e308", "--b", "1e308", "--sampler", "peregrine", "--probe", "16,10"], "NaN/Inf"),
+    ],
+    ids=["planewave_rate", "soliton_rate", "evolve_initial_rate", "soliton_phase", "planewave_phase",
+         "transform_boost", "transform_scale_and_boost"],
+)
+def test_sampler_overflow_is_one_line(capsys, argv, message):
+    """A q or a whose flow rates overflow ended in an OverflowError traceback
+    from Python's float power; a phase rate times a time beyond the float
+    range, and a boost of 1e308 through the argument map of transform,
+    printed numpy's invalid-value warnings before the one line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and message in err
+
+
+def test_transform_of_a_sampler_with_no_flow_is_refused(tmp_path, capsys):
+    """Finite-gap data of no flow leaves transform no flow to check: it
+    exits 2, as it did when every run sampled the --out field, and does
+    not pass with 'worst residual 0.000e+00'."""
+    path = tmp_path / "rd.json"
+    path.write_text(random_riemann_data(1, 0, rng=1).to_json())
+    argv = ["transform", "--a", "1.1", "--b", "0.1", "--sampler", "finitegap", "--param", f"riemann={path}"]
+    code, out, err = run([*argv, "--probe", "32,10"], capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and "has no flow to check" in err
 
 
 def test_verify_residual_nan_fails_the_verdict(tmp_path, capsys):
@@ -395,7 +471,7 @@ def test_identity_check_nan_error_fails(monkeypatch, capsys):
     assert code == 1
     assert text.splitlines()[-1] == "FAIL"
     # a failed verdict used to print nothing on stderr
-    assert err == "identity check failed: phase error nan is not below --tol 1.000e-10\n"
+    assert err == "error: identity check failed: phase error nan is not below --tol 1.000e-10\n"
 
 
 @pytest.mark.parametrize(
@@ -666,13 +742,13 @@ def test_evolve_blowup_exits_1_with_last_good(tmp_path, capsys):
         capsys,
     )
     assert code == 1
-    assert err.startswith("blow-up:")
+    assert err.startswith("error: blow-up:")
     assert np.all(np.isfinite(read_field(out / "last_good.txt").values.view(float)))
 
 
 def test_evolve_overflowing_coefficient_is_one_blowup_line(capsys):
     """gnls(1e308) overflows Lawson's fixed factors before the first step:
-    the run exits 1 with its one 'blow-up:' line and no RuntimeWarning."""
+    the run exits 1 with its one 'error: blow-up:' line and no RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(
@@ -681,7 +757,7 @@ def test_evolve_overflowing_coefficient_is_one_blowup_line(capsys):
             capsys,
         )
     assert code == 1
-    assert len(err.strip().splitlines()) == 1 and err.startswith("blow-up:")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: blow-up:")
 
 
 def test_evolve_zero_dt_is_usage_error(capsys):
@@ -999,17 +1075,27 @@ def _sample_argv(draw):
     return argv
 
 
+# The lines that carry a verdict or the number it is made from.
+_VERDICT_LINE = re.compile(r"residual|identity error|^(pass|FAIL)$|^flow \d+: ")
+
+
 def _runs_closed(argv):
-    """main(argv) returns 0, 1 or 2; a non-zero return prints one stderr
-    line; no warning escapes; no run that prints a NaN exits 0."""
+    """main(argv) returns 0, 1 or 2; a non-zero return prints exactly one
+    stderr line, which starts 'error: ', and a zero return prints none; no
+    warning escapes (each is raised as an error); no verdict line reads nan,
+    and no run that prints a NaN exits 0."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 1, 2), argv
-    assert not caught, (argv, [str(w.message) for w in caught])
     if code:
-        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", (argv, err.getvalue())
+    verdicts = [line for line in out.getvalue().splitlines() if _VERDICT_LINE.search(line)]
+    assert not any("nan" in line.lower() for line in verdicts), (argv, verdicts)
     assert not (code == 0 and "nan" in out.getvalue().lower()), (argv, out.getvalue())
 
 
@@ -1028,3 +1114,250 @@ def test_finitegap_commands_fail_closed(tmp_path_factory, doc, argv, identity):
     if identity:
         argv = ["identity", "check", "--a", "1.3", "--b", "-0.2", "--max-flow", "5"]
     _runs_closed([*argv, "--riemann", str(path)])
+
+
+# -- every other command as a property ----------------------------------------
+#
+# Bounds, so that each example stays cheap: grids of at most 64 points
+# (_MAX_N), evolve runs of at most 20 steps (_MAX_STEPS), hierarchy orders,
+# sampler orders and config flows of at most 4 (_MAX_ORDER), and a fixed,
+# derandomised example budget per command.  Each input is a usable value
+# seven times in eight and an edge token otherwise, so that the runs reach
+# the verdicts and the stepper, not only the first refusal.  A case is
+# (argv, files): each file is written into a fresh directory, which
+# '<dir>' in argv names.
+
+_MAX_N, _MAX_STEPS, _MAX_ORDER = 64, 20, 4
+
+
+def _mostly(good, bad=_numbers):
+    """A value of ``good`` (a list or a strategy) seven times in eight, of
+    ``bad`` otherwise."""
+    good = st.sampled_from(good) if isinstance(good, list) else good
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda usable: good if usable else bad)
+
+
+_orders = _mostly(st.integers(1, _MAX_ORDER).map(str), st.sampled_from(["-1", "0", "nan", "1e308", "2.0", "x", ""]))
+_lengths = _mostly(["10", "20", "40"], st.one_of(st.sampled_from(["1e-300", "1e300", "0", "5e-324"]), _numbers))
+_grids = _mostly(
+    st.builds("{},{}".format, st.sampled_from([16, 32, 64]), _lengths),
+    st.one_of(
+        st.builds("{},{}".format, st.integers(0, _MAX_N), _lengths),
+        st.sampled_from(["64", "64,", ",40", "64;40", "64,40,1", "a,b", "-16,40", "16,nan", "16 , 40", "1_6,40"]),
+    ),
+)
+
+
+@st.composite
+def _hierarchy_case(draw):
+    if draw(st.booleans()):
+        argv = ["hierarchy", "show", *draw(_option("--order", _orders))]
+        if draw(st.booleans()):
+            argv += ["--format", draw(_mostly(["text", "latex", "json"], st.just("xml")))]
+    else:
+        argv = ["hierarchy", "verify", *draw(_option("--max-order", _orders))]
+    return argv, {}
+
+
+@st.composite
+def _sampler_case(draw, names):
+    """A sampler name, one of the first three ``names`` seven times in eight,
+    and its --param options: an order of at most 4 and an amplitude where
+    the sampler takes them, then, one time in eight, a key of any sampler."""
+    name = draw(_mostly(names[:3], st.sampled_from(names[3:])))
+    params = [f"order={draw(_orders)}"] if name in ("planewave", "plane_wave", "soliton") else []
+    if name in ("planewave", "soliton") and draw(st.booleans()):
+        params.append(f"{'q' if name == 'planewave' else 'a'}={draw(_mostly(['0.5', '1', '1.5']))}")
+    params += draw(_mostly(st.just([]), st.lists(st.sampled_from(["q=1", "a=1", "x=1", "q", "=1", "riemann=x.json"]), max_size=2)))
+    return [name, *(token for p in params for token in ("--param", p))]
+
+
+@st.composite
+def _sample_case(draw):
+    name, *params = draw(_sampler_case(["planewave", "soliton", "peregrine", "plane_wave"]))
+    argv = ["sample", "--solution", name, *params, *draw(_option("--grid", _grids))]
+    if draw(st.booleans()):
+        argv += ["--times", *draw(st.lists(_mostly(st.floats(-1, 1).map(repr)), max_size=5))]
+    if draw(st.booleans()):
+        argv += ["--out", "<dir>/f.txt"]
+    return argv, {}
+
+
+@st.composite
+def _transform_case(draw):
+    sampler = draw(_sampler_case(["planewave", "soliton", "peregrine", "plane_wave", "finitegap", "nosuch"]))
+    argv = ["transform", *draw(_option("--a", _mostly(["1", "1.2", "-0.8", "2"])))]
+    argv += [*draw(_option("--b", _mostly(["0", "0.1", "-0.3"]))), "--sampler", *sampler]
+    argv += draw(_option("--probe", _grids))
+    if draw(st.booleans()):
+        argv += draw(_option("--t", _mostly(["0", "0.1", "-0.5"])))
+    if draw(st.booleans()):
+        argv += draw(_option("--tol", _mostly(["1e-6", "1e-3", "1"])))
+    if draw(st.booleans()):
+        argv += ["--out", "<dir>/probe.csv"]
+    return argv, {}
+
+
+@st.composite
+def _time_pair(draw):
+    """dt and t_end as text, of at most _MAX_STEPS steps where both are
+    finite: t_end a whole number of dt, or an edge token."""
+    dt = draw(_mostly(["1e-3", "2e-3", "1e-2"]))
+    t_end = draw(_mostly(st.integers(0, _MAX_STEPS).map(lambda k: repr(k * float(dt)))))
+    steps = abs(float(t_end) / float(dt)) if float(dt) else 0.0
+    if math.isfinite(steps) and steps > _MAX_STEPS:
+        t_end = repr(_MAX_STEPS * float(dt))
+    return dt, t_end
+
+
+_SCHEDULES = ["linear(1.0)", "linear({})", "poly(1, {})", "sin({}, 2.0)", "bump(0, {}, 1)"]
+
+
+@st.composite
+def _config_text(draw, dt, t_end):
+    """A run config of one or two flows of order <= 4 and the time pair;
+    one time in eight, one line deleted, doubled, given an edge value or
+    preceded by a junk line.  The dt, t_end and n lines keep their values,
+    so that the bounds hold."""
+    orders = draw(_mostly(st.lists(st.integers(1, _MAX_ORDER), min_size=1, max_size=2, unique=True), st.just([0])))
+    schedules = _mostly(st.builds(str.format, st.sampled_from(_SCHEDULES), _mostly(["0.5", "1", "-2"])), st.sampled_from(["nosuch(1)", "linear(", "1"]))
+    lines = ["[flows]", *(f"flow{k} = {draw(schedules)}" for k in orders)]
+    lines += ["[grid]", f"n = {draw(st.sampled_from([16, 32, 64]))}", f"length = {draw(_lengths)}"]
+    lines += ["[time]", f"dt = {dt}", f"t_end = {t_end}", f"method = {draw(_mostly(['auto', 'rk4', 'ifrk4'], st.just('euler')))}"]
+    if draw(st.booleans()):
+        lines.append(f"snapshot_stride = {draw(_mostly(['1', '2', '5'], st.one_of(st.just('-1'), _numbers)))}")
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(_mostly(st.just("none"), st.sampled_from(["delete", "double", "value", "junk"])))
+    if edit == "delete" and not lines[i].startswith("n "):
+        del lines[i]
+    elif edit == "double":
+        lines.insert(i, lines[i])
+    elif edit == "value" and "=" in lines[i] and not lines[i].startswith(("dt ", "t_end ", "n ")):
+        lines[i] = lines[i].split("=")[0] + "= " + draw(_numbers)
+    elif edit == "junk":
+        lines.insert(i, draw(st.sampled_from(["[nosuch]", "key = 1", "= 1", "flow1", "[grid"])))
+    return "\n".join(lines) + "\n"
+
+
+def _field_lines(n, length, time, amplitude=1.0):
+    """The lines of a field file whose values turn at unit rate in time."""
+    phase = float(time) if math.isfinite(float(time)) else 0.0
+    values = amplitude * np.exp(2j * np.pi * np.arange(n) / n + 1j * phase)
+    return [FIELD_MAGIC, f"n={n} L={length} t={time}", *format_samples(values).splitlines()]
+
+
+@st.composite
+def _field_text(draw, n=None, length=_lengths, time="0"):
+    """A field file of at most 64 points, one line of it damaged one time
+    in eight."""
+    n = draw(st.sampled_from([16, 32, 64])) if n is None else n
+    amplitude = draw(_mostly([1.0, 0.5], st.sampled_from([0.0, 1e-300, 1e150, 1e308])))
+    lines = _field_lines(n, draw(length), time, amplitude)
+    if draw(_mostly(st.just(False), st.just(True))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(["", "0 nan 0", "0 1", f"{n} 0 0", "1 1e400 0", "n=16 L=10"]))
+    return "\n".join(lines) + "\n"
+
+
+_PRESETS = ["nls", "mkdv", "lpd", "hirota({},{})", "gnls({})", "hnls4({},1,1,{})"]
+
+
+@st.composite
+def _evolve_case(draw):
+    dt, t_end = draw(_time_pair())
+    argv, files = ["evolve"], {}
+    times = [("--dt", dt), ("--t-end", t_end)]
+    if draw(st.booleans()):
+        files["run.cfg"] = draw(_config_text(dt, t_end))
+        argv += ["--config", "<dir>/run.cfg"]
+        times = times[: draw(st.integers(0, 2))]
+    if "run.cfg" not in files or draw(st.booleans()):
+        preset = draw(_mostly(_PRESETS, st.sampled_from(["hnls5(1,1,1,1,1,1)", "nosuch", "nls(", "hirota(alpha=1,alpha=2)"])))
+        values = _mostly(["1", "0.5", "-0.2"])
+        argv += draw(_option("--preset", st.just(preset.format(*(draw(values) for _ in range(preset.count("{}")))))))
+    for name, value in times:
+        argv += draw(_option(name, st.just(value)))
+    if draw(st.booleans()):
+        files["init.txt"] = draw(_field_text(time=draw(_mostly(["0", "0.5"]))))
+        argv += ["--initial", "<dir>/init.txt", *draw(_mostly(st.just([]), st.just(["--param", "a=1"])))]
+    else:
+        argv += ["--initial", *draw(_sampler_case(["soliton", "planewave", "peregrine", "finitegap", "nosuch"]))]
+    if "run.cfg" not in files or draw(st.booleans()):
+        argv += draw(_option("--grid", _grids))
+    if draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(["auto", "rk4", "ifrk4"]))]
+    if draw(st.booleans()):
+        argv += ["--out", "<dir>/run"]
+    return argv, files
+
+
+@st.composite
+def _verify_case(draw):
+    """Up to five snapshots, t = t0 + i h, and a config to verify them against."""
+    dt, t_end = draw(_time_pair())
+    files = {"run.cfg": draw(_config_text(dt, t_end))}
+    n, length = draw(st.sampled_from([16, 32, 64])), st.just(draw(_lengths))
+    t0, h = float(draw(_mostly(["0", "1"]))), float(draw(_mostly(["1e-3", "0.1"])))
+    for i in range(draw(_mostly(st.integers(3, 5), st.integers(0, 2)))):
+        files[f"snaps/snap_{i}.txt"] = draw(_field_text(n, length, repr(t0 + i * h)))
+    argv = ["verify", "residual", "--snapshots", "<dir>/snaps", "--config", "<dir>/run.cfg"]
+    if draw(st.booleans()):
+        argv += draw(_option("--tol", _mostly(["1e-4", "1", "1e3"])))
+    return argv, files
+
+
+def _case_runs_closed(tmp_path_factory, case):
+    argv, files = case
+    home = tmp_path_factory.getbasetemp() / "case"
+    shutil.rmtree(home, ignore_errors=True)
+    (home / "snaps").mkdir(parents=True)
+    for name, text in files.items():
+        (home / name).write_text(text)
+    _runs_closed([token.replace("<dir>", str(home)) for token in argv])
+
+
+# Each command's test also runs the defects that hand-picked cases found
+# before this property existed, so that a revert of a fix fails it.
+_BUDGET = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_BUDGET
+@given(_hierarchy_case())
+def test_hierarchy_commands_fail_closed(tmp_path_factory, case):
+    _case_runs_closed(tmp_path_factory, case)
+
+
+@_BUDGET
+@given(_sample_case())
+@example((["sample", "--solution", "soliton", "--grid", "64,5e-324"], {}))
+@example((["sample", "--solution", "planewave", "--param", "q=1e308", "--grid", "16,10"], {}))
+@example((["sample", "--solution", "soliton", "--param", "a=1.5", "--grid", "16,10", "--times", "1e308"], {}))
+def test_sample_fails_closed(tmp_path_factory, case):
+    _case_runs_closed(tmp_path_factory, case)
+
+
+@_BUDGET
+@given(_transform_case())
+@example(([*_TRANSFORM[:-1], "64,1e-300", "--a=1", "--b=0", "--t", "0"], {}))
+@example((["transform", "--a", "1", "--b", "1e308", "--sampler", "peregrine", "--probe", "16,10"], {}))
+def test_transform_fails_closed(tmp_path_factory, case):
+    _case_runs_closed(tmp_path_factory, case)
+
+
+@_BUDGET
+@given(_evolve_case())
+@example(([*_EVOLVE, "--preset", "nls", "--grid", "64,40", "--dt", "1e-3", "--t-end", "1e308"], {}))
+@example(([*_EVOLVE, "--preset", "gnls(1e308)", "--grid", "64,40", "--dt", "2", "--t-end", "2"], {}))
+@example(([*_EVOLVE, "--preset", "nls", "--grid", "16,5e-324", "--dt", "1e-3", "--t-end", "0"], {}))
+def test_evolve_fails_closed(tmp_path_factory, case):
+    _case_runs_closed(tmp_path_factory, case)
+
+
+@_BUDGET
+@given(_verify_case())
+@example((
+    ["verify", "residual", "--snapshots", "<dir>/snaps", "--config", "<dir>/run.cfg"],
+    {"run.cfg": CONFIG, **{f"snaps/snap_{i}.txt": "\n".join(_field_lines(64, "1e-300", i * 1e-3)) + "\n" for i in range(3)}},
+))
+def test_verify_residual_fails_closed(tmp_path_factory, case):
+    _case_runs_closed(tmp_path_factory, case)

@@ -173,6 +173,32 @@ def test_every_private_function_and_class_has_a_caller_in_the_library():
     assert private and [name for name in private if name not in used] == []
 
 
+def _own_nodes(fn: ast.FunctionDef):
+    """The nodes of ``fn``'s body, not those of a function defined in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_has_one_failure_path():
+    """``main`` is the only code in cli.py that names stderr, and no command
+    returns a value: a command prints its results or raises, and ``main``
+    alone turns what it raised into the one 'error:' line and the exit code."""
+    tree = ast.parse((SRC / "rakns" / "cli.py").read_text())
+    writers = [
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        if {"stderr", "__stderr__"} & _names_used(ast.Module([node], []))
+    ]
+    assert writers == ["main"]
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    returning = [fn.name for fn in commands for sub in _own_nodes(fn) if isinstance(sub, ast.Return) and sub.value is not None]
+    assert commands and returning == []
+
+
 def test_dir_lists_public_names():
     assert set(rakns.__all__) <= set(dir(rakns))
 
