@@ -188,6 +188,22 @@ def _residual_verdict(command: str, rows, tol: float) -> None:
     _verdict(command, checks, tol)
 
 
+def _difference_times(t: float) -> tuple:
+    """t - 1e-5, t and t + 1e-5, the times of transform's centred difference.
+    Just below a power of two the floats are twice as fine, so the two
+    steps can round unequally there; the step t takes away from zero is
+    then exact both ways and replaces 1e-5.  A t that no step moves is
+    refused."""
+    from .spectral import _equally_spaced
+
+    step = 1e-5
+    if not _equally_spaced(t - step, t, t + step):
+        step = (abs(t) + step) - abs(t)
+        if step == 0.0:
+            raise CliError(f"--t {t:g} is too large for the residual's centred difference of step 1e-5")
+    return t - step, t, t + step
+
+
 def cmd_transform(args) -> None:
     from .evolve import FlowSpec, Linear
     from .spectral import residual, sample_onto_grid
@@ -196,6 +212,7 @@ def cmd_transform(args) -> None:
     _check_tol(args.tol)
     if not math.isfinite(args.t):
         raise CliError(f"--t must be finite, got {args.t}")
+    times = _difference_times(args.t)
     sampler = _parse_sampler(args.sampler, _parse_params(args.param))
     p = SymmetryParams(args.a, args.b)
     transformed = transform_solution(sampler, p)
@@ -203,12 +220,8 @@ def cmd_transform(args) -> None:
     if transformed.max_order < 1:  # a finite-gap sampler of no flow
         raise CliError(f"sampler {sampler.name} has no flow to check")
     rows = []
-    delta = 1e-5
     for k in range(1, min(transformed.max_order, 5) + 1):
-        fields = [
-            sample_onto_grid(transformed, grid, (0.0,) * (k - 1) + (args.t + s,), t=args.t + s)
-            for s in (-delta, 0.0, delta)
-        ]
+        fields = [sample_onto_grid(transformed, grid, (0.0,) * (k - 1) + (t,), t=t) for t in times]
         rows.append((f"flow {k}", residual(*fields, FlowSpec([(k, Linear(1.0))]))))
     if args.out:
         f0 = sample_onto_grid(transformed, grid, (args.t,), t=args.t)
@@ -236,7 +249,8 @@ def cmd_verify_residual(args) -> None:
         raise CliError("need at least three snapshots", VERIFY_FAILED)
     fields = [read_field(os.path.join(args.snapshots, f)) for f in snaps]
     # a trailing snapshot may break the uniform cadence
-    triples = [triple for triple in zip(fields, fields[1:], fields[2:]) if _equally_spaced(*triple)]
+    triples = [(fm, f0, fp) for fm, f0, fp in zip(fields, fields[1:], fields[2:])
+               if _equally_spaced(fm.time, f0.time, fp.time)]
     if not triples:
         raise CliError("no equally spaced snapshot triples found", VERIFY_FAILED)
     rows = ((f"t={f0.time:.6g}", residual(fm, f0, fp, spec)) for fm, f0, fp in triples)

@@ -16,8 +16,9 @@ made canonical on the way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -216,6 +217,7 @@ class JetVariable(NamedTuple):
     def symbol(self) -> str:
         return SYMBOLS[self.sym_index]
 
+    @cache  # the jets are few, and d/dx bumps the same ones over and over
     def bump(self) -> "JetVariable":
         return JetVariable(self.sym_index, self.order + 1)
 
@@ -238,8 +240,7 @@ def jet(symbol: str, order: int = 0) -> JetVariable:
 Factors = tuple
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     coeff: GaussianRational
     factors: Factors
 
@@ -265,12 +266,33 @@ def _top_order(factors: Factors) -> int:
 
 
 def _merge_factors(fa: Factors, fb: Factors) -> Factors:
-    if not fa:
-        return fb
-    d = dict(fa)
+    """The factor list of a product: each factor of the shorter list goes
+    into the longer one by one sorted insertion (a monomial's one factor,
+    in the recursion), adding to the exponent of a jet already there."""
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
     for j, e in fb:
-        d[j] = d.get(j, 0) + e
-    return tuple(sorted(d.items()))
+        i = bisect_left(fa, (j,))
+        if i < len(fa) and fa[i][0] == j:
+            fa = fa[:i] + ((j, fa[i][1] + e),) + fa[i + 1 :]
+        else:
+            fa = fa[:i] + ((j, e),) + fa[i:]
+    return fa
+
+
+def _add_to(acc: dict, f: Factors, a: int, b: int, d: int) -> GaussianRational:
+    """acc[f] += (a + b*i)/d for d > 0, on the integer parts; returns the
+    sum.  A Gaussian integer added to one (every coefficient of the
+    recursion through order 9) needs no gcd."""
+    old = acc.get(f)
+    if old is not None:
+        od = old._d
+        if d == od == 1:
+            a, b = a + old._a, b + old._b
+        else:
+            a, b, d = a * od + old._a * d, b * od + old._b * d, d * od
+    v = acc[f] = _raw(a, b, 1) if d == 1 else _reduced(a, b, d)
+    return v
 
 
 def _from_dict(combined: Mapping) -> "DiffPoly":
@@ -507,9 +529,9 @@ def dp_antidx(p: DiffPoly) -> DiffPoly:
         piece = _merge_factors(rest, ((lower, 1),))
         if piece in result:
             raise NotExact(_from_dict(remainder))
-        coeff = result[piece] = remainder[f] / (e_lower + 1)
-        for g, c in _dx_terms(piece, coeff):
-            new = remainder[g] - c if g in remainder else -c
+        coeff = result[piece] = remainder[f] / (e_lower + 1) if e_lower else remainder[f]
+        for g, c in _dx_terms(piece, -coeff):
+            new = _add_to(remainder, g, c._a, c._b, c._d)
             t = _top_order(g)
             level = levels.setdefault(t, {})
             if new.is_zero():
@@ -517,7 +539,6 @@ def dp_antidx(p: DiffPoly) -> DiffPoly:
                 if not level:
                     del levels[t]
             else:
-                remainder[g] = new
                 level[g] = None
     return _from_dict(result)
 
@@ -623,13 +644,17 @@ def _as_dp(x) -> DiffPoly:
 
 
 def _add_product(acc: dict, c, p: DiffPoly, q: DiffPoly) -> None:
-    """acc += c p q, term by term."""
-    for a in p.terms:
-        ca, fa = a.coeff * c, a.factors
-        for b in q.terms:
-            f, v = _merge_factors(fa, b.factors), ca * b.coeff
-            old = acc.get(f)
-            acc[f] = v if old is None else old + v
+    """acc += c p q, term by term: the outer loop runs over the operand
+    with fewer terms (in the recursion an entry of U0 or J, one term or
+    none), whose factors each term of the other takes by insertion."""
+    if len(p.terms) < len(q.terms):
+        p, q = q, p
+    for b in q.terms:
+        cb, fb = b.coeff * c, b.factors
+        x, y, d = cb._a, cb._b, cb._d
+        for a in p.terms:
+            u, v, e = a.coeff._a, a.coeff._b, a.coeff._d
+            _add_to(acc, _merge_factors(a.factors, fb), x * u - y * v, x * v + y * u, d * e)
 
 
 def _combine(commutators=(), matrices=(), derivatives=()) -> MatrixDP:

@@ -243,6 +243,9 @@ class _BoundPlan:
         top = 1 + len(plan.orders)  # rows of psi and its jets
         jets = max((r + 1 for p in plan.products + plan.conj for r in p[1:] if r < top), default=0)
         mults = _multipliers(grid, (0,) + plan.orders)  # row 0 is (i xi)^0 = 1
+        if not np.all(np.isfinite(mults.view(float))):  # on a grid so short that xi^order overflows
+            raise ValueError(f"grid length {grid.length:g} is too short for {grid.n} points: "
+                             f"(i xi)^{max(plan.orders)} overflows")
         self.plan, self.dx = plan, grid.dx
         self.rows = list(ws)
         self.stage = mults[:jets], ws[:jets]  # the fill of a call
@@ -278,9 +281,9 @@ def flow_plan(table, spec) -> EvalPlan:
     return _cached_plan(*(table.H[k] for k, _ in spec.entries))
 
 
-def _equally_spaced(f_minus: Field, f0: Field, f_plus: Field) -> bool:
-    """Whether the fields step forward in time evenly, to a relative 1e-12."""
-    dm, dp = f0.time - f_minus.time, f_plus.time - f0.time
+def _equally_spaced(t_minus: float, t0: float, t_plus: float) -> bool:
+    """Whether three times step forward evenly, to a relative 1e-12."""
+    dm, dp = t0 - t_minus, t_plus - t0
     return dm > 0 and abs(dm - dp) <= 1e-12 * max(dm, dp)
 
 
@@ -291,7 +294,7 @@ def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
     so that no verdict can drop it."""
     if f_minus.grid != f0.grid or f_plus.grid != f0.grid:
         raise SpectralError("residual fields must share a grid")
-    if not _equally_spaced(f_minus, f0, f_plus):
+    if not _equally_spaced(f_minus.time, f0.time, f_plus.time):
         raise SpectralError("residual fields must be equally spaced in time")
     from .hierarchy import default_flow_table
 

@@ -232,6 +232,40 @@ def dx_reference(p: DiffPoly) -> DiffPoly:
     return DiffPoly(terms)
 
 
+def merge_reference(fa: tuple, fb: tuple) -> tuple:
+    """The factor list of a product: exponents added in a dict, then sorted."""
+    d = dict(fa)
+    for j, e in fb:
+        d[j] = d.get(j, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def quadratic_identity_reference(K: int) -> tuple:
+    """(b, c, d) with b[k] = (F_k)_12, c[k] = (F_k)_21 for k = 0..K+1 and
+    d[k] = (D_k)_11 for k = 1..K+1, by products, sums and d/dx alone, with
+    no antiderivative.
+
+    The stationary series W = J + 2 sum_(k>=0) V_k^0 (2 lambda)^(-k-1),
+    with entries [[A, B], [C, -A]], obeys W^2 = -I, so A^2 + BC = -1.  With
+    A = sum_n A_n lambda^(-n), A_0 = -i, this gives A_n = (1/2i)
+    sum_(i+j=n; i,j>=1) (A_i A_j + B_i C_j), and (D_k)_11 = 2^k A_(k+1).
+    Put in terms of A_n = 2^(1-n) d_(n-1), B_n = 2^(1-n) b_(n-1) and
+    C_n = 2^(1-n) c_(n-1): d_k = -i sum_(p+q=k-1) (d_p d_q + b_p c_q).
+    The off-diagonal part of [J, V_(k+1)^0] = 2 (V_k^0)_x + 2 [V_k^0, U0]
+    gives b_(k+1) = i (b_k)_x + 2i d_k U0_12 and c_(k+1) = -i (c_k)_x
+    + 2i d_k U0_21, each entry on its own (no swap parity)."""
+    two_i = GaussianRational(0, 2)
+    b, c, d = [U0[0, 1]], [U0[1, 0]], [DiffPoly.zero()]  # d_0 = 0: U0 has no diagonal
+    for k in range(1, K + 2):
+        b.append(dp_dx(b[k - 1]).scale(I) + (d[k - 1] * U0[0, 1]).scale(two_i))
+        c.append(dp_dx(c[k - 1]).scale(MINUS_I) + (d[k - 1] * U0[1, 0]).scale(two_i))
+        total = DiffPoly.zero()
+        for p in range(k):
+            total = total + d[p] * d[k - 1 - p] + b[p] * c[k - 1 - p]
+        d.append(total.scale(MINUS_I))
+    return b, c, {k: d[k] for k in range(1, K + 2)}
+
+
 def build_flows_reference(K: int) -> tuple:
     """(F, D, H, density) of the recursion [J, V_{k+1}^0] = 2 (V_k^0)_x
     + 2 [V_k^0, U0] in whole-matrix operations.  Both diagonal entries of

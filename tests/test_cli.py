@@ -15,10 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rakns.cli import USAGE, VERIFY_FAILED, _ERRORS, build_parser, main
+from rakns.cli import USAGE, VERIFY_FAILED, _ERRORS, CliError, _difference_times, build_parser, main
 from rakns.diffpoly import from_json
 from rakns.solutions import random_riemann_data
-from rakns.spectral import FIELD_MAGIC, Field, Grid, format_samples, read_field, write_field
+from rakns.spectral import FIELD_MAGIC, Field, Grid, _equally_spaced, format_samples, read_field, write_field
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -331,6 +331,51 @@ def test_transform_of_a_sampler_with_no_flow_is_refused(tmp_path, capsys):
     code, out, err = run([*argv, "--probe", "32,10"], capsys)
     assert (code, out) == (USAGE, "")
     assert _one_error_line(err) and "has no flow to check" in err
+
+
+@pytest.mark.parametrize("t", ["1e12", "-1e12", "1e308"])
+def test_transform_t_too_large_to_difference_is_refused(capsys, t):
+    """From |t| = 2^37 (about 1.4e11) on, a step of 1e-5 away from zero
+    rounds back to t, and further out t - 1e-5, t and t + 1e-5 are one
+    float: the centred difference has no step, and transform exited 1 with
+    'residual fields must be equally spaced in time', an internal
+    precondition reported as a failed check.  It is bad input: exit 2,
+    naming --t."""
+    argv = ["transform", "--a", "1", "--b", "0", "--sampler", "soliton", "--probe", "16,10", f"--t={t}"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and err.startswith(f"error: --t {float(t):g} ")
+
+
+@pytest.mark.parametrize("t", ["0.5", "1", "-1", "4", "-32"])
+def test_transform_t_at_a_power_of_two_is_checked(capsys, t):
+    """Just below a power of two the floats are twice as fine, so t - 1e-5
+    and t + 1e-5 round to steps that differ by one ulp there, and
+    transform --t 1 exited 1 with 'residual fields must be equally
+    spaced in time'.  It now checks every flow."""
+    argv = ["transform", "--a", "1.0", "--b", "0.0", "--sampler", "planewave", "--probe", "128,40", "--tol", "1e-4"]
+    code, out, err = run([*argv, f"--t={t}"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count("residual") == 6
+
+
+def test_transform_difference_times_keep_every_even_triple():
+    """Where t - 1e-5, t and t + 1e-5 were equally spaced, transform samples
+    at those same times, so its residuals are unchanged; elsewhere it
+    samples at an equally spaced triple around t, or refuses --t."""
+    rng = np.random.default_rng(5)
+    powers = [s * 2.0**e for e in range(-40, 60) for s in (1, -1)]
+    near = [math.nextafter(p, toward) for p in powers for toward in (0.0, math.inf * p)]
+    randoms = (rng.choice([-1, 1], 3000) * 10 ** rng.uniform(-12, 14, 3000)).tolist()
+    for t in [0.0, 0.3, 1e-3, *powers, *near, *randoms]:
+        try:
+            times = _difference_times(t)
+        except CliError:
+            assert abs(t) + 1e-5 == abs(t)
+            continue
+        assert times[1] == t and _equally_spaced(*times)
+        if _equally_spaced(t - 1e-5, t, t + 1e-5):
+            assert times == (t - 1e-5, t, t + 1e-5)
 
 
 def test_verify_residual_nan_fails_the_verdict(tmp_path, capsys):
@@ -758,6 +803,22 @@ def test_evolve_overflowing_coefficient_is_one_blowup_line(capsys):
         )
     assert code == 1
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: blow-up:")
+
+
+@pytest.mark.parametrize("method", ["ifrk4", "rk4"])
+def test_evolve_grid_too_short_for_its_derivatives_names_the_grid(capsys, method):
+    """On --grid 16,1e-300, xi^2 overflows: Lawson's run blamed 'the linear
+    symbol of flow 1 is not imaginary' (exit 2), and rk4 reported
+    dt*max|mu| = inf as a stability violation (exit 1).  The grid is the
+    bad input: exit 2, naming its length.  16,1e-150 still runs."""
+    argv = ["evolve", "--preset", "nls", "--initial", "soliton", "--dt", "1e-3", "--t-end", "1e-3", "--method", method]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([*argv, "--grid", "16,1e-300"], capsys)
+        assert (code, out) == (USAGE, "")
+        assert _one_error_line(err) and "grid length 1e-300" in err
+        if method == "ifrk4":
+            assert run([*argv, "--grid", "16,1e-150"], capsys)[0] == 0
 
 
 def test_evolve_zero_dt_is_usage_error(capsys):

@@ -14,6 +14,7 @@ from oracles import (
     commutator_reference,
     dx_reference,
     is_exact,
+    merge_reference,
     pair,
     pair_add,
     pair_conjugate,
@@ -26,8 +27,11 @@ from rakns.diffpoly import (
     GaussianRational,
     MatrixDP,
     NotExact,
+    _add_product,
     _combine,
     _dx_terms,
+    _from_dict,
+    _merge_factors,
     dp_antidx,
     dp_dx,
     dp_reduce,
@@ -190,11 +194,11 @@ def test_gr_subtraction_adds_the_negation(x, y):
 
 
 @st.composite
-def polys(draw):
+def polys(draw, coeffs=grs):
     n_terms = draw(st.integers(0, 4))
     terms = DiffPoly.zero()
     for _ in range(n_terms):
-        coeff = draw(grs)
+        coeff = draw(coeffs)
         n_factors = draw(st.integers(0, 3))
         d = {}
         for _ in range(n_factors):
@@ -262,8 +266,51 @@ def test_dx_matches_sorted_merge_reference(p):
             assert _canonical_factors(f)
 
 
-matrices = st.builds(MatrixDP, polys(), polys(), polys(), polys())
+jets = st.builds(jet, st.sampled_from(["psi", "phi", "psibar"]), st.integers(0, 3))
+factor_lists = st.dictionaries(jets, st.integers(1, 3), max_size=4).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(factor_lists, factor_lists)
+def test_merge_factors_matches_dict_and_sort(fa, fb):
+    """The sorted insertion gives the dict-and-sort merge, canonical as
+    built, in either order of the operands."""
+    got = _merge_factors(fa, fb)
+    assert got == merge_reference(fa, fb) == _merge_factors(fb, fa)
+    assert _canonical_factors(got)
+
+
 scalars = st.sampled_from([1, -1, 2, GaussianRational(0, 1), GaussianRational(Fraction(1, 3), -2)])
+# Gaussian integers in about half the draws, so that the accumulation's
+# integer path and its gcd fallback both run.
+mixed_coeffs = st.one_of(st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3)), grs)
+products = st.tuples(scalars, polys(mixed_coeffs), polys(mixed_coeffs))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(products, max_size=3), st.booleans())
+def test_add_product_matches_mul_and_sum(terms, cancel):
+    """_add_product adds c p q into one accumulator with its own coefficient
+    arithmetic on the integer parts, equal to the whole products and sum;
+    with ``cancel`` each product is added again with -c, and the sum must
+    vanish.  DiffPoly.__mul__ merges factors with the same _merge_factors,
+    and the whole-matrix oracles of the recursion multiply with it, so the
+    test above against merge_reference is what keeps that step
+    independent of the library."""
+    acc: dict = {}
+    want = DiffPoly.zero()
+    for c, p, q in terms:
+        _add_product(acc, c, p, q)
+        want = want + (p * q).scale(c)
+    if cancel:
+        for c, p, q in terms:
+            _add_product(acc, -c, q, p)
+        want = DiffPoly.zero()
+    got = _from_dict(acc)
+    assert got == want and _is_canonical(got)
+
+
+matrices = st.builds(MatrixDP, polys(), polys(), polys(), polys())
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,12 +14,14 @@ from oracles import (
     curvature_residual,
     is_exact,
     parity_reference,
+    quadratic_identity_reference,
     reduce_reference,
     swap_reference,
 )
 from rakns.diffpoly import (
     DiffPoly,
     GaussianRational,
+    MatrixDP,
     dp_dx,
     dp_reduce,
     from_json,
@@ -205,6 +207,20 @@ def test_build_flows_matches_reference(K):
         assert got.keys() == want.keys()
         for k in want:
             assert got[k] == want[k], k
+
+
+def test_quadratic_identity_rebuilds_the_recursion():
+    """Every b_k = (F_k)_12, c_k = (F_k)_21 and D_k of build_flows(K) for
+    K <= 8 comes out of W^2 = -I by products alone: a second, algebraic
+    route to the recursion, which never integrates, where build_flows
+    integrates with dp_antidx and build_flows_reference with its own
+    antiderivative."""
+    b, c, d = quadratic_identity_reference(8)
+    for K in range(1, 9):
+        table = build_flows(K)
+        for k in range(1, K + 2):
+            assert (table.F[k][0, 1], table.F[k][1, 0]) == (b[k], c[k]), (K, k)
+            assert table.D[k] == MatrixDP(d[k], 0, 0, -d[k]), (K, k)
 
 
 def test_recursion_has_swap_parity(table8):
