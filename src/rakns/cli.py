@@ -191,8 +191,9 @@ def _residual_verdict(command: str, rows, tol: float) -> None:
 def _difference_times(t: float) -> tuple:
     """t - 1e-5, t and t + 1e-5, the times of transform's centred difference.
     Just below a power of two the floats are twice as fine, so the two
-    steps can round unequally there; the step t takes away from zero is
-    then exact both ways and replaces 1e-5.  A t that no step moves is
+    steps can round unequally there; where that rounding is not negligible
+    against 1e-5 (from |t| = 2^15 on), the step t takes away from zero is
+    exact both ways and replaces 1e-5.  A t that no step moves is
     refused."""
     from .spectral import _equally_spaced
 

@@ -303,10 +303,10 @@ def _from_dict(combined: Mapping) -> "DiffPoly":
 
 
 def _accumulate(acc: dict, pairs) -> dict:
-    """Add (factors, coeff) pairs into acc; entries may cancel to zero."""
+    """Add (factors, coeff) pairs into acc by ``_add_to``; entries may
+    cancel to zero."""
     for f, c in pairs:
-        old = acc.get(f)
-        acc[f] = c if old is None else old + c
+        _add_to(acc, f, c._a, c._b, c._d)
     return acc
 
 
@@ -396,12 +396,9 @@ class DiffPoly:
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        pairs = (
-            (_merge_factors(a.factors, b.factors), a.coeff * b.coeff)
-            for a in self.terms
-            for b in other.terms
-        )
-        return _from_dict(_accumulate({}, pairs))
+        acc: dict = {}
+        _add_product(acc, 1, self, other)
+        return _from_dict(acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, complex)):
@@ -644,9 +641,10 @@ def _as_dp(x) -> DiffPoly:
 
 
 def _add_product(acc: dict, c, p: DiffPoly, q: DiffPoly) -> None:
-    """acc += c p q, term by term: the outer loop runs over the operand
-    with fewer terms (in the recursion an entry of U0 or J, one term or
-    none), whose factors each term of the other takes by insertion."""
+    """acc += c p q, term by term, for every product (``DiffPoly.__mul__``
+    too): the outer loop runs over the operand with fewer terms (in the
+    recursion an entry of U0 or J, one term or none), whose factors each
+    term of the other takes by insertion."""
     if len(p.terms) < len(q.terms):
         p, q = q, p
     for b in q.terms:

@@ -6,8 +6,9 @@ with one stepper for every schedule, Lawson's integrating-factor RK4,
 which propagates the stiff linear phases exactly by exp(int mu dt); plain
 RK4, guarded by the imaginary-axis stability bound, stays as the oracle.
 Both step psi-hat through the spec's one flow plan, bound to the grid
-once per run (as is the plan of the densities a run records), and read
-its linear symbol off it; the oracle differs in its time scheme alone.
+once per run (as is the plan of the densities a run records), and make
+their linear symbol from its unit phases, read off it once per run; the
+oracle differs in its time scheme alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .hierarchy import conserved_density, default_flow_table
-from .spectral import Field, Grid, _BoundPlan, _cached_plan, flow_plan, linear_symbol, write_field
+from .spectral import Field, Grid, _BoundPlan, _cached_plan, flow_plan, write_field
 
 RK4_IMAG_STABILITY = 2.8  # RK4 stability interval on the imaginary axis
 RECORDED = (1, 2, 3)  # the orders of the conserved integrals each snapshot records
@@ -173,12 +174,12 @@ class FlowSpec:
         return np.array([1j**k * s.derivative(t) for k, s in self.entries], dtype=complex)
 
 
-def _unit_phases(plan, spec: FlowSpec, grid: Grid) -> list:
-    """phi_k(xi) per flow, real: the flow plan's linear symbol at the unit
-    increment i^k of flow k alone is i phi_k.  Every hierarchy flow's
+def _unit_phases(program: _BoundPlan, spec: FlowSpec) -> list:
+    """phi_k(xi) per flow, real: the bound flow plan's linear symbol at the
+    unit increment i^k of flow k alone is i phi_k.  Every hierarchy flow's
     linear part psi_(k+1)x has coefficient 1, so that symbol is purely
     imaginary; one that is not is refused, not rounded to its phase."""
-    mus = [linear_symbol(plan, grid, unit) for unit in np.diag([1j**k for k, _ in spec.entries])]
+    mus = [program.symbol(unit) for unit in np.diag([1j**k for k, _ in spec.entries])]
     for (k, _), mu in zip(spec.entries, mus):
         if np.any(mu.real):
             raise EvolveError(f"the linear symbol of flow {k} is not imaginary")
@@ -191,35 +192,37 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
 
     Both methods bind the spec's one flow plan to the grid once and run
     its nonlinear part from psi-hat at the stage weights: one batched
-    inverse and one forward FFT per stage, 8 per step.  The linear symbol
-    mu = sum_k i^k alpha_k' (i xi)^(k+1) comes off the same plan.  ifrk4
-    (auto too) is Lawson's integrating-factor RK4 for any schedules.
+    inverse and one forward FFT per stage, 8 per step.  Both make the
+    linear symbol mu = sum_k i^k alpha_k' (i xi)^(k+1) = i sum_k alpha_k'
+    phi_k from the real rows phi_k of ``_unit_phases``, made once per run.
+    ifrk4 (auto too) is Lawson's integrating-factor RK4 for any schedules.
     exp(int mu dt) over a half step is exp of the symbol at the increments
     i^k (alpha_k(t1) - alpha_k(t0)), that is cos(phi) + i sin(phi) with
-    phi = sum_k (alpha_k(t1) - alpha_k(t0)) phi_k and the real rows phi_k
-    of ``_unit_phases``, made once per run: no complex exp.  For Linear
-    schedules the factors and weights are made once.  rk4, the oracle, is
-    plain RK4 on psi-hat, a stage mu psi-hat plus the FFT of the nonlinear
-    part, behind the guard dt max|mu| <= 2.8.
+    phi = sum_k (alpha_k(t1) - alpha_k(t0)) phi_k: no complex exp.  For
+    Linear schedules the factors and weights are made once.  rk4, the
+    oracle, is plain RK4 on psi-hat, a stage mu(t) psi-hat plus the FFT of
+    the nonlinear part, behind the guard dt max|mu| <= 2.8.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     if method not in ("auto", "ifrk4", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-    plan = flow_plan(table, spec)
-    program = _BoundPlan(plan, grid)
+    program = _BoundPlan(flow_plan(table, spec), grid)
+    phases = _unit_phases(program, spec)
 
     def nhat(u, w):
         return np.fft.fft(program(u, w))
 
     if method == "rk4":
 
+        def mu(t):
+            return 1j * sum((s.derivative(t) * row for (_, s), row in zip(spec.entries, phases)), np.zeros(grid.n))
+
         def rhs(u, t):
-            w = spec.weights(t)
-            return linear_symbol(plan, grid, w) * u + nhat(u, w)
+            return mu(t) * u + nhat(u, spec.weights(t))
 
         def integrate(u, t):
-            mu_max = float(np.max(np.abs(linear_symbol(plan, grid, spec.weights(t)))))
+            mu_max = float(np.max(np.abs(mu(t))))
             if dt * mu_max > RK4_IMAG_STABILITY:
                 raise StabilityViolation(f"dt*max|mu| = {dt * mu_max:.3g} exceeds {RK4_IMAG_STABILITY}")
             k1 = rhs(u, t)
@@ -229,8 +232,6 @@ def _stepper(table, spec: FlowSpec, grid: Grid, dt: float, method: str):
             return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         return integrate
-
-    phases = _unit_phases(plan, spec, grid)
 
     def factor(alpha0, alpha1):
         phi = sum(((a1 - a0) * row for a0, a1, row in zip(alpha0, alpha1, phases)), np.zeros(grid.n))

@@ -79,9 +79,8 @@ class Field:
 @lru_cache(maxsize=64)
 def _multipliers(grid: Grid, orders: tuple) -> np.ndarray:
     """Fourier multipliers (i xi)^order, one row per order, with the Nyquist
-    mode zeroed for odd orders so that real fields keep real derivatives.
-    No orders give zero rows: the symbol of a plan with no linear monomials."""
-    mults = np.array([(1j * grid.xi) ** o for o in orders]).reshape(len(orders), grid.n)
+    mode zeroed for odd orders so that real fields keep real derivatives."""
+    mults = np.array([(1j * grid.xi) ** o for o in orders])
     mults[[o % 2 == 1 for o in orders], grid.n // 2] = 0.0
     mults.setflags(write=False)
     return mults
@@ -124,10 +123,10 @@ class EvalPlan:
     products, and last the psibar jets in use (``conj``).  ``scatter`` puts
     each monomial's coefficients, one per source, at its row of the block
     from ``first``.  The block's head rows that are jets are the linear
-    monomials (``linear_symbol``).  ``eval_rhs`` and ``_BoundPlan`` scale
-    the block and add up its rows, not by a BLAS matrix-vector product
+    monomials.  ``_BoundPlan``, the one evaluator of a plan, scales the
+    block and adds up its rows, not by a BLAS matrix-vector product
     (OpenBLAS threads one of this size, and on a loaded 2-core host each
-    handoff can wait 8 ms); ``_BoundPlan.integrals``, the one route of the
+    handoff can wait 8 ms); its ``integrals``, the one route of the
     conserved integrals, sums each column over the block's grid sums.
     """
 
@@ -136,6 +135,7 @@ class EvalPlan:
     unit: int | None  # row of ones for a constant monomial, if any
     conj: tuple  # (row, psi jet row) per psibar jet in use
     products: tuple  # (row, a, b): row = a * b, each after its operands
+    fill: int  # head rows a stage fills: psi and the jets the products and conj read
     first: int  # scatter row i is workspace row first + i
     scatter: np.ndarray  # (block rows, m): each monomial's coefficients at its row
 
@@ -167,12 +167,15 @@ def compile_plan(*polys: DiffPoly) -> EvalPlan:
     scatter = np.zeros((last + 1 - first, len(polys)), dtype=complex)
     for r, cs in zip(mono, merged.values()):
         scatter[r - first] = cs
+    products = tuple((at[p], at[p[:-1]], at[p[-1:]]) for p in prefixes)
+    conj = tuple((at[(True, o),], at[(False, o),]) for o in conj)
     return EvalPlan(
         orders=orders,
         rows=len(order),
         unit=at.get(()),
-        conj=tuple((at[(True, o),], at[(False, o),]) for o in conj),
-        products=tuple((at[p], at[p[:-1]], at[p[-1:]]) for p in prefixes),
+        conj=conj,
+        products=products,
+        fill=max((r + 1 for p in products + conj for r in p[1:] if r <= len(orders)), default=0),
         first=first,
         scatter=scatter,
     )
@@ -184,56 +187,29 @@ def _coefficients(plan: EvalPlan, weights) -> np.ndarray:
     return plan.scatter.sum(axis=1) if weights is None else plan.scatter @ np.asarray(weights)
 
 
-def _run_program(plan: EvalPlan, rows: list) -> None:
-    """Run the product program on the workspace ``rows``, psi and its jets
-    filled in.  ``rows`` holds a view per row: a list index costs less than
-    an array index, and the program makes two to three per row."""
-    for r, src in plan.conj:
-        np.conj(rows[src], out=rows[r])
-    if plan.unit is not None:  # a reused workspace holds it scaled
-        rows[plan.unit].fill(1.0)
-    for r, a, b in plan.products:
-        np.multiply(rows[a], rows[b], out=rows[r])
-
-
 def eval_rhs(
     plan: EvalPlan, f: Field | np.ndarray, grid: Grid | None = None, weights=None
 ) -> np.ndarray:
     """Evaluate sum_j weights[j] P_j pointwise over the grid (unit weights
-    by default), from a Field or from raw samples plus their grid.  Each
-    call has a workspace of its own, so it keeps no memory between calls:
-    psi, and its jets by one forward and one batched inverse FFT."""
+    by default), from a Field or from raw samples plus their grid: the plan
+    bound to the grid, evaluated from the FFT of the samples
+    (``_BoundPlan.value``).  The bind refuses a grid so short that
+    (i xi)^order overflows."""
     values, grid = _samples(f, grid)
-    ws = np.empty((plan.rows, grid.n), dtype=complex)
-    ws[0] = values
-    if plan.orders:
-        jets = ws[1 : 1 + len(plan.orders)]
-        np.multiply(np.fft.fft(values), _multipliers(grid, plan.orders), out=jets)
-        np.fft.ifft(jets, axis=-1, out=jets)
-    _run_program(plan, list(ws))
-    terms = ws[plan.first : plan.first + len(plan.scatter)]
-    terms *= _coefficients(plan, weights)[:, None]
-    return terms.sum(axis=0)
-
-
-def linear_symbol(plan: EvalPlan, grid: Grid, weights) -> np.ndarray:
-    """mu(xi) = sum_r c_r (i xi)^(order r) over the jet rows r at the head
-    of the plan's block, its linear monomials, for the source weights: a
-    sum of rows of the multipliers eval_rhs differentiates with (Nyquist
-    mode of an odd order zeroed), not a matrix-vector product (EvalPlan)."""
-    orders = ((0,) + plan.orders)[plan.first :]  # of the block's jet rows
-    rows = zip(_multipliers(grid, orders), _coefficients(plan, weights))
-    return sum((c * m for m, c in rows), np.zeros(grid.n, dtype=complex))
+    return _BoundPlan(plan, grid).value(np.fft.fft(values), weights)
 
 
 class _BoundPlan:
-    """An EvalPlan bound to one grid: the one fill of psi and its jets from
-    psi-hat.  Workspace, row views and multipliers are made once, and a
-    fill is one batched inverse FFT of psi-hat, then the product program.
-    A call is the nonlinear part of a stepper stage (all but linear_symbol)
-    at the source weights: it fills the jets the products and conjugations
-    read and sums the block's rows after the jet rows.  ``integrals`` fills
-    every jet and returns psi's samples, a view of the workspace that a
+    """An EvalPlan bound to one grid, the one code that evaluates a plan.
+    A bind makes the workspace, row views and multipliers, and refuses a
+    grid so short that (i xi)^order overflows; a fill is one batched
+    inverse FFT of psi-hat to psi and its jets, then the product program.
+    A call is the nonlinear part of a stepper stage at the source weights:
+    it fills the plan's ``fill`` rows and sums the block's rows after the
+    jet rows.  ``symbol`` is the rest, the linear monomials' Fourier symbol
+    sum_r c_r (i xi)^(order r), a sum of the bound multiplier rows.
+    ``value`` fills every jet and sums the whole block.  ``integrals`` does
+    the same fill and returns psi's samples, a view of the workspace that a
     caller keeps by copying, and each source's grid integral, its scatter
     column over the block's grid sums.
     """
@@ -241,15 +217,15 @@ class _BoundPlan:
     def __init__(self, plan: EvalPlan, grid: Grid):
         ws = np.empty((plan.rows, grid.n), dtype=complex)
         top = 1 + len(plan.orders)  # rows of psi and its jets
-        jets = max((r + 1 for p in plan.products + plan.conj for r in p[1:] if r < top), default=0)
         mults = _multipliers(grid, (0,) + plan.orders)  # row 0 is (i xi)^0 = 1
-        if not np.all(np.isfinite(mults.view(float))):  # on a grid so short that xi^order overflows
+        if not np.all(np.isfinite(mults[-1].view(float))):  # the top order overflows first, on a short grid
             raise ValueError(f"grid length {grid.length:g} is too short for {grid.n} points: "
                              f"(i xi)^{max(plan.orders)} overflows")
         self.plan, self.dx = plan, grid.dx
-        self.rows = list(ws)
-        self.stage = mults[:jets], ws[:jets]  # the fill of a call
-        self.every = mults, ws[:top]  # the fill of integrals
+        self.rows = list(ws)  # a list index costs less than an array index
+        self.stage = mults[: plan.fill], ws[: plan.fill]  # the fill of a call
+        self.every = mults, ws[:top]  # the fill of value and integrals
+        self.linear = mults[plan.first : top]  # the multipliers of the block's jet rows
         self.block = ws[plan.first : plan.first + len(plan.scatter)]
         self.skip = max(plan.first, top) - plan.first  # block rows that are linear jets
         self.terms = self.block[self.skip :]
@@ -257,12 +233,27 @@ class _BoundPlan:
     def _fill(self, psi_hat: np.ndarray, mults: np.ndarray, jets: np.ndarray) -> None:
         np.multiply(psi_hat, mults, out=jets)
         np.fft.ifft(jets, axis=-1, out=jets)
-        _run_program(self.plan, self.rows)
+        plan, rows = self.plan, self.rows
+        for r, src in plan.conj:
+            np.conj(rows[src], out=rows[r])
+        if plan.unit is not None:  # a reused workspace holds it scaled
+            rows[plan.unit].fill(1.0)
+        for r, a, b in plan.products:
+            np.multiply(rows[a], rows[b], out=rows[r])
 
     def __call__(self, psi_hat: np.ndarray, weights) -> np.ndarray:
         self._fill(psi_hat, *self.stage)
         self.terms *= _coefficients(self.plan, weights)[self.skip :, None]
         return self.terms.sum(axis=0)
+
+    def symbol(self, weights) -> np.ndarray:
+        rows = zip(self.linear, _coefficients(self.plan, weights))
+        return sum((c * m for m, c in rows), np.zeros_like(self.rows[0]))
+
+    def value(self, psi_hat: np.ndarray, weights) -> np.ndarray:
+        self._fill(psi_hat, *self.every)
+        self.block *= _coefficients(self.plan, weights)[:, None]
+        return self.block.sum(axis=0)
 
     def integrals(self, psi_hat: np.ndarray) -> tuple:
         self._fill(psi_hat, *self.every)
@@ -282,16 +273,21 @@ def flow_plan(table, spec) -> EvalPlan:
 
 
 def _equally_spaced(t_minus: float, t0: float, t_plus: float) -> bool:
-    """Whether three times step forward evenly, to a relative 1e-12."""
+    """Whether three times step forward evenly: the two steps agree to the
+    rounding of the times themselves, 4 ulps of the largest |t|, where that
+    is below 1e-6 of the step, and otherwise to a relative 1e-12."""
     dm, dp = t0 - t_minus, t_plus - t0
-    return dm > 0 and abs(dm - dp) <= 1e-12 * max(dm, dp)
+    step = max(dm, dp)
+    rounding = 4 * math.ulp(max(abs(t_minus), abs(t_plus)))
+    return dm > 0 and abs(dm - dp) <= max(1e-12 * step, rounding if rounding <= 1e-6 * step else 0.0)
 
 
 def residual(f_minus: Field, f0: Field, f_plus: Field, spec) -> float:
     """L-inf norm of psi_t - sum_k i^k alpha_k'(t) H_k(psi), with psi_t from
     the centered difference of the outer fields.  A value that is not
-    finite (xi^order overflows on a tiny grid length) raises SpectralError,
-    so that no verdict can drop it."""
+    finite raises SpectralError, so that no verdict can drop it; a grid so
+    short that xi^order overflows is refused before, where eval_rhs binds
+    the plan (ValueError)."""
     if f_minus.grid != f0.grid or f_plus.grid != f0.grid:
         raise SpectralError("residual fields must share a grid")
     if not _equally_spaced(f_minus.time, f0.time, f_plus.time):

@@ -247,17 +247,34 @@ def test_transform_exit_codes(capsys):
 
 
 def test_transform_nan_residual_fails_the_verdict(capsys):
-    """On the probe 64,1e-300 every flow's residual is NaN; max(worst, r)
-    dropped it, printed 'worst residual 0.000e+00' and exited 0."""
+    """A residual that is not finite fails the check: on the probe 64,1e-300
+    every flow's residual was NaN, and max(worst, r) dropped it, printed
+    'worst residual 0.000e+00' and exited 0.  That grid is now refused as
+    too short (below); a plane wave of amplitude 1e50, whose cubic terms
+    overflow, still gives a residual that is not finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["transform", "--a", "1", "--b", "0", "--sampler", "planewave", "--param", "q=1e50", "--probe", "64,40"],
+            capsys,
+        )
+    assert code == VERIFY_FAILED
+    assert _one_error_line(err) and "not finite" in err
+    assert "worst residual" not in out
+
+
+def test_transform_probe_too_short_for_its_derivatives_names_the_grid(capsys):
+    """On the probe 64,1e-300, xi^2 overflows: the residual was NaN and the
+    check failed (exit 1).  The grid is the bad input: exit 2, naming its
+    length, as evolve does."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(
             ["transform", "--a", "1", "--b", "0", "--sampler", "soliton", "--probe", "64,1e-300", "--t", "0"],
             capsys,
         )
-    assert code == VERIFY_FAILED
-    assert _one_error_line(err) and "not finite" in err
-    assert "worst residual" not in out
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and "grid length 1e-300" in err
 
 
 def test_transform_peregrine_far_field_warns_nothing(capsys):
@@ -378,23 +395,37 @@ def test_transform_difference_times_keep_every_even_triple():
             assert times == (t - 1e-5, t, t + 1e-5)
 
 
-def test_verify_residual_nan_fails_the_verdict(tmp_path, capsys):
-    """The twin of the transform case: snapshots on a grid of length 1e-300
-    give a NaN residual, which must fail the check, not pass it."""
-    g = Grid(64, 1e-300)
-    values = 1.0 + 0.1 * np.cos(2 * np.pi * np.arange(64) / 64) + 0j
+def _verify_three_snapshots(tmp_path, capsys, grid, amplitude):
+    """``verify residual`` of three snapshots of one field, 1e-3 apart."""
+    values = amplitude * (1.0 + 0.1 * np.cos(2 * np.pi * np.arange(grid.n) / grid.n)) + 0j
     snaps = tmp_path / "snaps"
     snaps.mkdir()
     for i in range(3):
-        write_field(Field(g, values, i * 1e-3), snaps / f"snap_{i}.txt")
+        write_field(Field(grid, values, i * 1e-3), snaps / f"snap_{i}.txt")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(["verify", "residual", "--snapshots", str(snaps), "--config", str(cfg)], capsys)
+        return run(["verify", "residual", "--snapshots", str(snaps), "--config", str(cfg)], capsys)
+
+
+def test_verify_residual_nan_fails_the_verdict(tmp_path, capsys):
+    """The twin of the transform case: snapshots of amplitude 1e200, whose
+    cubic term overflows, give a residual that is not finite, which must
+    fail the check, not pass it."""
+    code, out, err = _verify_three_snapshots(tmp_path, capsys, Grid(64, 10.0), 1e200)
     assert code == VERIFY_FAILED
     assert _one_error_line(err) and "not finite" in err
     assert "worst residual" not in out
+
+
+def test_verify_residual_grid_too_short_for_its_derivatives_names_the_grid(tmp_path, capsys):
+    """Snapshots on a grid of length 1e-300, where xi^2 overflows, gave a
+    NaN residual (exit 1); the grid is refused as bad input: exit 2,
+    naming its length."""
+    code, out, err = _verify_three_snapshots(tmp_path, capsys, Grid(64, 1e-300), 1.0)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and "grid length 1e-300" in err
 
 
 def test_transform_csv_output(tmp_path, capsys):
@@ -927,6 +958,24 @@ def test_evolve_non_finite_field_time_is_usage_error(tmp_path, capsys, t, flow):
     assert code == 2
     assert _one_error_line(err) and f"t={t}" in err
     assert not out.exists()
+
+
+def test_verify_residual_checks_every_triple_of_a_run_from_t_10(tmp_path, capsys):
+    """The snapshots of a run from t = 10 step by dt up to an ulp of t, and
+    verify residual skipped 31 of the 49 triples without a word: their
+    steps did not agree to a relative 1e-12.  It checks every triple."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    init = tmp_path / "init.txt"
+    assert run(["sample", "--solution", "soliton", "--grid", "128,40", "--out", str(init)], capsys)[0] == 0
+    f = read_field(init)
+    write_field(Field(f.grid, f.values, 10.0), init)
+    out = tmp_path / "snaps"
+    assert run(["evolve", "--config", str(cfg), "--initial", str(init), "--out", str(out)], capsys)[0] == 0
+    verify = ["verify", "residual", "--snapshots", str(out), "--config", str(cfg), "--tol", "1e-3"]
+    code, text, err = run(verify, capsys)
+    assert (code, err) == (0, "")
+    assert len(re.findall(r"^t=\S+: residual", text, re.M)) == 49
 
 
 def test_verify_residual_mixed_grids_still_fails_check(tmp_path, capsys):

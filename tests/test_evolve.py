@@ -30,7 +30,7 @@ from rakns.evolve import (
 )
 from rakns.hierarchy import conserved_density, default_flow_table
 from rakns.solutions import plane_wave, soliton
-from rakns.spectral import Field, Grid, conserved_integral, flow_plan, linear_symbol, residual, sample_onto_grid
+from rakns.spectral import Field, Grid, _BoundPlan, conserved_integral, flow_plan, residual, sample_onto_grid
 
 
 NLS = FlowSpec([(1, Linear(1.0))])
@@ -116,7 +116,7 @@ def test_linear_symbol_is_imaginary(table5):
     purely imaginary since i^k (i xi)^(k+1) = i^(2k+1) xi^(k+1)."""
     spec = FlowSpec.from_coeffs([1.0, -0.5, 2.0, 0.3, -1.0])
     g = Grid(64, 10.0)
-    mu = linear_symbol(flow_plan(table5, spec), g, spec.weights(0.0))
+    mu = _BoundPlan(flow_plan(table5, spec), g).symbol(spec.weights(0.0))
     assert np.max(np.abs(mu.real)) < 1e-14
     assert np.array_equal(mu, linear_symbol_reference(spec, g, 0.0))
 
@@ -322,6 +322,23 @@ def test_run_binds_the_flow_plan_and_the_density_plan_once(monkeypatch):
     assert len(traj.fields) == 9
     table = default_flow_table(5)
     assert bound == [flow_plan(table, HNLS5), spectral._cached_plan(*(conserved_density(table, k) for k in (1, 2, 3)))]
+
+
+@pytest.mark.parametrize("method", ["ifrk4", "rk4"])
+def test_run_reads_the_linear_symbol_once_per_flow(monkeypatch, method):
+    """Both methods read the linear symbol off the bound flow plan once per
+    flow entry per run, as its unit phases, and never per stage: rk4 once
+    asked the plan for mu five times a step."""
+    read = []
+
+    def counted(self, weights, _original=spectral._BoundPlan.symbol):
+        read.append(self.plan)
+        return _original(self, weights)
+
+    monkeypatch.setattr(spectral._BoundPlan, "symbol", counted)
+    spec = FlowSpec([(1, Sinusoid(1.0, 2.0)), (2, Sinusoid(0.3, 3.0)), (3, Linear(0.05))])
+    evolve_run(_soliton_field(), spec, 8 * 1e-4, 1e-4, method=method, snapshot_stride=4)
+    assert read == [flow_plan(default_flow_table(3), spec)] * 3
 
 
 def _counted_ffts(monkeypatch) -> Counter:

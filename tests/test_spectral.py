@@ -27,7 +27,6 @@ from rakns.spectral import (
     conserved_integral,
     eval_rhs,
     flow_plan,
-    linear_symbol,
     read_field,
     residual,
     sample_onto_grid,
@@ -245,7 +244,7 @@ def test_eval_rhs_matches_per_monomial_loop(sources_weights, seed):
 @example(([DiffPoly.constant(GaussianRational(2, -1)) + DiffPoly.var("psibar", 2) + DiffPoly.var("psi", 3)], None), 2)
 @example(([DiffPoly.zero()], [1j]), 3)
 def test_linear_symbol_and_bound_plan_split_eval_rhs(sources_weights, seed):
-    """The linear monomials, as the Fourier symbol linear_symbol, and the
+    """The linear monomials, as the bound plan's Fourier symbol, and the
     rest, as the bound program run from psi-hat, add up to eval_rhs: psi
     as a monomial, a linear jet also used in a product, and a lone psibar
     jet or a constant included."""
@@ -253,7 +252,7 @@ def test_linear_symbol_and_bound_plan_split_eval_rhs(sources_weights, seed):
     g, values = _smooth_samples(seed)
     plan = compile_plan(*sources)
     psi_hat = np.fft.fft(values)
-    split = _BoundPlan(plan, g)(psi_hat, weights) + np.fft.ifft(linear_symbol(plan, g, weights) * psi_hat)
+    split = _BoundPlan(plan, g)(psi_hat, weights) + np.fft.ifft(_BoundPlan(plan, g).symbol(weights) * psi_hat)
     err = np.max(np.abs(split - eval_rhs(plan, values, g, weights)))
     assert err <= 1e-13 * _term_scale(sources, values, g, weights)
 
@@ -311,6 +310,19 @@ def test_residual_requires_equal_spacing():
         residual(Field(g, z, 0.0), Field(g, z, 1.0), Field(g, z, 3.0), spec)
 
 
+def test_uniform_times_away_from_zero_are_equally_spaced():
+    """Times t0 + i dt round to steps that differ by up to an ulp of t, more
+    than the relative 1e-12 of the step once asked: 22 of 58 triples passed
+    at t0 = 10, dt = 1e-3 and 28 of 58 at t0 = 1, dt = 2.5e-5.  Each passes
+    now; a step the rounding of t is not negligible against is still
+    refused."""
+    for t0, dt in [(10.0, 1e-3), (1.0, 2.5e-5), (-3.0, 1e-4), (1e3, 1e-5)]:
+        times = [t0 + i * dt for i in range(60)]
+        assert all(spectral._equally_spaced(*times[i : i + 3]) for i in range(58))
+    t = 1e10 + 0.5  # ulp(t) is 1.9e-6
+    assert not spectral._equally_spaced(t - 1e-5, t, t + 1.2e-5)
+
+
 def test_residual_requires_shared_grid():
     spec = FlowSpec([(1, Linear(1.0))])
     f1 = Field(Grid(64, 10.0), np.zeros(64, dtype=complex), 0.0)
@@ -320,11 +332,11 @@ def test_residual_requires_shared_grid():
 
 
 def test_residual_refuses_a_value_that_is_not_finite():
-    """On L = 1e-300, xi ~ 1e302 and (i xi)^2 overflows, so the residual is
-    NaN.  It raises, quietly: a caller that keeps max(worst, r) dropped the
-    NaN and passed the check."""
-    g = Grid(64, 1e-300)
-    values = 1.0 + 0.1 * np.cos(2 * np.pi * np.arange(64) / 64) + 0j
+    """At amplitude 1e200 the cubic term overflows, so the residual is NaN.
+    It raises, quietly: a caller that keeps max(worst, r) dropped the NaN
+    and passed the check."""
+    g = Grid(64, 10.0)
+    values = 1e200 * (1.0 + 0.1 * np.cos(2 * np.pi * np.arange(64) / 64)) + 0j
     fields = [Field(g, values, t) for t in (0.0, 1e-5, 2e-5)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

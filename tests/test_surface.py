@@ -199,6 +199,19 @@ def test_cli_has_one_failure_path():
     assert commands and returning == []
 
 
+def test_only_the_bound_plan_and_the_oracle_route_read_the_multipliers():
+    """``_BoundPlan`` is the one code that evaluates a plan on a grid, and
+    the linear symbol comes off the multipliers it bound: in the library
+    only it and ``spectral_derivative``, the oracles' independent route,
+    read ``_multipliers``."""
+    readers = []
+    for path in (SRC / "rakns").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if "_multipliers" in _names_used(ast.Module([node], [])):
+                readers.append(getattr(node, "name", "<module>"))
+    assert sorted(readers) == ["_BoundPlan", "spectral_derivative"]
+
+
 def test_dir_lists_public_names():
     assert set(rakns.__all__) <= set(dir(rakns))
 
