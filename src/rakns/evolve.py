@@ -348,7 +348,7 @@ def evolve_run(
         if not math.isfinite(steps):
             raise ValueError(f"t_end / dt = {steps} is not a finite step count")
         n_steps = int(round(steps))
-        if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        if abs(n_steps * dt - t_end) > 1e-9 * t_end:
             raise ValueError("t_end must be an integer multiple of dt")
         if snapshot_stride is None:
             snapshot_stride = max(1, n_steps // 64)

@@ -17,9 +17,9 @@ from rakns.diffpoly import (
     gr_i_power,
     jet,
 )
-from rakns.hierarchy import I, J, MINUS_I, U0, flow_rhs
+from rakns.hierarchy import I, J, MINUS_I, U0, default_flow_table, flow_rhs
 from rakns.solutions import Sampler
-from rakns.spectral import compile_plan, eval_rhs, spectral_derivative
+from rakns.spectral import compile_plan, eval_rhs, flow_plan, spectral_derivative
 
 
 def theta_brute(z, B, radius: int = 30) -> complex:
@@ -427,6 +427,54 @@ def conserved_integral_reference(density, f) -> complex:
     """Grid integral (mean times L) of one density, summed monomial by
     monomial."""
     return complex(np.mean(eval_rhs_reference([density], f.values, f.grid)) * f.grid.length)
+
+
+# -- the residual's time derivative ------------------------------------------------
+
+
+def fornberg_weights(z: float, x, m: int) -> np.ndarray:
+    """Weights c[j, k] of the value at x[j] in the k-th derivative at z,
+    k = 0..m, of the polynomial through the nodes x, by Fornberg's
+    recursion, which adds the nodes one at a time (Math. Comp. 51, 1988;
+    SIAM Rev. 40, 1998)."""
+    c = np.zeros((len(x), m + 1))
+    c[0, 0] = c1 = 1.0
+    c4 = x[0] - z
+    for i in range(1, len(x)):
+        c2, c5, c4 = 1.0, c4, x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(min(i, m), 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(min(i, m), 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+def quadratic_derivative_reference(fields) -> np.ndarray:
+    """d/dt at the middle field's time of the quadratic through three fields
+    at their own times, from Fornberg's weights."""
+    w = fornberg_weights(fields[1].time, [f.time for f in fields], 1)[:, 1]
+    return sum(wj * f.values for wj, f in zip(w, fields))
+
+
+def centred_difference(f_minus, f_plus) -> np.ndarray:
+    """(f+ - f-)/(t+ - t-), the time derivative residual took while it
+    refused uneven steps: at equal steps it must still be this, bit for
+    bit."""
+    return (f_plus.values - f_minus.values) / (f_plus.time - f_minus.time)
+
+
+def residual_reference(psi_t, f0, spec) -> float:
+    """L-inf norm of psi_t - sum_k i^k alpha_k'(t) H_k(psi) at f0, the right
+    side evaluated as residual evaluates it."""
+    table = default_flow_table(max(k for k, _ in spec.entries))
+    return float(np.max(np.abs(psi_t - eval_rhs(flow_plan(table, spec), f0, weights=spec.weights(f0.time)))))
 
 
 # -- time stepping ----------------------------------------------------------------

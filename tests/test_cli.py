@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from rakns.cli import USAGE, VERIFY_FAILED, _ERRORS, CliError, _difference_times, build_parser, main
 from rakns.diffpoly import from_json
 from rakns.solutions import random_riemann_data
-from rakns.spectral import FIELD_MAGIC, Field, Grid, _equally_spaced, format_samples, read_field, write_field
+from rakns.spectral import FIELD_MAGIC, Field, Grid, format_samples, read_field, write_field
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -377,9 +377,9 @@ def test_transform_t_at_a_power_of_two_is_checked(capsys, t):
 
 
 def test_transform_difference_times_keep_every_even_triple():
-    """Where t - 1e-5, t and t + 1e-5 were equally spaced, transform samples
-    at those same times, so its residuals are unchanged; elsewhere it
-    samples at an equally spaced triple around t, or refuses --t."""
+    """transform samples at t - 1e-5, t and t + 1e-5 for every --t those
+    steps move, powers of two and their neighbours included, where it
+    once snapped the step to keep it even; any other --t is refused."""
     rng = np.random.default_rng(5)
     powers = [s * 2.0**e for e in range(-40, 60) for s in (1, -1)]
     near = [math.nextafter(p, toward) for p in powers for toward in (0.0, math.inf * p)]
@@ -390,9 +390,8 @@ def test_transform_difference_times_keep_every_even_triple():
         except CliError:
             assert abs(t) + 1e-5 == abs(t)
             continue
-        assert times[1] == t and _equally_spaced(*times)
-        if _equally_spaced(t - 1e-5, t, t + 1e-5):
-            assert times == (t - 1e-5, t, t + 1e-5)
+        assert times == (t - 1e-5, t, t + 1e-5)
+        assert times[0] < t < times[2]
 
 
 def _verify_three_snapshots(tmp_path, capsys, grid, amplitude):
@@ -862,6 +861,16 @@ def test_evolve_zero_dt_is_usage_error(capsys):
     assert _one_error_line(err)
 
 
+@pytest.mark.parametrize("dt, t_end", [("3e-10", "1e-9"), ("1", "1e-20")])
+def test_evolve_t_end_not_a_multiple_of_dt_is_usage_error(capsys, dt, t_end):
+    """Both exited 0 below the old absolute floor of 1e-9: 'final time
+    9e-10' after 3 steps, and 0 steps for t_end = 1e-20."""
+    argv = ["evolve", "--preset", "nls", "--initial", "soliton", "--grid", "64,10", "--dt", dt, "--t-end", t_end]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (USAGE, "")
+    assert _one_error_line(err) and "integer multiple of dt" in err
+
+
 def test_evolve_stability_violation_exits_1(capsys):
     code, _, err = run(
         ["evolve", "--preset", "nls", "--initial", "soliton", "--grid", "1024,10",
@@ -976,6 +985,39 @@ def test_verify_residual_checks_every_triple_of_a_run_from_t_10(tmp_path, capsys
     code, text, err = run(verify, capsys)
     assert (code, err) == (0, "")
     assert len(re.findall(r"^t=\S+: residual", text, re.M)) == 49
+
+
+def test_verify_residual_checks_the_trailing_triple_off_the_cadence(tmp_path, capsys):
+    """A 200-step run at stride 3 writes snapshots at steps 0, 3, ..., 198
+    and the last one at 200, off the cadence: 68 snapshots, 66 triples.
+    verify residual dropped the trailing triple without a word and printed
+    65 rows; it checks all 66."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.replace("t_end = 0.05", "t_end = 0.2\nsnapshot_stride = 3"))
+    out = tmp_path / "snaps"
+    evolve = ["evolve", "--config", str(cfg), "--initial", "soliton", "--out", str(out)]
+    assert run(evolve, capsys)[0] == 0
+    assert len(list(out.glob("snap_*.txt"))) == 68
+    verify = ["verify", "residual", "--snapshots", str(out), "--config", str(cfg), "--tol", "1e-3"]
+    code, text, err = run(verify, capsys)
+    assert (code, err) == (0, "")
+    rows = re.findall(r"^t=(\S+): residual", text, re.M)
+    assert len(rows) == 66 and rows[-2:] == ["0.195", "0.198"]
+
+
+def test_verify_residual_repeated_snapshot_time_fails(tmp_path, capsys):
+    """Two snapshots at one time leave no step to difference over: exit 1
+    in one line, where the triple was once dropped without a word."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    values = np.ones(64, dtype=complex)
+    for i, t in enumerate((0.0, 1e-3, 1e-3)):
+        write_field(Field(Grid(64, 10.0), values, t), snaps / f"snap_{i}.txt")
+    code, out, err = run(["verify", "residual", "--snapshots", str(snaps), "--config", str(cfg)], capsys)
+    assert (code, out) == (VERIFY_FAILED, "")
+    assert _one_error_line(err) and "step forward in time" in err
 
 
 def test_verify_residual_mixed_grids_still_fails_check(tmp_path, capsys):

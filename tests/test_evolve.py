@@ -551,6 +551,22 @@ def test_run_validates_step_and_span():
         evolve_run(f0, NLS, 1e308, 1e-3)
 
 
+@pytest.mark.parametrize("t_end, dt", [(1e-9, 3e-10), (1e-20, 1.0)])
+def test_run_refuses_t_end_that_is_not_a_multiple_of_dt(t_end, dt):
+    """The multiple-of-dt check had an absolute floor of 1e-9, so a t_end
+    below it ran to the wrong time: 3 steps of 3e-10 ended at 9e-10, and
+    t_end = 1e-20 at dt = 1 ran 0 steps.  The tolerance is relative to t_end."""
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        evolve_run(_soliton_field(), NLS, t_end, dt)
+
+
+def test_run_accepts_t_end_a_multiple_of_dt_up_to_rounding():
+    """10 steps of 0.1 sum to 1.0000000000000002, a multiple up to rounding."""
+    f0 = _soliton_field(Grid(64, 40.0))
+    for t_end, dt, steps in [(1.0, 0.1, 10), (1e-9, 1e-10, 10), (0.0, 1.0, 0)]:
+        assert len(evolve_run(f0, NLS, t_end, dt, snapshot_stride=1).times) == steps + 1
+
+
 def test_snapshot_cadence():
     f0 = _soliton_field()
     traj = evolve_run(f0, NLS, 0.1, 1e-2, snapshot_stride=2)

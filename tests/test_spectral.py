@@ -1,13 +1,21 @@
 """Grid fields, spectral differentiation, compiled evaluation plans,
 residual tests, conserved integrals, and field file I/O."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import eval_rhs_reference, rhs_terms
+from oracles import (
+    centred_difference,
+    eval_rhs_reference,
+    fornberg_weights,
+    quadratic_derivative_reference,
+    residual_reference,
+    rhs_terms,
+)
 
 from rakns import spectral
 from rakns.diffpoly import DiffPoly, GaussianRational, dp_reduce, jet
@@ -302,25 +310,88 @@ def test_residual_rejects_fake_solution(table5):
     assert residual(fake(-d), fake(0.0), fake(d), spec) > 0.5
 
 
-def test_residual_requires_equal_spacing():
+def _three_fields(seed, times):
+    """Random band-limited fields at three times, each as _smooth_samples."""
+    return [Field(*_smooth_samples(seed + i), t) for i, t in enumerate(times)]
+
+
+_TWO_FLOWS = FlowSpec([(1, Linear(1.0)), (2, Linear(-0.5))])
+
+
+def _agrees_with_the_quadratic(fields, spec=_TWO_FLOWS) -> bool:
+    """residual against the derivative of the quadratic through the fields
+    at their own times (Fornberg's weights), to the rounding of the sum of
+    the weighted fields and of the right side."""
+    w = fornberg_weights(fields[1].time, [f.time for f in fields], 1)[:, 1]
+    size = sum(abs(wj) * np.max(np.abs(f.values)) for wj, f in zip(w, fields))
+    ref = residual_reference(quadratic_derivative_reference(fields), fields[1], spec)
+    return abs(residual(*fields, spec) - ref) <= 1e-14 * (size + ref)
+
+
+def test_residual_requires_increasing_times():
+    """Uneven steps were refused; the residual now takes the derivative of
+    the quadratic through the fields at their own times, and only times
+    that do not increase are refused."""
+    assert _agrees_with_the_quadratic(_three_fields(3, (0.0, 1.0, 3.0)))
     g = Grid(64, 10.0)
     z = np.zeros(64, dtype=complex)
     spec = FlowSpec([(1, Linear(1.0))])
-    with pytest.raises(SpectralError):
-        residual(Field(g, z, 0.0), Field(g, z, 1.0), Field(g, z, 3.0), spec)
+    for times in [(0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 2.0, 1.0)]:
+        with pytest.raises(SpectralError, match="step forward in time"):
+            residual(*(Field(g, z, t) for t in times), spec)
 
 
-def test_uniform_times_away_from_zero_are_equally_spaced():
-    """Times t0 + i dt round to steps that differ by up to an ulp of t, more
-    than the relative 1e-12 of the step once asked: 22 of 58 triples passed
-    at t0 = 10, dt = 1e-3 and 28 of 58 at t0 = 1, dt = 2.5e-5.  Each passes
-    now; a step the rounding of t is not negligible against is still
-    refused."""
+def test_uniform_times_away_from_zero_agree_with_the_quadratic():
+    """Times t0 + i dt round to steps that differ by up to an ulp of t, and
+    a triple whose steps differ by more than the rounding of t was
+    refused; every triple now agrees with the quadratic through it, and
+    the triple of the uneven steps 1e-5 and 1.2e-5 too."""
     for t0, dt in [(10.0, 1e-3), (1.0, 2.5e-5), (-3.0, 1e-4), (1e3, 1e-5)]:
         times = [t0 + i * dt for i in range(60)]
-        assert all(spectral._equally_spaced(*times[i : i + 3]) for i in range(58))
+        assert all(_agrees_with_the_quadratic(_three_fields(i, times[i : i + 3])) for i in range(58))
     t = 1e10 + 0.5  # ulp(t) is 1.9e-6
-    assert not spectral._equally_spaced(t - 1e-5, t, t + 1.2e-5)
+    assert _agrees_with_the_quadratic(_three_fields(0, (t - 1e-5, t, t + 1.2e-5)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(-100.0, 100.0), st.floats(1e-6, 1.0), st.floats(1e-3, 1e3))
+@example(0, 0.0, 1e-2, 1.0)
+@example(1, 10.0, 1e-3, 1e-3)
+@example(2, -3.0, 0.5, 1e3)
+def test_residual_derivative_is_the_quadratic_through_the_fields(seed, t0, h1, ratio):
+    """At steps h1 and h2 = ratio h1, the residual agrees with Fornberg's
+    weights to rounding; at equal float steps it is the centred difference
+    of the outer fields, bit for bit."""
+    assert _agrees_with_the_quadratic(_three_fields(seed, (t0 - h1, t0, t0 + ratio * h1)))
+    h, t = 2.0 ** math.floor(math.log2(h1)), float(round(t0))
+    fields = _three_fields(seed, (t - h, t, t + h))
+    assert fields[1].time - fields[0].time == fields[2].time - fields[1].time
+    centred = residual_reference(centred_difference(fields[0], fields[2]), fields[1], _TWO_FLOWS)
+    assert residual(*fields, _TWO_FLOWS) == centred
+
+
+def test_residual_at_tiny_equal_steps_is_the_centred_difference():
+    """Steps of 1e-200 square to 0: the correction to the centred
+    difference must not divide by h1 h2, or 0/0 turns the residual to NaN."""
+    fields = _three_fields(4, (-1e-200, 0.0, 1e-200))
+    r = residual(*fields, _TWO_FLOWS)
+    assert r == residual_reference(centred_difference(fields[0], fields[2]), fields[1], _TWO_FLOWS)
+    assert math.isfinite(r)
+
+
+def test_residual_is_second_order_in_uneven_steps():
+    """Flow 2 alone on the soliton at t0 = 0.3, h1 = 1e-2: the residual is
+    the truncation error of the quadratic, proportional to h1 h2, and the
+    uneven cases were refused."""
+    g = Grid(256, 40.0)
+    spec = FlowSpec([(2, Linear(1.0))])
+    h1, got = 1e-2, []
+    for ratio, expected in [(1.0, 2.533e-5), (0.5, 1.267e-5), (0.1, 2.531e-6)]:
+        times = (0.3 - h1, 0.3, 0.3 + ratio * h1)
+        r = residual(*(sample_onto_grid(soliton(1.0, 2), g, (0.0, t), t=t) for t in times), spec)
+        assert r == pytest.approx(expected, rel=1e-3)
+        got.append(r / ratio)
+    assert max(got) / min(got) < 1.01
 
 
 def test_residual_requires_shared_grid():

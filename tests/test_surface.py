@@ -212,6 +212,20 @@ def test_only_the_bound_plan_and_the_oracle_route_read_the_multipliers():
     assert sorted(readers) == ["_BoundPlan", "spectral_derivative"]
 
 
+def test_every_test_module_imports():
+    """The tier-1 run goes on past a collection error, so a test module
+    that stops importing (a name it imports is gone from the library)
+    shows as one ERROR line, and its tests drop out of the count unseen.
+    Each module must import, and one that does not is named here."""
+    failures = {}
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        try:
+            importlib.import_module(path.stem)
+        except Exception as exc:
+            failures[path.name] = f"{type(exc).__name__}: {exc}"
+    assert failures == {}
+
+
 def test_dir_lists_public_names():
     assert set(rakns.__all__) <= set(dir(rakns))
 
