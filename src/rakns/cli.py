@@ -214,6 +214,8 @@ def cmd_transform(args) -> None:
     rows = []
     for k in range(1, min(transformed.max_order, 5) + 1):
         fields = [sample_onto_grid(transformed, grid, (0.0,) * (k - 1) + (t,), t=t) for t in times]
+        if not fields[1].values.any():  # a residual of zeros checks nothing
+            raise CliError(f"transform failed: flow {k} is 0 at every probe node at --t {args.t:g}", VERIFY_FAILED)
         rows.append((f"flow {k}", residual(*fields, FlowSpec([(k, Linear(1.0))]))))
     if args.out:
         f0 = sample_onto_grid(transformed, grid, (args.t,), t=args.t)
@@ -277,29 +279,21 @@ def cmd_identity_check(args) -> None:
     _verdict("identity check", ((f"{name} error", e) for name, e in errors.items()), args.tol)
 
 
-# Errors that a command reports in one line: (home module, class, exit code),
-# the first match deciding; StabilityViolation is an EvolveError.
-_ERRORS = (
-    ("spectral", "FieldFormatError", USAGE),
-    ("spectral", "SpectralError", VERIFY_FAILED),
-    ("evolve", "StabilityViolation", VERIFY_FAILED),
-    ("config", "ConfigError", USAGE),
-    ("solutions", "SolutionError", USAGE),
-    ("evolve", "EvolveError", USAGE),
-    ("hierarchy", "RecursionBroken", VERIFY_FAILED),
-    ("hierarchy", "NonRealCoefficients", VERIFY_FAILED),
-)
+# The failed checks and numerical breakdowns, each by its home module: an
+# instance of one exits 1; Blowup and StabilityViolation are EvolveErrors.
+_FAILED = (("spectral", "SpectralError"), ("evolve", "EvolveError"), ("hierarchy", "RecursionBroken"))
 
 
 def _exit_code(exc: Exception) -> int | None:
-    """The exit code of an error in ``_ERRORS`` or a bad-input builtin, None
-    for any other.  A class is looked up only in a module already loaded,
-    because one that the run never imported cannot have raised it."""
-    for module, name, code in _ERRORS:
+    """1 for a failed check (a class of ``_FAILED``), 2 for bad input (a
+    ValueError or an OSError), None for any other error.  A class is looked
+    up only in a module already loaded, because one that the run never
+    imported cannot have raised it."""
+    for module, name in _FAILED:
         home = sys.modules.get(f"{__package__}.{module}")
         if home is not None and isinstance(exc, getattr(home, name)):
-            return code
-    return USAGE if isinstance(exc, (FileNotFoundError, ValueError)) else None
+            return VERIFY_FAILED
+    return USAGE if isinstance(exc, (ValueError, OSError)) else None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,24 +11,12 @@ from dataclasses import dataclass
 from .evolve import Bump, FlowSpec, Linear, Poly, Sinusoid
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class ParseError(ConfigError):
-    pass
-
-
-class UnknownKey(ConfigError):
-    pass
-
-
-class BadScheduleLiteral(ConfigError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -118,24 +106,23 @@ def parse_config(text: str) -> Config:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in _SECTIONS:
-                raise UnknownKey(f"unknown section [{current}]", lineno)
+                raise ConfigError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, {})
             continue
         if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
+            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         if current is None:
-            raise ParseError("key outside any [section]", lineno)
+            raise ConfigError("key outside any [section]", lineno)
         key, value = (s.strip() for s in line.split("=", 1))
         parse = _KEYS.get((current, key))
         if parse is None:
-            raise UnknownKey(f"unknown key {key!r} in [{current}]", lineno)
+            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current]:
-            raise ParseError(f"duplicate key {key!r} in [{current}]", lineno)
+            raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
         try:
             sections[current][key] = parse(value)
         except ValueError as exc:
-            error = BadScheduleLiteral if current == "flows" else ParseError
-            raise error(f"{key}: {exc}", lineno) from None
+            raise ConfigError(f"{key}: {exc}", lineno) from None
     return Config(sections)
 
 

@@ -27,11 +27,7 @@ _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 _PHI, _PSIBAR = _SYMBOL_INDEX["phi"], _SYMBOL_INDEX["psibar"]
 
 
-class DiffPolyError(Exception):
-    pass
-
-
-class NotExact(DiffPolyError):
+class NotExact(Exception):
     """Raised when a polynomial is not a total x-derivative.
 
     ``remainder`` holds the irreducible part for diagnostics.

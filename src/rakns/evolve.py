@@ -182,7 +182,7 @@ def _unit_phases(program: _BoundPlan, spec: FlowSpec) -> list:
     mus = [program.symbol(unit) for unit in np.diag([1j**k for k, _ in spec.entries])]
     for (k, _), mu in zip(spec.entries, mus):
         if np.any(mu.real):
-            raise EvolveError(f"the linear symbol of flow {k} is not imaginary")
+            raise ValueError(f"the linear symbol of flow {k} is not imaginary")
     return [np.ascontiguousarray(mu.imag) for mu in mus]
 
 

@@ -51,11 +51,8 @@ U0 = MatrixDP(0, DiffPoly.var("psi", 0, I), DiffPoly.var("phi", 0, MINUS_I), 0)
 
 
 class RecursionBroken(Exception):
-    """A diagonal density failed to integrate; indicates an implementation bug."""
-
-
-class NonRealCoefficients(Exception):
-    """A reduced flow H_k came out with a non-real coefficient."""
+    """A diagonal density failed to integrate, or a reduced flow H_k came
+    out with a non-real coefficient; either indicates an implementation bug."""
 
 
 def _swap(p: DiffPoly, sign: int) -> DiffPoly:
@@ -135,7 +132,7 @@ def _scalar_H(F: dict, k: int) -> DiffPoly:
     h = dp_reduce(-F[k + 1][0, 1]).scale(gr_i_power(-k))
     bad = [m for m in h.terms if not m.coeff.is_real()]
     if bad:
-        raise NonRealCoefficients(f"H_{k} has non-real terms: {bad}")
+        raise RecursionBroken(f"H_{k} has non-real terms: {bad}")
     return h
 
 

@@ -12,15 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class SolutionError(Exception):
-    pass
-
-
-class NotPositiveDefinite(SolutionError):
-    pass
-
-
-class ThetaZeroDivision(SolutionError):
+class SolutionError(ValueError):
     pass
 
 
@@ -152,19 +144,19 @@ def _check_riemann_matrix(B: np.ndarray) -> np.ndarray:
     finite, symmetric matrix with positive definite imaginary part."""
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise NotPositiveDefinite("Riemann matrix must be square")
+        raise SolutionError("Riemann matrix must be square")
     if not np.isfinite(B).all():
-        raise NotPositiveDefinite("Riemann matrix must be finite")
+        raise SolutionError("Riemann matrix must be finite")
     with np.errstate(over="ignore"):
         asymmetry, Y = np.max(np.abs(B - B.T)), np.pi * B.imag
     if asymmetry > 1e-12:
-        raise NotPositiveDefinite("Riemann matrix must be symmetric")
+        raise SolutionError("Riemann matrix must be symmetric")
     if not np.isfinite(Y).all():
-        raise NotPositiveDefinite("pi Im B must be finite")
+        raise SolutionError("pi Im B must be finite")
     try:
         return np.linalg.cholesky(Y).T
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Im B must be positive definite") from None
+        raise SolutionError("Im B must be positive definite") from None
 
 
 def _upper_gamma(n: int, x: float) -> float:
@@ -588,7 +580,7 @@ def _finite_gap_values(data: RiemannData, x, times: tuple) -> np.ndarray:
         # largest term, so a denominator no larger than that is a zero of theta.
         vanishes = np.minimum(abs(osc[1]), np.abs(den)) <= lattice.tol
         if vanishes.any():
-            raise ThetaZeroDivision(
+            raise SolutionError(
                 f"denominator theta vanishes at x={x[np.argmax(vanishes)]}, times={times}"
             )
         log_ratio = scale[0] + scale[2 : n + 2] - scale[1] - scale[n + 2 :] + 2j * Phi

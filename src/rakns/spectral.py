@@ -18,11 +18,7 @@ class SpectralError(Exception):
     pass
 
 
-class UnreducedInput(SpectralError):
-    """compile_plan needs a reduced polynomial (psi/psibar jets only)."""
-
-
-class FieldFormatError(SpectralError):
+class FieldFormatError(ValueError):
     """A field file that does not follow the format: bad input, not a failed check."""
 
 
@@ -146,7 +142,7 @@ def compile_plan(*polys: DiffPoly) -> EvalPlan:
     for h in polys:
         bad = h.symbols() & {"phi", "phibar"}
         if bad:
-            raise UnreducedInput(f"plan source must be reduced; found {sorted(bad)}")
+            raise ValueError(f"plan source must be reduced; found {sorted(bad)}")
     merged: dict = {}
     for j, h in enumerate(polys):
         for m in h.terms:

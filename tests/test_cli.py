@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, determinism, file round-trips."""
 
 import contextlib
+import errno
 import importlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shutil
@@ -15,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rakns.cli import USAGE, VERIFY_FAILED, _ERRORS, CliError, _difference_times, build_parser, main
-from rakns.diffpoly import from_json
-from rakns.solutions import random_riemann_data
+import rakns.hierarchy
+from rakns.cli import USAGE, VERIFY_FAILED, _FAILED, CliError, _difference_times, _exit_code, build_parser, main
+from rakns.config import parse_config
+from rakns.diffpoly import DiffPoly, MatrixDP, from_json
+from rakns.solutions import RiemannData, finite_gap_sample, random_riemann_data
 from rakns.spectral import FIELD_MAGIC, Field, Grid, format_samples, read_field, write_field
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -488,41 +492,89 @@ def test_identity_check_refuses_overflowing_transform(a, b, max_flow, capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "must be finite" in err
 
 
+def _unknown_key():
+    parse_config("[flows]\nbogus = 1\n")
+
+
+def _theta_zero():
+    """Genus 1: theta(1/2 + tau/2 | tau) = 0, so this Z - Delta makes the
+    constant denominator Theta(Z - Delta) vanish."""
+    tau = 0.2 + 1.3j
+    data = RiemannData(
+        genus=1,
+        B=np.array([[tau]]),
+        V=(np.array([1.0 + 0.5j]),),
+        K=(1.0, 0.3),
+        Z=np.array([0.1 + 0.2j]),
+        delta=np.array([0.1 + 0.2j - (0.5 + tau / 2)]),
+        rho=1.0,
+    )
+    finite_gap_sample(data, 0.3, ())
+
+
+def _non_real_H():
+    rakns.hierarchy._scalar_H({2: MatrixDP(0, DiffPoly.var("psi"), 0, 0)}, 1)
+
+
+# Refusals that were classes of their own, each now raised as the class
+# beside it.  Their rows drive the real refusal through main, not an
+# injected instance.
+_MERGED = {
+    "UnknownKey": (_unknown_key, "ConfigError"),
+    "ThetaZeroDivision": (_theta_zero, "SolutionError"),
+    "NonRealCoefficients": (_non_real_H, "RecursionBroken"),
+}
+
+
 @pytest.mark.parametrize(
     "module, name, expected",
     [
-        ("solutions", "SolutionError", 2),
-        ("solutions", "ThetaZeroDivision", 2),
-        ("spectral", "UnreducedInput", 1),
-        ("config", "UnknownKey", 2),
-        ("evolve", "Blowup", 2),
+        ("spectral", "SpectralError", 1),
+        ("evolve", "Blowup", 1),
+        ("evolve", "StabilityViolation", 1),
         ("hierarchy", "RecursionBroken", 1),
         ("hierarchy", "NonRealCoefficients", 1),
+        ("solutions", "SolutionError", 2),
+        ("solutions", "ThetaZeroDivision", 2),
+        ("config", "ConfigError", 2),
+        ("config", "UnknownKey", 2),
+        ("spectral", "FieldFormatError", 2),
+        ("builtins", "ValueError", 2),
+        ("builtins", "OSError", 2),
     ],
 )
 def test_error_class_exit_code(monkeypatch, capsys, module, name, expected):
-    """Error classes that no command test drives through main: each exits
-    with its code and one 'error:' line."""
-    import rakns.hierarchy
+    """Each side of the exit-code rule, raised where no command test drives
+    it through main: a failed check (a class of _FAILED) exits 1, bad input
+    (a ValueError or an OSError) exits 2, each with one 'error:' line.  A
+    Blowup raised outside evolve exits 1 too."""
+    home = importlib.import_module(module if module == "builtins" else f"rakns.{module}")
+    if name in _MERGED:
+        refuse, merged_into = _MERGED[name]
+        with pytest.raises(getattr(home, merged_into)) as info:
+            refuse()
+        message = str(info.value)
+    else:
+        message = "injected"
 
-    error = getattr(importlib.import_module(f"rakns.{module}"), name)
+        def refuse():
+            raise getattr(home, name)(message)
 
-    def failing(K):
-        raise error("injected")
-
-    monkeypatch.setattr(rakns.hierarchy, "build_flows", failing)
+    monkeypatch.setattr(rakns.hierarchy, "build_flows", lambda K: refuse())
     code, text, err = run(["hierarchy", "show", "--order", "1"], capsys)
     assert code == expected
-    assert text == "" and err == "error: injected\n"
+    assert text == "" and err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("module, name, code", _ERRORS)
+@pytest.mark.parametrize("module, name, code", [(*row, VERIFY_FAILED) for row in _FAILED])
 def test_error_table_names_exception_classes(module, name, code):
     """_exit_code looks each class up inside the error path: a renamed one
-    would turn every error of its module into an AttributeError."""
+    would turn every error of its module into an AttributeError.  None is
+    bad input, so the order of the rule's two checks decides nothing."""
     error = getattr(importlib.import_module(f"rakns.{module}"), name, None)
     assert isinstance(error, type) and issubclass(error, Exception)
-    assert code in (USAGE, VERIFY_FAILED)
+    assert not issubclass(error, (ValueError, OSError))
+    assert _exit_code(error("injected")) == code
 
 
 def test_unexpected_error_propagates(monkeypatch):
@@ -1145,6 +1197,62 @@ def test_bad_input_is_one_line_exit_2(tmp_path, capsys, config_edit, argv):
         assert "--t must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, errno_",
+    [
+        ([*_EVOLVE, "--preset", "nls", *_PRESET_RUN, "--config", "<dir>"], errno.EISDIR),
+        (["evolve", "--initial", "<dir>", "--preset", "nls", *_PRESET_RUN], errno.EISDIR),
+        ([*_EVOLVE, "--preset", "nls", *_PRESET_RUN, "--out", "<file>"], errno.EEXIST),
+        (["verify", "residual", "--snapshots", "<file>", "--config", "<file>"], errno.ENOTDIR),
+        (["sample", "--solution", "finitegap", "--riemann", "<dir>", "--grid", "16,10"], errno.EISDIR),
+        (["sample", "--solution", "soliton", "--grid", "16,10", "--out", "<dir>"], errno.EISDIR),
+        ([*_TRANSFORM, "--out", "<dir>"], errno.EISDIR),
+        ([*_IDENTITY, "--riemann", "<dir>"], errno.EISDIR),
+    ],
+    ids=[
+        "evolve_config_dir", "evolve_initial_dir", "evolve_out_file", "verify_snapshots_file",
+        "sample_riemann_dir", "sample_out_dir", "transform_out_dir", "identity_riemann_dir",
+    ],
+)
+def test_unusable_path_is_one_line_exit_2(tmp_path, capsys, argv, errno_):
+    """A directory where a file is meant, or a file where a directory is,
+    once ended in the OSError's traceback with exit 1."""
+    directory, plain = tmp_path / "dir", tmp_path / "run.cfg"
+    directory.mkdir()
+    plain.write_text(CONFIG)
+    paths = {"<dir>": directory, "<file>": plain}
+    path = next(paths[t] for t in argv if t in paths)
+    code, _, err = run([str(paths.get(t, t)) for t in argv], capsys)
+    assert code == USAGE
+    assert err == f"error: [Errno {errno_}] {os.strerror(errno_)}: '{path}'\n"
+
+
+@pytest.mark.parametrize("t, shown", [("1000", "1000"), ("6e10", "6e+10")])
+def test_transform_refuses_a_probe_the_solution_has_left(capsys, t, shown):
+    """At these t the transformed soliton is 0 at every node of the probe:
+    each residual read 0 (worst 2.113e-143 at t = 1e3) and the check passed
+    on no field at all."""
+    argv = ["transform", "--probe", "128,40", "--sampler", "soliton", "--a", "1.3", "--b", "0.2", f"--t={t}"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (VERIFY_FAILED, "")
+    assert err == f"error: transform failed: flow 1 is 0 at every probe node at --t {shown}\n"
+
+
+def test_transform_of_a_probe_the_solution_fills_is_pinned(capsys):
+    argv = ["transform", "--probe", "128,40", "--sampler", "soliton", "--a", "1.3", "--b", "0.2", "--t=0.3"]
+    code, out, err = run(argv, capsys)
+    assert code == VERIFY_FAILED
+    assert out == (
+        "flow 1: residual 2.997e-04\n"
+        "flow 2: residual 1.505e-02\n"
+        "flow 3: residual 5.048e-02\n"
+        "flow 4: residual 1.783e+00\n"
+        "flow 5: residual 6.862e+00\n"
+        "worst residual 6.862e+00\n"
+    )
+    assert err == "error: transform failed: flow 1 residual 2.997e-04 is not below --tol 1.000e-06\n"
+
+
 # -- the finite-gap commands as a property ------------------------------------
 #
 # Bounds, so that the property runs in a few seconds of tier-1: genus <= 3,
@@ -1275,9 +1383,10 @@ def test_finitegap_commands_fail_closed(tmp_path_factory, doc, argv, identity):
 # sampler orders and config flows of at most 4 (_MAX_ORDER), and a fixed,
 # derandomised example budget per command.  Each input is a usable value
 # seven times in eight and an edge token otherwise, so that the runs reach
-# the verdicts and the stepper, not only the first refusal.  A case is
-# (argv, files): each file is written into a fresh directory, which
-# '<dir>' in argv names.
+# the verdicts and the stepper, not only the first refusal; a path's edge
+# tokens are a directory and a plain file.  A case is (argv, files): each
+# file is written into a fresh directory, which '<dir>' in argv names, and
+# which holds the directory snaps and the empty file plain.
 
 _MAX_N, _MAX_STEPS, _MAX_ORDER = 64, 20, 4
 
@@ -1287,6 +1396,12 @@ def _mostly(good, bad=_numbers):
     ``bad`` otherwise."""
     good = st.sampled_from(good) if isinstance(good, list) else good
     return st.sampled_from([True] * 7 + [False]).flatmap(lambda usable: good if usable else bad)
+
+
+def _path(good):
+    """A path option's value: ``good`` seven times in eight, otherwise a
+    directory or a plain file, each of which exists."""
+    return _mostly([good], st.sampled_from(["<dir>/snaps", "<dir>/plain"]))
 
 
 _orders = _mostly(st.integers(1, _MAX_ORDER).map(str), st.sampled_from(["-1", "0", "nan", "1e308", "2.0", "x", ""]))
@@ -1331,7 +1446,7 @@ def _sample_case(draw):
     if draw(st.booleans()):
         argv += ["--times", *draw(st.lists(_mostly(st.floats(-1, 1).map(repr)), max_size=5))]
     if draw(st.booleans()):
-        argv += ["--out", "<dir>/f.txt"]
+        argv += ["--out", draw(_path("<dir>/f.txt"))]
     return argv, {}
 
 
@@ -1346,7 +1461,7 @@ def _transform_case(draw):
     if draw(st.booleans()):
         argv += draw(_option("--tol", _mostly(["1e-6", "1e-3", "1"])))
     if draw(st.booleans()):
-        argv += ["--out", "<dir>/probe.csv"]
+        argv += ["--out", draw(_path("<dir>/probe.csv"))]
     return argv, {}
 
 
@@ -1421,7 +1536,7 @@ def _evolve_case(draw):
     times = [("--dt", dt), ("--t-end", t_end)]
     if draw(st.booleans()):
         files["run.cfg"] = draw(_config_text(dt, t_end))
-        argv += ["--config", "<dir>/run.cfg"]
+        argv += ["--config", draw(_path("<dir>/run.cfg"))]
         times = times[: draw(st.integers(0, 2))]
     if "run.cfg" not in files or draw(st.booleans()):
         preset = draw(_mostly(_PRESETS, st.sampled_from(["hnls5(1,1,1,1,1,1)", "nosuch", "nls(", "hirota(alpha=1,alpha=2)"])))
@@ -1431,7 +1546,7 @@ def _evolve_case(draw):
         argv += draw(_option(name, st.just(value)))
     if draw(st.booleans()):
         files["init.txt"] = draw(_field_text(time=draw(_mostly(["0", "0.5"]))))
-        argv += ["--initial", "<dir>/init.txt", *draw(_mostly(st.just([]), st.just(["--param", "a=1"])))]
+        argv += ["--initial", draw(_path("<dir>/init.txt")), *draw(_mostly(st.just([]), st.just(["--param", "a=1"])))]
     else:
         argv += ["--initial", *draw(_sampler_case(["soliton", "planewave", "peregrine", "finitegap", "nosuch"]))]
     if "run.cfg" not in files or draw(st.booleans()):
@@ -1439,7 +1554,7 @@ def _evolve_case(draw):
     if draw(st.booleans()):
         argv += ["--method", draw(st.sampled_from(["auto", "rk4", "ifrk4"]))]
     if draw(st.booleans()):
-        argv += ["--out", "<dir>/run"]
+        argv += ["--out", draw(_path("<dir>/run"))]
     return argv, files
 
 
@@ -1452,7 +1567,7 @@ def _verify_case(draw):
     t0, h = float(draw(_mostly(["0", "1"]))), float(draw(_mostly(["1e-3", "0.1"])))
     for i in range(draw(_mostly(st.integers(3, 5), st.integers(0, 2)))):
         files[f"snaps/snap_{i}.txt"] = draw(_field_text(n, length, repr(t0 + i * h)))
-    argv = ["verify", "residual", "--snapshots", "<dir>/snaps", "--config", "<dir>/run.cfg"]
+    argv = ["verify", "residual", "--snapshots", draw(_path("<dir>/snaps")), "--config", draw(_path("<dir>/run.cfg"))]
     if draw(st.booleans()):
         argv += draw(_option("--tol", _mostly(["1e-4", "1", "1e3"])))
     return argv, files
@@ -1463,6 +1578,7 @@ def _case_runs_closed(tmp_path_factory, case):
     home = tmp_path_factory.getbasetemp() / "case"
     shutil.rmtree(home, ignore_errors=True)
     (home / "snaps").mkdir(parents=True)
+    (home / "plain").write_text("")
     for name, text in files.items():
         (home / name).write_text(text)
     _runs_closed([token.replace("<dir>", str(home)) for token in argv])
@@ -1492,6 +1608,7 @@ def test_sample_fails_closed(tmp_path_factory, case):
 @given(_transform_case())
 @example(([*_TRANSFORM[:-1], "64,1e-300", "--a=1", "--b=0", "--t", "0"], {}))
 @example((["transform", "--a", "1", "--b", "1e308", "--sampler", "peregrine", "--probe", "16,10"], {}))
+@example(([*_TRANSFORM, "--out", "<dir>/snaps"], {}))
 def test_transform_fails_closed(tmp_path_factory, case):
     _case_runs_closed(tmp_path_factory, case)
 

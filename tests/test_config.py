@@ -2,15 +2,7 @@
 
 import pytest
 
-from rakns.config import (
-    BadScheduleLiteral,
-    ConfigError,
-    ParseError,
-    UnknownKey,
-    parse_config,
-    parse_preset,
-    preset_flow_spec,
-)
+from rakns.config import ConfigError, parse_config, parse_preset, preset_flow_spec
 from rakns.evolve import Bump, Linear, Poly, Sinusoid
 
 GOOD = """\
@@ -43,36 +35,36 @@ def test_parse_good_config():
 
 
 def test_unknown_section_line_number():
-    with pytest.raises(UnknownKey) as e:
+    with pytest.raises(ConfigError, match=r"^line 1: unknown section \[nonsense\]$") as e:
         parse_config("[nonsense]\nx = 1\n")
     assert e.value.line == 1
 
 
 def test_unknown_key():
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ConfigError, match=r"^line 2: unknown key 'resolution' in \[grid\]$"):
         parse_config("[grid]\nresolution = 4\n")
 
 
 def test_unread_sections_rejected():
     for section in ("initial", "transform"):
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ConfigError, match=rf"^line 1: unknown section \[{section}\]$"):
             parse_config(f"[{section}]\na = 1\n")
 
 
 def test_duplicate_key():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match=r"^line 3: duplicate key 'n' in \[grid\]$"):
         parse_config("[grid]\nn = 64\nn = 128\n")
 
 
 def test_key_outside_section():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match=r"^line 1: key outside any \[section\]$"):
         parse_config("n = 64\n")
 
 
 def test_bad_schedule_arguments():
-    with pytest.raises(BadScheduleLiteral):
+    with pytest.raises(ConfigError, match=r"^line 2: flow1: wrong number of arguments in 'bump\(1\.0\)'$"):
         parse_config("[flows]\nflow1 = bump(1.0)\n")
-    with pytest.raises(BadScheduleLiteral):
+    with pytest.raises(ConfigError, match=r"^line 2: flow1: could not convert string to float: 'a'$"):
         parse_config("[flows]\nflow1 = linear(a, b)\n")
 
 
@@ -83,7 +75,7 @@ def test_flow_spec_requires_flows():
 
 
 def test_flow_key_pattern():
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ConfigError, match=r"^line 2: unknown key 'flow0' in \[flows\]$"):
         parse_config("[flows]\nflow0 = linear(1.0)\n")
 
 
@@ -179,7 +171,7 @@ def test_preset_rejects_stray_params():
 def test_bad_value_names_its_line(section, key, value):
     with pytest.raises(ConfigError) as e:
         parse_config(f"# run\n[{section}]\n{key} = {value}\n")
-    assert type(e.value) is (BadScheduleLiteral if section == "flows" else ParseError)
+    assert type(e.value) is ConfigError
     assert e.value.line == 3
     assert str(e.value).startswith(f"line 3: {key}:")
 
@@ -193,7 +185,7 @@ def test_bad_time_value_message():
         ("t_end = -1", "line 8: t_end: must be non-negative, got '-1'"),
         ("snapshot_stride = 0", "line 8: snapshot_stride: must be positive, got '0'"),
     ]:
-        with pytest.raises(ParseError) as e:
+        with pytest.raises(ConfigError) as e:
             parse_config(text.format(line))
         assert str(e.value) == message
     assert parse_config(text.format("t_end = 0")).sections["time"]["t_end"] == 0.0
@@ -207,7 +199,7 @@ def test_bad_grid_value_message():
         ("n = 100", "line 5: n: must be a power of two >= 16, got '100'"),
         ("length = -1", "line 5: length: must be positive, got '-1'"),
     ]:
-        with pytest.raises(ParseError) as e:
+        with pytest.raises(ConfigError) as e:
             parse_config(text.format(line))
         assert str(e.value) == message
     assert parse_config(text.format("n = 16")).sections["grid"]["n"] == 16

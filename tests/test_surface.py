@@ -199,6 +199,33 @@ def test_cli_has_one_failure_path():
     assert commands and returning == []
 
 
+# The library's exception classes that are neither bad input nor a failed
+# check, each with the reason it stays outside cli._exit_code's rule.
+OUTSIDE_THE_EXIT_RULE = {
+    "cli.CliError": "carries its own exit code",
+    "diffpoly.NotExact": "build_flows wraps it into hierarchy.RecursionBroken",
+}
+
+
+def test_every_library_error_is_bad_input_or_a_failed_check():
+    """cli._exit_code decides by type alone: a ValueError is bad input
+    (exit 2) and an instance of a class of cli._FAILED a failed check or a
+    breakdown (exit 1).  Every exception class that a module of src/rakns
+    defines is one of these or listed above, so none ends a run in a
+    traceback unnoticed."""
+    from rakns.cli import _FAILED
+
+    failed = tuple(getattr(importlib.import_module(f"rakns.{m}"), n) for m, n in _FAILED)
+    outside = []
+    for path in sorted((SRC / "rakns").glob("*.py")):
+        module = importlib.import_module("rakns" if path.stem == "__init__" else f"rakns.{path.stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                if not issubclass(obj, (ValueError, *failed)):
+                    outside.append(f"{path.stem}.{name}")
+    assert sorted(outside) == sorted(OUTSIDE_THE_EXIT_RULE)
+
+
 def test_only_the_bound_plan_and_the_oracle_route_read_the_multipliers():
     """``_BoundPlan`` is the one code that evaluates a plan on a grid, and
     the linear symbol comes off the multipliers it bound: in the library
