@@ -30,9 +30,9 @@ a soliton with ``method="auto"``, at the benchmark's dt = 1.25e-4 and at
 2.5e-4, the median of five runs in each round; next to each time is the
 largest error against the multi-time soliton sampler and the number of
 ``numpy.fft.fft`` and ``ifft`` calls of one run, counted in the recorder
-process by wrapping numpy's functions (rakns itself is not changed).  A
-side whose stepper refuses a dt (rk4's stability guard raises
-StabilityViolation) records the refusal in place of a time.
+process by ``perfbench/tracer.py``'s ``Tracer`` (rakns itself is not
+changed).  A side whose stepper refuses a dt (rk4's stability guard
+raises StabilityViolation) records the refusal in place of a time.
 
 The field-file rows: one ``write_field`` and one ``read_field`` of a file
 of random samples at n = 256 and 2048, the median of IO_REPS calls in each
@@ -197,28 +197,16 @@ def analytic_rows() -> dict:
 
 def fft_calls(run) -> int:
     """The numpy.fft.fft and ifft calls that ``run()`` makes, counted by
-    rebinding numpy's functions for the call."""
-    import numpy as np
+    perfbench's tracer."""
+    from tracer import Tracer
 
-    count = 0
-    originals = {name: getattr(np.fft, name) for name in ("fft", "ifft")}
-
-    def counting(original):
-        def counted(*args, **kwargs):
-            nonlocal count
-            count += 1
-            return original(*args, **kwargs)
-
-        return counted
-
+    tracer = Tracer()
+    tracer.install()
     try:
-        for name, original in originals.items():
-            setattr(np.fft, name, counting(original))
         run()
     finally:
-        for name, original in originals.items():
-            setattr(np.fft, name, original)
-    return count
+        tracer.uninstall()
+    return tracer.summary(1.0, ["numpy.fft.calls"])["numpy.fft.calls"]
 
 
 def stepping_rows() -> dict:

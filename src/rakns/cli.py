@@ -8,7 +8,6 @@ raises; ``main`` alone writes stderr, one ``error: ...`` line per failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -164,6 +163,9 @@ def cmd_evolve(args) -> None:
         raise CliError("need --dt and --t-end (or a [time] config section)")
     method = args.method or time_keys.get("method", "auto")
     stride = time_keys.get("snapshot_stride")
+    if args.out and os.path.isdir(args.out):
+        if any(re.fullmatch(r"snap_.*\.txt|conserved\.csv|last_good\.txt", f) for f in os.listdir(args.out)):
+            raise CliError(f"--out {args.out} already holds a run's files; give an empty or new directory")
     try:
         traj = evolve_run(f0, spec, t_end, dt, method=method, snapshot_stride=stride)
     except Blowup as exc:
@@ -198,7 +200,7 @@ def _difference_times(t: float) -> tuple:
 
 def cmd_transform(args) -> None:
     from .evolve import FlowSpec, Linear
-    from .spectral import residual, sample_onto_grid
+    from .spectral import residual, sample_onto_grid, write_field
     from .symmetry import SymmetryParams, transform_solution
 
     _check_tol(args.tol)
@@ -218,13 +220,7 @@ def cmd_transform(args) -> None:
             raise CliError(f"transform failed: flow {k} is 0 at every probe node at --t {args.t:g}", VERIFY_FAILED)
         rows.append((f"flow {k}", residual(*fields, FlowSpec([(k, Linear(1.0))]))))
     if args.out:
-        f0 = sample_onto_grid(transformed, grid, (args.t,), t=args.t)
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "t", "re", "im"])
-            x = grid.nodes - grid.length / 2
-            for xx, v in zip(x, f0.values):
-                w.writerow([f"{xx:.17g}", f"{args.t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
+        write_field(sample_onto_grid(transformed, grid, (args.t,), t=args.t), args.out)
     _residual_verdict("transform", rows, args.tol)
 
 
@@ -285,14 +281,16 @@ _FAILED = (("spectral", "SpectralError"), ("evolve", "EvolveError"), ("hierarchy
 
 
 def _exit_code(exc: Exception) -> int | None:
-    """1 for a failed check (a class of ``_FAILED``), 2 for bad input (a
-    ValueError or an OSError), None for any other error.  A class is looked
-    up only in a module already loaded, because one that the run never
-    imported cannot have raised it."""
+    """1 for a failed check (a class of ``_FAILED``) or a MemoryError, 2 for
+    bad input (a ValueError or an OSError), None for any other error.  A
+    class is looked up only in a module already loaded, because one that
+    the run never imported cannot have raised it."""
     for module, name in _FAILED:
         home = sys.modules.get(f"{__package__}.{module}")
         if home is not None and isinstance(exc, getattr(home, name)):
             return VERIFY_FAILED
+    if isinstance(exc, MemoryError):
+        return VERIFY_FAILED
     return USAGE if isinstance(exc, (ValueError, OSError)) else None
 
 
@@ -343,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--probe", required=True, help="probe grid N,L")
     tr.add_argument("--t", type=float, default=0.0)
     tr.add_argument("--tol", type=float, default=1e-6)
-    tr.add_argument("--out", help="CSV of transformed samples")
+    tr.add_argument("--out", help="field file of the transformed samples at --t")
     tr.set_defaults(func=cmd_transform)
 
     ve = sub.add_parser("verify", help="verification utilities")
@@ -392,7 +390,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc, CliError) else _exit_code(exc)
         if code is None:
             raise
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

@@ -82,21 +82,12 @@ def _multipliers(grid: Grid, orders: tuple) -> np.ndarray:
     return mults
 
 
-def _samples(f: Field | np.ndarray, grid: Grid | None) -> tuple[np.ndarray, Grid]:
-    if isinstance(f, Field):
-        return f.values, f.grid
-    if grid is None:
-        raise ValueError("grid required when passing raw samples")
-    return np.asarray(f, dtype=complex), grid
-
-
-def spectral_derivative(f: Field | np.ndarray, order: int, grid: Grid | None = None) -> np.ndarray:
-    """n-th derivative by Fourier multiplier (i xi)^n (Nyquist mode zeroed
-    for odd n)."""
-    values, grid = _samples(f, grid)
+def spectral_derivative(f: Field, order: int) -> np.ndarray:
+    """n-th derivative of the field's samples by Fourier multiplier
+    (i xi)^n (Nyquist mode zeroed for odd n)."""
     if order == 0:
-        return values.copy()
-    return np.fft.ifft(np.fft.fft(values) * _multipliers(grid, (order,))[0])
+        return f.values.copy()
+    return np.fft.ifft(np.fft.fft(f.values) * _multipliers(f.grid, (order,))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,16 +174,12 @@ def _coefficients(plan: EvalPlan, weights) -> np.ndarray:
     return plan.scatter.sum(axis=1) if weights is None else plan.scatter @ np.asarray(weights)
 
 
-def eval_rhs(
-    plan: EvalPlan, f: Field | np.ndarray, grid: Grid | None = None, weights=None
-) -> np.ndarray:
-    """Evaluate sum_j weights[j] P_j pointwise over the grid (unit weights
-    by default), from a Field or from raw samples plus their grid: the plan
-    bound to the grid, evaluated from the FFT of the samples
-    (``_BoundPlan.value``).  The bind refuses a grid so short that
-    (i xi)^order overflows."""
-    values, grid = _samples(f, grid)
-    return _BoundPlan(plan, grid).value(np.fft.fft(values), weights)
+def eval_rhs(plan: EvalPlan, f: Field, weights=None) -> np.ndarray:
+    """Evaluate sum_j weights[j] P_j pointwise over the field's grid (unit
+    weights by default): the plan bound to the grid, evaluated from the FFT
+    of the samples (``_BoundPlan.value``).  The bind refuses a grid so
+    short that (i xi)^order overflows."""
+    return _BoundPlan(plan, f.grid).value(np.fft.fft(f.values), weights)
 
 
 class _BoundPlan:

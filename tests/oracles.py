@@ -19,7 +19,7 @@ from rakns.diffpoly import (
 )
 from rakns.hierarchy import I, J, MINUS_I, U0, default_flow_table, flow_rhs
 from rakns.solutions import Sampler
-from rakns.spectral import compile_plan, eval_rhs, flow_plan, spectral_derivative
+from rakns.spectral import Field, compile_plan, eval_rhs, flow_plan, spectral_derivative
 
 
 def theta_brute(z, B, radius: int = 30) -> complex:
@@ -390,8 +390,8 @@ def curvature_residual(table, k: int) -> LambdaMatrixPoly:
 # -- compiled evaluation ----------------------------------------------------------
 
 
-def rhs_terms(sources, values, grid, weights=None) -> list:
-    """The weighted monomials of sum_j weights[j] P_j on the grid, one per
+def rhs_terms(sources, f, weights=None) -> list:
+    """The weighted monomials of sum_j weights[j] P_j on f's grid, one per
     monomial of each source P_j (unit weights for None), read off the
     DiffPolys themselves, not off a compiled plan: each jet by its own
     spectral derivative, each psibar factor conjugated where it is used,
@@ -400,7 +400,7 @@ def rhs_terms(sources, values, grid, weights=None) -> list:
 
     def jet_values(order):
         if order not in jets:
-            jets[order] = spectral_derivative(values, order, grid)
+            jets[order] = spectral_derivative(f, order)
         return jets[order]
 
     terms = []
@@ -415,10 +415,10 @@ def rhs_terms(sources, values, grid, weights=None) -> list:
     return terms
 
 
-def eval_rhs_reference(sources, values, grid, weights=None) -> np.ndarray:
-    """sum_j weights[j] P_j on the grid, summed monomial by monomial."""
-    out = np.zeros(grid.n, dtype=complex)
-    for term in rhs_terms(sources, values, grid, weights):
+def eval_rhs_reference(sources, f, weights=None) -> np.ndarray:
+    """sum_j weights[j] P_j on f's grid, summed monomial by monomial."""
+    out = np.zeros(f.grid.n, dtype=complex)
+    for term in rhs_terms(sources, f, weights):
         out += term
     return out
 
@@ -426,7 +426,7 @@ def eval_rhs_reference(sources, values, grid, weights=None) -> np.ndarray:
 def conserved_integral_reference(density, f) -> complex:
     """Grid integral (mean times L) of one density, summed monomial by
     monomial."""
-    return complex(np.mean(eval_rhs_reference([density], f.values, f.grid)) * f.grid.length)
+    return complex(np.mean(eval_rhs_reference([density], f)) * f.grid.length)
 
 
 # -- the residual's time derivative ------------------------------------------------
@@ -512,7 +512,7 @@ def ifrk4_reference(table, spec, f, dt: float, steps: int) -> np.ndarray:
 
     def nhat(v, t):
         weights = [1j**k * s.derivative(t) for k, s in spec.entries]
-        return np.fft.fft(eval_rhs(plan, v, grid, weights))
+        return np.fft.fft(eval_rhs(plan, Field(grid, v), weights))
 
     v = f.values
     for i in range(steps):

@@ -18,11 +18,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rakns.hierarchy
-from rakns.cli import USAGE, VERIFY_FAILED, _FAILED, CliError, _difference_times, _exit_code, build_parser, main
-from rakns.config import parse_config
+from rakns.cli import OK, USAGE, VERIFY_FAILED, _FAILED, CliError, _difference_times, _exit_code, build_parser, main
+from rakns.config import parse_config, parse_preset
 from rakns.diffpoly import DiffPoly, MatrixDP, from_json
-from rakns.solutions import RiemannData, finite_gap_sample, random_riemann_data
-from rakns.spectral import FIELD_MAGIC, Field, Grid, format_samples, read_field, write_field
+from rakns.evolve import Blowup, evolve_run
+from rakns.solutions import (
+    RiemannData,
+    finite_gap_sample,
+    finite_gap_sampler,
+    peregrine,
+    plane_wave,
+    random_riemann_data,
+    soliton,
+)
+from rakns.spectral import FIELD_MAGIC, Field, Grid, format_samples, read_field, sample_onto_grid, write_field
+from rakns.symmetry import SymmetryParams, transform_solution
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -431,16 +441,109 @@ def test_verify_residual_grid_too_short_for_its_derivatives_names_the_grid(tmp_p
     assert _one_error_line(err) and "grid length 1e-300" in err
 
 
-def test_transform_csv_output(tmp_path, capsys):
-    out = tmp_path / "probe.csv"
-    code, _, _ = run(
-        ["transform", "--a", "1.0", "--b", "0.0", "--sampler", "planewave",
-         "--probe", "128,40", "--tol", "1e-4", "--out", str(out)],
-        capsys,
-    )
-    assert code == 0
-    header = out.read_text().splitlines()[0]
-    assert header == "x,t,re,im"
+# -- every sample file the CLI writes, as a property ---------------------------
+#
+# Grids of at most 64 points and runs of at most 40 steps; a fixed,
+# derandomised example budget per file.
+
+_small_grids = st.tuples(st.sampled_from([16, 32, 64]), st.sampled_from([10.0, 20.0, 40.0]))
+_small_times = st.integers(-1000, 1000).map(lambda k: k / 1000)  # no exponent: argparse reads '-1e-05' as an option
+
+
+def _sampler_inputs(draw, work):
+    """A sampler name, its --param options, and the library's sampler from
+    the same inputs; a finite-gap sampler's data is written into work."""
+    name = draw(st.sampled_from(["planewave", "soliton", "peregrine", "finitegap"]))
+    if name == "finitegap":
+        path = work / "riemann.json"
+        path.write_text(random_riemann_data(draw(st.integers(1, 2)), 5, rng=draw(st.integers(0, 2**16))).to_json())
+        return name, ["--param", f"riemann={path}"], finite_gap_sampler(RiemannData.from_json(path.read_text()))
+    if name == "peregrine":
+        return name, [], peregrine()
+    order, amplitude = draw(st.integers(1, 5)), draw(st.sampled_from([0.5, 1.0, 1.5]))
+    key, make = ("q", plane_wave) if name == "planewave" else ("a", soliton)
+    return name, ["--param", f"order={order}", "--param", f"{key}={amplitude!r}"], make(amplitude, order)
+
+
+def _sample_file(draw, work):
+    name, params, sampler = _sampler_inputs(draw, work)
+    (n, length), times = draw(_small_grids), draw(st.lists(_small_times, max_size=sampler.max_order))
+    path = work / "f.txt"
+    argv = ["sample", "--solution", name, *params, "--grid", f"{n},{length!r}", "--times", *map(repr, times)]
+    return [*argv, "--out", str(path)], (OK,), {path: sample_onto_grid(sampler, Grid(n, length), tuple(times))}
+
+
+def _transform_file(draw, work):
+    """The file is written before the verdict, so a failed check (a probe
+    too coarse for the residual) writes it too."""
+    name, params, sampler = _sampler_inputs(draw, work)
+    a, b = draw(st.sampled_from([-1.3, -0.8, 0.6, 1.2])), draw(st.sampled_from([-0.3, 0.0, 0.2]))
+    (n, length), t = draw(_small_grids), draw(_small_times)
+    path = work / "probe.txt"
+    argv = ["transform", f"--a={a!r}", f"--b={b!r}", "--sampler", name, *params, "--probe", f"{n},{length!r}", f"--t={t!r}"]
+    want = sample_onto_grid(transform_solution(sampler, SymmetryParams(a, b)), Grid(n, length), (t,), t=t)
+    return [*argv, "--out", str(path)], (OK, VERIFY_FAILED), {path: want}
+
+
+def _snapshot_files(draw, work):
+    (n, length), dt, steps = draw(_small_grids), draw(st.sampled_from([1e-3, 5e-4])), draw(st.integers(0, 12))
+    f0 = sample_onto_grid(soliton(draw(st.sampled_from([0.5, 1.0]))), Grid(n, length), (), t=draw(st.sampled_from([0.0, 0.25])))
+    write_field(f0, work / "init.txt")
+    method = draw(st.sampled_from(["auto", "ifrk4"]))
+    argv = ["evolve", "--initial", str(work / "init.txt"), "--dt", repr(dt), "--t-end", repr(steps * dt), "--method", method]
+    if draw(st.booleans()):
+        preset = draw(st.sampled_from(["nls", "mkdv", "hirota(1.0,0.5)"]))
+        argv, spec, stride = [*argv, "--preset", preset], parse_preset(preset), None
+    else:
+        stride = draw(st.integers(1, 5))
+        (work / "run.cfg").write_text(f"[flows]\nflow1 = linear(1.0)\nflow2 = linear(-0.5)\n[time]\nsnapshot_stride = {stride}\n")
+        argv, spec = [*argv, "--config", str(work / "run.cfg")], parse_config((work / "run.cfg").read_text()).flow_spec()
+    traj = evolve_run(f0, spec, steps * dt, dt, method=method, snapshot_stride=stride)
+    out = work / "snaps"
+    return [*argv, "--out", str(out)], (OK,), {out / f"snap_{i}.txt": f for i, f in enumerate(traj.fields)}
+
+
+def _last_good_file(draw, work):
+    """A flat field that NLS blows up at its second step, or at its first
+    (where the last good field is the initial one)."""
+    (n, length), method = draw(_small_grids), draw(st.sampled_from(["auto", "ifrk4", "rk4"]))
+    g = Grid(n, length)
+    amplitude, t = draw(st.sampled_from([28.0, 32.0, 1e60])), draw(st.sampled_from([0.0, 0.5]))
+    f0 = Field(g, amplitude * (1.0 + 0.1 * np.cos(2 * np.pi * g.nodes / length)) + 0j, t)
+    write_field(f0, work / "init.txt")
+    with pytest.raises(Blowup) as info:
+        evolve_run(f0, parse_preset("nls"), 0.04, 1e-3, method=method)
+    out = work / "run"
+    argv = ["evolve", "--preset", "nls", "--initial", str(work / "init.txt"), "--dt", "1e-3", "--t-end", "0.04"]
+    return [*argv, "--method", method, "--out", str(out)], (VERIFY_FAILED,), {out / "last_good.txt": info.value.last_good}
+
+
+def _bits(f: Field) -> tuple:
+    """A Field's grid and the bits of its time and samples."""
+    return f.grid, np.float64(f.time).tobytes(), f.values.tobytes()
+
+
+_SAMPLE_FILES = {"sample": _sample_file, "transform": _transform_file, "snapshots": _snapshot_files, "last_good": _last_good_file}
+
+
+@pytest.mark.parametrize("case", list(_SAMPLE_FILES))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_sample_file_reads_back_as_the_library_field(tmp_path_factory, case, data):
+    """Each sample file that a command writes (sample --out, transform
+    --out, evolve's snapshots, and the last good field of a blow-up) reads
+    back through read_field bit for bit as the Field that the library
+    builds from the same inputs, and the command writes no other."""
+    work = tmp_path_factory.mktemp(case)
+    argv, codes, want = _SAMPLE_FILES[case](data.draw, work)
+    before = set(work.rglob("*"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in codes, (argv, err.getvalue())
+    assert {p for p in set(work.rglob("*.txt")) - before} == set(want), argv
+    for path, f in want.items():
+        assert _bits(read_field(path)) == _bits(f), (argv, path.name)
 
 
 def test_identity_check_roundtrip(tmp_path, capsys):
@@ -871,6 +974,49 @@ def test_evolve_blowup_exits_1_with_last_good(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: blow-up:")
     assert np.all(np.isfinite(read_field(out / "last_good.txt").values.view(float)))
+
+
+_NLS_RUN = ["evolve", "--preset", "nls", "--initial", "soliton", "--grid", "64,20", "--dt", "1e-3"]
+
+
+def test_evolve_out_holding_an_earlier_run_is_refused(tmp_path, capsys, monkeypatch):
+    """A 5-step run into the --out of a 20-step run printed 'wrote 6
+    snapshots' and left 21, and verify residual checked the mix with exit
+    0.  Such an --out is refused before any step: exit 2, one line naming
+    the directory, and the earlier run's files as they were."""
+    out = tmp_path / "run"
+    out.mkdir()  # an empty directory is taken
+    assert run([*_NLS_RUN, "--t-end", "0.02", "--out", str(out)], capsys)[:2] == (0, f"wrote 21 snapshots to {out}\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr("rakns.evolve.evolve_run", lambda *args, **kwargs: pytest.fail("stepped"))
+    code, text, err = run([*_NLS_RUN, "--t-end", "5e-3", "--out", str(out)], capsys)
+    assert (code, text) == (USAGE, "")
+    assert _one_error_line(err) and str(out) in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["snap_0.txt", "snap_x.txt", "conserved.csv", "last_good.txt"])
+def test_evolve_out_holding_one_file_of_a_run_is_refused(tmp_path, capsys, name):
+    """Each file name that a run writes, alone in --out, refuses it."""
+    (tmp_path / name).write_text("")
+    code, text, err = run([*_NLS_RUN, "--t-end", "2e-3", "--out", str(tmp_path)], capsys)
+    assert (code, text) == (USAGE, "")
+    assert _one_error_line(err) and str(tmp_path) in err
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_memory_error_is_one_line_exit_1(monkeypatch, capsys):
+    """A MemoryError, numpy's with its message or a bare one, is a
+    breakdown: exit 1 and one 'error:' line, not a traceback; a bare one
+    is named by its class."""
+    for message, line in (("Unable to allocate 8.00 EiB", "Unable to allocate 8.00 EiB"), ("", "MemoryError")):
+
+        def exhausted(K, message=message):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(rakns.hierarchy, "build_flows", exhausted)
+        code, text, err = run(["hierarchy", "show", "--order", "1"], capsys)
+        assert (code, text, err) == (VERIFY_FAILED, "", f"error: {line}\n")
 
 
 def test_evolve_overflowing_coefficient_is_one_blowup_line(capsys):
@@ -1461,7 +1607,7 @@ def _transform_case(draw):
     if draw(st.booleans()):
         argv += draw(_option("--tol", _mostly(["1e-6", "1e-3", "1"])))
     if draw(st.booleans()):
-        argv += ["--out", draw(_path("<dir>/probe.csv"))]
+        argv += ["--out", draw(_path("<dir>/probe.txt"))]
     return argv, {}
 
 

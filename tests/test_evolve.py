@@ -280,7 +280,7 @@ def test_conserved_rows_match_three_integrals(spec, method):
         assert all(type(c) is complex for c in row)
         for c, k in zip(row, (1, 2, 3), strict=True):
             density = conserved_density(table, k)
-            scale = sum(np.sum(np.abs(t)) for t in rhs_terms([density], f.values, g)) * g.dx
+            scale = sum(np.sum(np.abs(t)) for t in rhs_terms([density], f)) * g.dx
             assert abs(c - conserved_integral_reference(density, f)) <= 1e-14 * scale
 
 

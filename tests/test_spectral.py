@@ -90,7 +90,7 @@ def test_single_mode_derivative_exact():
     for m in (1, 3, 10):
         u = np.exp(1j * m * g.nodes)
         for order in (1, 2, 3):
-            d = spectral_derivative(u, order, g)
+            d = spectral_derivative(Field(g, u), order)
             assert np.allclose(d, (1j * m) ** order * u, atol=1e-10)
 
 
@@ -98,7 +98,7 @@ def test_derivative_matches_finite_differences():
     """Independent low-order oracle on a smooth periodic profile."""
     g = Grid(256, 2 * np.pi)
     u = np.exp(np.sin(g.nodes))
-    d1 = spectral_derivative(u, 1, g)
+    d1 = spectral_derivative(Field(g, u), 1)
     fd = (np.roll(u, -1) - np.roll(u, 1)) / (2 * g.dx)
     assert np.max(np.abs(d1 - fd)) < 1e-3
     # and against the analytic derivative exactly
@@ -108,7 +108,7 @@ def test_derivative_matches_finite_differences():
 def test_odd_derivative_nyquist_zeroed():
     g = Grid(32, 2 * np.pi)
     u = np.cos(16 * g.nodes)  # pure Nyquist mode, real
-    d = spectral_derivative(u, 1, g)
+    d = spectral_derivative(Field(g, u), 1)
     assert np.max(np.abs(d.imag)) < 1e-12
 
 
@@ -136,15 +136,15 @@ def test_plans_match_their_sources(table5):
     alone, flows 1-3 and densities 1-3 together, and two sources sharing a
     monomial, whose coefficients the plan must merge into one row, checked
     against the per-monomial sum of the sources themselves."""
-    g, values = _smooth_samples(7)
+    f = _smooth_field(7)
     densities = [conserved_density(table5, k) for k in (1, 2, 3)]
     cases = [[table5.H[k]] for k in range(1, 6)]
     cases += [[table5.H[1], table5.H[2], table5.H[3]], densities, _two_sources_sharing_psi_x_psibar()]
     for sources in cases:
         plan = compile_plan(*sources)
         for weights in (None, [0.5 - 2j, 1.5, -1j][: len(sources)]):
-            err = np.max(np.abs(eval_rhs(plan, values, g, weights) - eval_rhs_reference(sources, values, g, weights)))
-            assert err <= 1e-13 * _term_scale(sources, values, g, weights)
+            err = np.max(np.abs(eval_rhs(plan, f, weights) - eval_rhs_reference(sources, f, weights)))
+            assert err <= 1e-13 * _term_scale(sources, f, weights)
 
 
 def test_plan_cache_returns_same_object(table5):
@@ -209,19 +209,20 @@ def _sources_and_weights(draw):
     return sources, weights
 
 
-def _smooth_samples(seed):
-    """A grid of 32 points and random samples of modes -3..3 on it."""
+def _smooth_field(seed, t=0.0):
+    """A field at time t of random samples of modes -3..3 on a grid of 32
+    points."""
     g = Grid(32, 2 * np.pi)
     rng = np.random.default_rng(seed)
     amps = [1, 1j] @ rng.uniform(-1, 1, (2, 7))  # jets of order 4 stay O(100)
-    return g, np.exp(1j * np.outer(g.nodes, np.arange(-3, 4))) @ amps
+    return Field(g, np.exp(1j * np.outer(g.nodes, np.arange(-3, 4))) @ amps, t)
 
 
-def _term_scale(sources, values, g, weights) -> float:
+def _term_scale(sources, f, weights) -> float:
     """The largest sum of |monomial| over the grid: the size that rounding
     in a sum of the weighted monomials is relative to."""
-    terms = rhs_terms(sources, values, g, weights)
-    return np.max(sum((np.abs(t) for t in terms), np.zeros(g.n)))
+    terms = rhs_terms(sources, f, weights)
+    return np.max(sum((np.abs(t) for t in terms), np.zeros(f.grid.n)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,12 +237,12 @@ def test_eval_rhs_matches_per_monomial_loop(sources_weights, seed):
     """The product program sums the same monomials as the per-monomial
     loop: the same values up to the order of products and sums."""
     sources, weights = sources_weights
-    g, values = _smooth_samples(seed)
+    f = _smooth_field(seed)
     plan = compile_plan(*sources)
-    got = eval_rhs(plan, values, g, weights)
-    assert got.shape == (g.n,)
-    err = np.max(np.abs(got - eval_rhs_reference(sources, values, g, weights)))
-    assert err <= 1e-13 * _term_scale(sources, values, g, weights)
+    got = eval_rhs(plan, f, weights)
+    assert got.shape == (f.grid.n,)
+    err = np.max(np.abs(got - eval_rhs_reference(sources, f, weights)))
+    assert err <= 1e-13 * _term_scale(sources, f, weights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,12 +257,12 @@ def test_linear_symbol_and_bound_plan_split_eval_rhs(sources_weights, seed):
     as a monomial, a linear jet also used in a product, and a lone psibar
     jet or a constant included."""
     sources, weights = sources_weights
-    g, values = _smooth_samples(seed)
+    f = _smooth_field(seed)
     plan = compile_plan(*sources)
-    psi_hat = np.fft.fft(values)
-    split = _BoundPlan(plan, g)(psi_hat, weights) + np.fft.ifft(_BoundPlan(plan, g).symbol(weights) * psi_hat)
-    err = np.max(np.abs(split - eval_rhs(plan, values, g, weights)))
-    assert err <= 1e-13 * _term_scale(sources, values, g, weights)
+    psi_hat = np.fft.fft(f.values)
+    split = _BoundPlan(plan, f.grid)(psi_hat, weights) + np.fft.ifft(_BoundPlan(plan, f.grid).symbol(weights) * psi_hat)
+    err = np.max(np.abs(split - eval_rhs(plan, f, weights)))
+    assert err <= 1e-13 * _term_scale(sources, f, weights)
 
 
 def test_hnls5_ifrk4_program_shares_products(table5):
@@ -310,8 +311,8 @@ def test_residual_rejects_fake_solution(table5):
 
 
 def _three_fields(seed, times):
-    """Random band-limited fields at three times, each as _smooth_samples."""
-    return [Field(*_smooth_samples(seed + i), t) for i, t in enumerate(times)]
+    """Random band-limited fields at three times, each as _smooth_field."""
+    return [_smooth_field(seed + i, t) for i, t in enumerate(times)]
 
 
 _TWO_FLOWS = FlowSpec([(1, Linear(1.0)), (2, Linear(-0.5))])
